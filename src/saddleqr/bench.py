@@ -115,7 +115,13 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
         a1, b1, c1, provenance = base_blocks(cfg, t_index)
         problem = scale_problem(a1, b1, c1, t, provenance)
         m = assemble(problem.blocks)
-        norm_m = spectral_norm(m).value
+        try:
+            norm_m = spectral_norm(m).value
+        except LinAlgError as exc:  # no ||M||, so no metric of the row
+            err = f"ERR:{exc.code}"
+            cells = {method: dict.fromkeys(METRIC_NAMES, err) for method in cfg.ordered_methods}
+            rows.append(BenchRow(t=t, kappa=err, cells=cells))
+            continue
         kappa: float | str
         try:
             kappa = condition_number(m).value
@@ -143,8 +149,7 @@ def _method_cells(problem, m, norm_m, kappa, method) -> dict[str, float | str]:
             norm_m=norm_m,
         )
     except LinAlgError as exc:
-        err = f"ERR:{exc.code}"
-        return {name: err for name in METRIC_NAMES}
+        return dict.fromkeys(METRIC_NAMES, f"ERR:{exc.code}")
     cells: dict[str, float | str] = {
         "orth": report.orth,
         "dec": report.dec,

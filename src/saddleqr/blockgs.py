@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, LinAlgError, RankDeficientError
-from .householder import thin_householder_qr
-from .matrix import DenseMatrix, hconcat, matmul, transpose
+from .householder import ThinQR, thin_householder_qr
+from .matrix import DenseMatrix, hconcat, matmul
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,20 @@ class BlockQR:
         return DenseMatrix._wrap(out)
 
 
-def _panel_qr(x: DenseMatrix, step: str):
+def _panel_qr(x: np.ndarray, step: str) -> ThinQR:
     try:
-        return thin_householder_qr(x)
+        return thin_householder_qr(DenseMatrix._wrap(x))
     except RankDeficientError as exc:
         raise RankDeficientError(column=exc.column, step=step) from exc
+
+
+def _first_pass(p: BlockPartition) -> tuple[ThinQR, DenseMatrix, ThinQR]:
+    """M1 = Q1 R1; S = Q1^T M2; Y = M2 - Q1 S; Y = Q2 R2."""
+    f1 = _panel_qr(p.m1.array, "first panel")
+    q1, m2 = f1.q.array, p.m2.array
+    s = q1.T @ m2
+    f2 = _panel_qr(m2 - q1 @ s, "second panel")
+    return f1, DenseMatrix._wrap(s), f2
 
 
 def bcgs(p: BlockPartition) -> BlockQR:
@@ -106,11 +115,7 @@ def bcgs(p: BlockPartition) -> BlockQR:
 
     Steps: M1 = Q1 R1; S = Q1^T M2; Y = M2 - Q1 S; Y = Q2 R2.
     """
-    f1 = _panel_qr(p.m1, "first panel")
-    q1t = transpose(f1.q)
-    s = matmul(q1t, p.m2)
-    y = p.m2 - matmul(f1.q, s)
-    f2 = _panel_qr(y, "second panel")
+    f1, s, f2 = _first_pass(p)
     return BlockQR(q1=f1.q, q2=f2.q, r1=f1.r, s=s, r2=f2.r)
 
 
@@ -120,17 +125,14 @@ def bcgs2(p: BlockPartition) -> BlockQR:
     After the single-pass steps (S1, Y1, Q2 R2), the second panel's Q
     factor is orthogonalized against Q1 once more:
     S2 = Q1^T Q2; Y2 = Q2 - Q1 S2; Y2 = Q2' R2'; then
-    S = S1 + S2 R2 and R2_final = R2' R2.
+    S = S1 + S2 R2 and R2_final = R2' R2.  These last two products use the
+    serial ``matmul``, so both update identities hold bitwise when
+    recomputed with it from the diagnostics.
     """
-    f1 = _panel_qr(p.m1, "first panel")
-    q1t = transpose(f1.q)
-    s1 = matmul(q1t, p.m2)
-    y1 = p.m2 - matmul(f1.q, s1)
-    f2 = _panel_qr(y1, "second panel")
-
-    s2 = matmul(q1t, f2.q)
-    y2 = f2.q - matmul(f1.q, s2)
-    f3 = _panel_qr(y2, "reorthogonalization panel")
+    f1, s1, f2 = _first_pass(p)
+    q1, q2 = f1.q.array, f2.q.array
+    s2 = DenseMatrix._wrap(q1.T @ q2)
+    f3 = _panel_qr(q2 - q1 @ s2.array, "reorthogonalization panel")
 
     s_new = s1 + matmul(s2, f2.r)
     r2_new = matmul(f3.r, f2.r)

@@ -97,7 +97,10 @@ def cmd_solve(args) -> int:
         detail = solve_detailed(blocks, f, args.method)
     except LinAlgError as exc:
         return _fail(f"solve failed: {exc}", 1)
-    write_vector(args.out, detail.solution.z)
+    try:
+        write_vector(args.out, detail.solution.z)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}", 2)
     print(f"solution written to {args.out} (method {args.method})")
 
     if z_star is not None:
@@ -112,7 +115,10 @@ def cmd_solve(args) -> int:
         print("method,kappa_M,orth,dec,res,stab")
         print(line)
         if args.report is not None:
-            Path(args.report).write_text("method,kappa_M,orth,dec,res,stab\n" + line + "\n")
+            try:
+                Path(args.report).write_text("method,kappa_M,orth,dec,res,stab\n" + line + "\n")
+            except OSError as exc:
+                return _fail(f"cannot write {args.report}: {exc}", 2)
     return 0
 
 

@@ -40,6 +40,13 @@ class SingularMatrixError(LinAlgError):
     code = "singular"
 
 
+class NonFiniteError(LinAlgError):
+    """A computed quantity overflowed or became NaN, so no finite value
+    can be reported for it (typically at extreme input scales)."""
+
+    code = "overflow"
+
+
 class ZeroDiagonalError(SingularMatrixError):
     """Back-substitution hit a zero (or subnormal) diagonal entry."""
 

@@ -1,10 +1,15 @@
 """Dense matrix and vector types with deterministic arithmetic kernels.
 
-Storage is row-major 64-bit float, immutable after construction.  All
-reductions (matrix products, matrix-vector products, two-norms) accumulate
-in a fixed serial order -- ascending inner index -- so results are
-bit-reproducible across runs and thread counts.  ``matmul`` is bitwise
-identical to the naive triple loop with ascending innermost index.
+Storage is row-major 64-bit float, immutable after construction.
+
+Determinism comes in two tiers.  The public ``matmul`` and ``mat_vec``,
+and the two-norm, accumulate in a fixed serial order -- ascending inner
+index -- so they are bitwise identical to the naive triple loop on every
+run and at every thread count.  The package's internal products (QR,
+block Gram-Schmidt, solves, norm estimation, metrics, generators) use
+numpy ``@`` on the underlying arrays: their results are byte-reproducible
+from run to run at a fixed BLAS thread count, but not across thread
+counts.
 """
 
 from __future__ import annotations
@@ -14,9 +19,6 @@ import numpy as np
 from .errors import DimensionError
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)  # 2^-52, approx 2.22e-16
-
-# Row-chunk budget (elements) for the serial matmul kernel.
-_MATMUL_TMP_ELEMS = 4_000_000
 
 
 def _seq_sum(x: np.ndarray) -> float:

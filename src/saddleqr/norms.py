@@ -8,8 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, RankDeficientError, SingularMatrixError
-from .matrix import MACHINE_EPS, DenseMatrix, _norm2_arr, _seq_matvec, _seq_sum
+from .errors import DimensionError, NonFiniteError, RankDeficientError, SingularMatrixError
+from .matrix import MACHINE_EPS, DenseMatrix, _norm2_arr, _seq_sum
 
 DEFAULT_TOL = 1e-8
 
@@ -88,7 +88,9 @@ def spectral_norm(
     """Two-norm estimate of ``x`` by power iteration on X^T X.
 
     The product X^T X is never formed; the iteration applies
-    x -> X^T (X x).  The zero matrix returns value 0, converged.
+    x -> X^T (X x).  The zero matrix returns value 0, converged.  An
+    estimate that overflows (or a matrix holding NaN) raises
+    :class:`NonFiniteError`.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -97,14 +99,11 @@ def spectral_norm(
         return NormEstimate(0.0, 0, True)
     if max_iter is None:
         max_iter = _default_max_iter(x.cols)
-    xt = np.ascontiguousarray(xa.T)
     value, iters, converged = _power_iteration(
-        lambda v: _seq_matvec(xa, v),
-        lambda v: _seq_matvec(xt, v),
-        x.cols,
-        tol,
-        max_iter,
+        lambda v: xa @ v, lambda v: xa.T @ v, x.cols, tol, max_iter
     )
+    if not np.isfinite(value):
+        raise NonFiniteError("spectral norm estimate is not finite")
     return NormEstimate(value, iters, converged)
 
 
@@ -161,8 +160,11 @@ def condition_number(m: DenseMatrix, tol: float = DEFAULT_TOL) -> NormEstimate:
     if big.value == 0.0:
         raise SingularMatrixError("singular-to-working-precision")
     inv = inverse_norm(m, tol=tol)
+    kappa = big.value * inv.value
+    if not np.isfinite(kappa):
+        raise NonFiniteError("condition number estimate overflowed")
     return NormEstimate(
-        big.value * inv.value, big.iterations + inv.iterations, big.converged and inv.converged
+        kappa, big.iterations + inv.iterations, big.converged and inv.converged
     )
 
 

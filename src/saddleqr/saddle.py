@@ -14,14 +14,7 @@ import numpy as np
 from .blockgs import BlockPartition, bcgs, bcgs2
 from .errors import DimensionError, RankDeficientError
 from .householder import thin_householder_qr
-from .matrix import (
-    MACHINE_EPS,
-    DenseMatrix,
-    Vector,
-    mat_vec,
-    transpose,
-    vconcat,
-)
+from .matrix import MACHINE_EPS, DenseMatrix, Vector, transpose, vconcat
 from .norms import spectral_norm
 from .triangular import back_substitute, cholesky
 
@@ -178,8 +171,7 @@ def solve_detailed(blocks: SaddleBlocks, f: Vector, method: str) -> SolveDetail:
     else:
         factor = bcgs(partition(blocks)) if method == "bcgs" else bcgs2(partition(blocks))
         q, r = factor.q(), factor.r()
-    g = mat_vec(transpose(q), f)
-    z = back_substitute(r, g)
+    z = back_substitute(r, Vector._wrap(q.array.T @ f.array))
     sol = SaddleSolution(
         z=z, x=z.slice(0, blocks.m), y=z.slice(blocks.m, blocks.l), method=method
     )

@@ -7,17 +7,21 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateSolutionError, DimensionError, HypothesisError
-from .matrix import (
-    MACHINE_EPS,
-    DenseMatrix,
-    Vector,
-    mat_vec,
-    matmul,
-    transpose,
-    vector_norm,
-)
+import numpy as np
+
+from .errors import DegenerateSolutionError, DimensionError, HypothesisError, NonFiniteError
+from .matrix import MACHINE_EPS, DenseMatrix, Vector, _norm2_arr, vector_norm
 from .norms import DEFAULT_TOL, condition_number, inverse_norm, spectral_norm
+
+
+def _norm(xa: np.ndarray, tol: float) -> float:
+    """Spectral-norm estimate of a raw array, wrapped without a copy."""
+    return spectral_norm(DenseMatrix._wrap(xa), tol=tol).value
+
+
+def _gram_defect(qa: np.ndarray) -> np.ndarray:
+    """I - Q^T Q."""
+    return np.eye(qa.shape[1]) - qa.T @ qa
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,9 @@ class StabilityReport:
     dec  = ||M - Q R|| / (eps ||M||)
     res  = ||M z - f|| / (eps ||M|| ||z||)
     stab = ||z - z*|| / (eps kappa(M) ||z||)
+
+    A metric that is not finite raises :class:`NonFiniteError`; a
+    negative one raises ValueError.
     """
 
     kappa: float
@@ -40,8 +47,10 @@ class StabilityReport:
     def __post_init__(self):
         for name in ("kappa", "orth", "dec", "res", "stab"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"metric {name} must be finite and nonnegative, got {v}")
+            if not math.isfinite(v):
+                raise NonFiniteError(f"metric {name} is not finite ({v})")
+            if v < 0.0:
+                raise ValueError(f"metric {name} must be nonnegative, got {v}")
 
 
 def metrics(
@@ -76,11 +85,10 @@ def metrics(
     if kappa is None:
         kappa = condition_number(m, tol=tol).value
 
-    defect = DenseMatrix.identity(l) - matmul(transpose(q), q)
-    orth = spectral_norm(defect, tol=tol).value / MACHINE_EPS
-    resid_mat = m - matmul(q, r)
-    dec = spectral_norm(resid_mat, tol=tol).value / (MACHINE_EPS * norm_m)
-    res = vector_norm(mat_vec(m, z_computed) - f) / (MACHINE_EPS * norm_m * norm_z)
+    ma, qa, za = m.array, q.array, z_computed.array
+    orth = _norm(_gram_defect(qa), tol) / MACHINE_EPS
+    dec = _norm(ma - qa @ r.array, tol) / (MACHINE_EPS * norm_m)
+    res = _norm2_arr(ma @ za - f.array) / (MACHINE_EPS * norm_m * norm_z)
     stab = vector_norm(z_computed - z_star) / (MACHINE_EPS * kappa * norm_z)
     return StabilityReport(kappa=kappa, orth=orth, dec=dec, res=res, stab=stab)
 
@@ -102,14 +110,13 @@ def lemma1_bounds(qt: DenseMatrix, tol: float = DEFAULT_TOL) -> Lemma1Bounds:
     """
     if qt.rows != qt.cols:
         raise DimensionError(f"lemma1_bounds needs a square matrix, got {qt.shape}")
-    n = qt.rows
-    eye = DenseMatrix.identity(n)
-    beta = spectral_norm(eye - matmul(transpose(qt), qt), tol=tol).value
+    qa = qt.array
+    beta = _norm(_gram_defect(qa), tol)
     if beta >= 1.0:
         raise HypothesisError(f"Lemma 1 hypothesis violated: defect {beta:.3e} >= 1")
     norm_q = spectral_norm(qt, tol=tol).value
     norm_q_inv = inverse_norm(qt, tol=tol).value
-    right = spectral_norm(eye - matmul(qt, transpose(qt)), tol=tol).value
+    right = _norm(_gram_defect(qa.T), tol)
     return Lemma1Bounds(beta=beta, norm_q=norm_q, norm_q_inverse=norm_q_inv, right_defect=right)
 
 
@@ -182,10 +189,8 @@ def backward_certificate(
     if delta is None:
         delta = MACHINE_EPS * l
     norm_m = spectral_norm(m, tol=tol).value
-    alpha = spectral_norm(m - matmul(q, r), tol=tol).value / norm_m
-    beta = spectral_norm(
-        DenseMatrix.identity(l) - matmul(transpose(q), q), tol=tol
-    ).value
+    alpha = _norm(m.array - q.array @ r.array, tol) / norm_m
+    beta = _norm(_gram_defect(q.array), tol)
     kappa = condition_number(m, tol=tol).value
     ok = beta < 1.0 and alpha * kappa < 1.0
     if ok:

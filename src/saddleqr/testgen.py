@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .householder import thin_householder_qr
-from .matrix import DenseMatrix, Vector, mat_vec, matmul, transpose
+from .matrix import DenseMatrix, Vector, mat_vec
 from .rng import mix64, standard_normals
 from .saddle import SaddleBlocks, assemble
 
@@ -60,18 +60,20 @@ def matrix1(m: int, n: int, s: float, seed: int) -> DenseMatrix:
     """
     if m < n or n < 1:
         raise DimensionError(f"matrix1 requires m >= n >= 1, got m={m}, n={n}")
-    p = random_orthogonal(m, mix64(seed, 1)).columns(0, n)
-    qf = random_orthogonal(n, mix64(seed, 2))
-    return matmul(matmul(p, logspace_diag(s, n)), transpose(qf))
+    p = random_orthogonal(m, mix64(seed, 1)).array[:, :n]
+    qf = random_orthogonal(n, mix64(seed, 2)).array
+    d = np.diag(logspace_diag(s, n).array)  # P D as a column scaling
+    return DenseMatrix._wrap((p * d) @ qf.T)
 
 
 def matrix2(n: int, s: float, seed: int) -> DenseMatrix:
     """Symmetric positive definite n x n matrix with log-spaced eigenvalues,
     kappa about 10^s: P D P^T from one random orthogonal P, then
     symmetrized as (X + X^T)/2."""
-    p = random_orthogonal(n, seed)
-    x = matmul(matmul(p, logspace_diag(s, n)), transpose(p))
-    return DenseMatrix._wrap(0.5 * (x.array + x.array.T))
+    p = random_orthogonal(n, seed).array
+    d = np.diag(logspace_diag(s, n).array)
+    x = (p * d) @ p.T
+    return DenseMatrix._wrap(0.5 * (x + x.T))
 
 
 def hilbert(m: int) -> DenseMatrix:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import saddleqr
 from saddleqr import DenseMatrix, Vector, hilbert, read_matrix, read_vector, write_matrix, write_vector
 from saddleqr.bench import (
     BenchConfig,
@@ -214,6 +220,27 @@ class TestCliSolve:
         assert cells[0] == "bcgs2"
         assert all(float(c) >= 0 for c in cells[1:])
 
+    def test_unwritable_out_exits_2(self, saddle_files, tmp_path, capsys):
+        out = tmp_path / "missing" / "z.mtx"
+        code = main([
+            "solve", "--a", str(saddle_files["a"]), "--b", str(saddle_files["b"]),
+            "--c", str(saddle_files["c"]), "--f", str(saddle_files["f"]),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_unwritable_report_exits_2(self, saddle_files, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.csv"
+        code = main([
+            "solve", "--a", str(saddle_files["a"]), "--b", str(saddle_files["b"]),
+            "--c", str(saddle_files["c"]), "--f", str(saddle_files["f"]),
+            "--out", str(saddle_files["out"]),
+            "--z-star", str(saddle_files["z_star"]), "--report", str(report),
+        ])
+        assert code == 2
+        assert f"cannot write {report}" in capsys.readouterr().err
+
     def test_dimension_mismatch_exits_2(self, saddle_files, tmp_path, capsys):
         short_f = tmp_path / "short.mtx"
         write_vector(short_f, Vector([1.0, 0.0]))
@@ -259,6 +286,39 @@ class TestCliBench:
         assert code == 1
         _, rows = read_bench_csv(out)
         assert rows[0]["orth_householder"] == "ERR:rank_deficient"
+
+    def test_byte_identical_across_processes_at_fixed_thread_count(self, tmp_path):
+        # Internal products go through BLAS, whose results may depend on
+        # its thread count, so each count is checked on its own.  l=180 is
+        # large enough for OpenBLAS to split products between threads.
+        src = Path(saddleqr.__file__).resolve().parent.parent
+        args = [
+            sys.executable, "-m", "saddleqr.cli", "bench", "--example", "2",
+            "--m", "120", "--n", "60", "--t-list", "1",
+            "--methods", "bcgs,bcgs2,householder",
+        ]
+        for threads in sorted({1, min(2, os.cpu_count() or 1)}):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(src), env.get("PYTHONPATH")) if p
+            )
+            outs = [tmp_path / f"t{threads}-{k}.csv" for k in range(2)]
+            for out in outs:
+                subprocess.run(args + ["--out", str(out)], env=env, check=True,
+                               capture_output=True, timeout=300)
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("t", ["1e-160", "1e160"])
+    def test_extreme_scale_gives_overflow_cells(self, tmp_path, capsys, t):
+        out = tmp_path / "extreme.csv"
+        code = main([
+            "bench", "--example", "1", "--t-list", t,
+            "--methods", "bcgs,bcgs2,householder", "--out", str(out),
+        ])
+        assert code == 1
+        assert "1 with errors" in capsys.readouterr().out
+        header, rows = read_bench_csv(out)
+        assert all(rows[0][key] == "ERR:overflow" for key in header[1:])
 
     def test_custom_requires_sizes(self, tmp_path):
         assert main(["bench", "--example", "custom", "--out", str(tmp_path / "x.csv")]) == 2

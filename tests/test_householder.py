@@ -66,12 +66,21 @@ class TestThinQR:
         r_defect = f.r - DenseMatrix.identity(12)
         assert exact_spectral_norm(r_defect) <= 1e2 * MACHINE_EPS * 12
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_uniqueness_two_code_paths(self, seed):
-        x = rand_matrix(12, 7, 40 + seed)
+    # Below one panel (12 x 7), then column counts on both sides of the
+    # first and second panel boundaries.
+    @pytest.mark.parametrize(
+        "rows, cols, seed",
+        [(12, 7, 40), (12, 7, 41), (12, 7, 42), (40, 31, 43), (40, 32, 44), (45, 33, 45),
+         (80, 65, 46)],
+        ids=["0", "1", "2", "31cols", "32cols", "33cols", "65cols"],
+    )
+    def test_uniqueness_two_code_paths(self, rows, cols, seed):
+        x = rand_matrix(rows, cols, seed)
         q_main = thin_householder_qr(x).q.array
         q_alt = q_by_column_application(x).array
-        bound = 1e2 * MACHINE_EPS * exact_spectral_norm(x)
+        # The Jacobi oracle takes at most 64 columns; past that, LAPACK's SVD.
+        norm_x = exact_spectral_norm(x) if cols <= 64 else np.linalg.norm(x.array, 2)
+        bound = 1e2 * MACHINE_EPS * norm_x
         assert np.max(np.abs(q_main - q_alt)) <= bound
 
     def test_wide_input_rejected(self):
@@ -82,6 +91,13 @@ class TestThinQR:
         with pytest.raises(RankDeficientError, match="column 1") as exc:
             thin_householder_qr(DenseMatrix([[1.0, 1.0], [1.0, 1.0]]))
         assert exc.value.column == 1
+
+    def test_duplicate_column_in_later_panel_detected(self):
+        a = rand_matrix(80, 50, 9).array.copy()
+        a[:, 40] = a[:, 3]
+        with pytest.raises(RankDeficientError, match="column 40") as exc:
+            thin_householder_qr(DenseMatrix(a))
+        assert exc.value.column == 40
 
     def test_zero_column_detected(self):
         with pytest.raises(RankDeficientError, match="column 2"):
