@@ -65,10 +65,12 @@ class BenchConfig:
 @dataclass
 class BenchRow:
     """One scale point: kappa(M) plus per-method metric cells.  A cell is a
-    float, or an ``ERR:<code>`` string when that computation failed."""
+    float, or an ``ERR:<code>`` string when that computation failed.
+    ``kappa_converged`` is false when the kappa estimate did not converge."""
 
     t: float
     kappa: float | str
+    kappa_converged: bool = True
     cells: dict[str, dict[str, float | str]] = field(default_factory=dict)
 
     @property
@@ -113,23 +115,22 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     rows = []
     for t_index, t in enumerate(cfg.t_list):
         a1, b1, c1, provenance = base_blocks(cfg, t_index)
-        problem = scale_problem(a1, b1, c1, t, provenance)
-        m = assemble(problem.blocks)
         try:
+            problem = scale_problem(a1, b1, c1, t, provenance)
+            m = assemble(problem.blocks)
             norm_m = spectral_norm(m).value
-        except LinAlgError as exc:  # no ||M||, so no metric of the row
+        except LinAlgError as exc:  # no problem or no ||M||, so no metric of the row
             err = f"ERR:{exc.code}"
             cells = {method: dict.fromkeys(METRIC_NAMES, err) for method in cfg.ordered_methods}
             rows.append(BenchRow(t=t, kappa=err, cells=cells))
             continue
-        kappa: float | str
         try:
-            kappa = condition_number(m).value
+            est = condition_number(m)
+            row = BenchRow(t=t, kappa=est.value, kappa_converged=est.converged)
         except LinAlgError as exc:
-            kappa = f"ERR:{exc.code}"
-        row = BenchRow(t=t, kappa=kappa)
+            row = BenchRow(t=t, kappa=f"ERR:{exc.code}")
         for method in cfg.ordered_methods:
-            row.cells[method] = _method_cells(problem, m, norm_m, kappa, method)
+            row.cells[method] = _method_cells(problem, m, norm_m, row.kappa, method)
         rows.append(row)
     return rows
 
@@ -165,11 +166,13 @@ def _fmt17(v: float) -> str:
     return format(v, ".17g")
 
 
-def _kappa_cell(kappa: float | str) -> str:
-    if isinstance(kappa, str):
-        return kappa
-    text = _fmt17(kappa)
-    return f"~{text}" if kappa >= KAPPA_FLAG_LIMIT else text
+def _kappa_cell(row: BenchRow, spec: str) -> str:
+    """kappa in format ``spec``, with a ``~`` when the estimate is
+    precision-limited or did not converge."""
+    if isinstance(row.kappa, str):
+        return row.kappa
+    text = format(row.kappa, spec)
+    return f"~{text}" if row.kappa >= KAPPA_FLAG_LIMIT or not row.kappa_converged else text
 
 
 def csv_header(cfg: BenchConfig) -> list[str]:
@@ -182,7 +185,7 @@ def csv_header(cfg: BenchConfig) -> list[str]:
 def render_csv(cfg: BenchConfig, rows: list[BenchRow]) -> str:
     lines = [",".join(csv_header(cfg))]
     for row in rows:
-        cells = [_fmt17(row.t), _kappa_cell(row.kappa)]
+        cells = [_fmt17(row.t), _kappa_cell(row, ".17g")]
         for method in cfg.ordered_methods:
             for name in METRIC_NAMES:
                 v = row.cells[method][name]
@@ -198,11 +201,7 @@ def render_markdown(cfg: BenchConfig, rows: list[BenchRow]) -> str:
     def md_value(v: float | str) -> str:
         return v if isinstance(v, str) else f"{v:.4e}"
 
-    kappa_cells = [
-        row.kappa if isinstance(row.kappa, str) else
-        (f"~{row.kappa:.4e}" if row.kappa >= KAPPA_FLAG_LIMIT else f"{row.kappa:.4e}")
-        for row in rows
-    ]
+    kappa_cells = [_kappa_cell(row, ".4e") for row in rows]
     out.append("| kappa_M | " + " | ".join(kappa_cells) + " |")
     for name in METRIC_NAMES:
         for method in cfg.ordered_methods:

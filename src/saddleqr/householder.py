@@ -114,14 +114,6 @@ def default_rank_tol(x: DenseMatrix) -> float:
     return MACHINE_EPS * float(np.sqrt(x.rows)) * max_col
 
 
-def _checked_reflectors(x: DenseMatrix, rank_tol: float | None):
-    if x.rows < x.cols:
-        raise DimensionError(f"thin QR needs rows >= cols, got {x.rows}x{x.cols}")
-    if rank_tol is None:
-        rank_tol = default_rank_tol(x)
-    return _reflectors(x.array, rank_tol)
-
-
 def thin_householder_qr(x: DenseMatrix, *, rank_tol: float | None = None) -> ThinQR:
     """Thin Householder QR of an l x k matrix with l >= k.
 
@@ -136,46 +128,11 @@ def thin_householder_qr(x: DenseMatrix, *, rank_tol: float | None = None) -> Thi
     squared norm leaves the floating-point range raises
     :class:`NonFiniteError`.
     """
-    r, v_all, t_all = _checked_reflectors(x, rank_tol)
+    if x.rows < x.cols:
+        raise DimensionError(f"thin QR needs rows >= cols, got {x.rows}x{x.cols}")
+    if rank_tol is None:
+        rank_tol = default_rank_tol(x)
+    r, v_all, t_all = _reflectors(x.array, rank_tol)
     q = _accumulate_q(v_all, t_all)
     _fix_signs(q, r)
     return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))
-
-
-def q_by_column_application(x: DenseMatrix, *, rank_tol: float | None = None) -> DenseMatrix:
-    """Alternate Q construction: apply the reflector chain to each identity
-    column independently, one reflector at a time, each taken from its
-    column of V and its diagonal entry of T.  Used to cross-check
-    ``thin_householder_qr`` (and so the assembly of T); the two paths agree
-    to rounding for full-column-rank input."""
-    r, v_all, t_all = _checked_reflectors(x, rank_tol)
-    l, k = v_all.shape
-    q = np.zeros((l, k))
-    for c in range(k):
-        y = np.zeros(l)
-        y[c] = 1.0
-        for j in range(k - 1, -1, -1):
-            v = v_all[j:, j]
-            y[j:] -= (t_all[j, j] * float(v @ y[j:])) * v
-        q[:, c] = y
-    _fix_signs(q, r)
-    return DenseMatrix._wrap(q)
-
-
-def qr_residuals(x: DenseMatrix, f: ThinQR, *, tol: float = 1e-8) -> tuple[float, float]:
-    """Orthogonality and decomposition errors of a thin QR, in units of eps.
-
-    Returns (orth, dec) with orth = ||I - Q^T Q|| / eps and
-    dec = ||X - Q R|| / (eps ||X||), all norms spectral.
-    """
-    from .stability import _gram_defect, _norm
-
-    q, r = f.q, f.r
-    if q.rows != x.rows or q.cols != r.rows or r.cols != x.cols:
-        raise DimensionError(
-            f"inconsistent factor shapes {q.shape} / {r.shape} for {x.shape}"
-        )
-    xa, qa = x.array, q.array
-    orth = _norm(_gram_defect(qa), tol) / MACHINE_EPS
-    dec = _norm(xa - qa @ r.array, tol) / (MACHINE_EPS * _norm(xa, tol))
-    return orth, dec

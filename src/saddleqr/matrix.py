@@ -1,6 +1,11 @@
 """Dense matrix and vector types with deterministic arithmetic kernels.
 
-Storage is row-major 64-bit float, immutable after construction.
+``DenseMatrix`` and ``Vector`` share one immutable base: row-major 64-bit
+float storage, checked for shape and finiteness at construction and
+read-only afterwards.  This module is also the one home of the package's
+serial sum and two-norm (``_seq_sum``, ``_norm2_arr``; a Frobenius norm is
+the two-norm of the raveled array) and of its symmetry check
+(``_is_symmetric``).
 
 Determinism comes in two tiers.  The public ``matmul`` and ``mat_vec``,
 and the two-norm, accumulate in a fixed serial order -- ascending inner
@@ -39,24 +44,31 @@ def _norm2_arr(x: np.ndarray) -> float:
     return scale * float(np.sqrt(_seq_sum(y * y)))
 
 
-class DenseMatrix:
-    """Immutable row-major dense real matrix."""
+def _is_symmetric(xa: np.ndarray) -> bool:
+    """max |X - X^T| <= 10 eps ||X||_F entrywise (the Frobenius norm is a
+    cheap upper bound for the spectral norm)."""
+    return float(np.max(np.abs(xa - xa.T))) <= 10.0 * MACHINE_EPS * _norm2_arr(xa.ravel())
+
+
+class _Immutable:
+    """Read-only C-contiguous float64 array with ``_ndim`` dimensions, the
+    shared base of DenseMatrix and Vector (``_kind`` names it in errors)."""
 
     __slots__ = ("_a",)
 
-    def __init__(self, values, *, copy: bool = True):
-        a = np.array(values, dtype=np.float64, order="C", copy=copy)
-        if a.ndim != 2:
-            raise DimensionError(f"matrix must be 2-D, got {a.ndim}-D data")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise DimensionError(f"matrix dimensions must be positive, got {a.shape}")
+    def __init__(self, values):
+        a = np.array(values, dtype=np.float64, order="C")
+        if a.ndim != self._ndim:
+            raise DimensionError(f"{self._kind} must be {self._ndim}-D, got {a.ndim}-D data")
+        if min(a.shape) < 1:
+            raise DimensionError(f"{self._kind} dimensions must be positive, got {a.shape}")
         if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+            raise ValueError(f"{self._kind} entries must be finite (no NaN/Inf)")
         a.setflags(write=False)
         self._a = a
 
     @classmethod
-    def _wrap(cls, a: np.ndarray) -> "DenseMatrix":
+    def _wrap(cls, a: np.ndarray):
         # Internal fast path: takes ownership of a freshly computed array.
         obj = cls.__new__(cls)
         if not a.flags["C_CONTIGUOUS"]:
@@ -65,6 +77,36 @@ class DenseMatrix:
         obj._a = a
         return obj
 
+    @property
+    def array(self) -> np.ndarray:
+        """The underlying (read-only) float64 array."""
+        return self._a
+
+    def _check_same_shape(self, other, op: str) -> None:
+        if self._a.shape != other._a.shape:
+            raise DimensionError(f"cannot {op} {self!r} and {other!r}")
+
+    def __add__(self, other):
+        self._check_same_shape(other, "add")
+        return self._wrap(self._a + other._a)
+
+    def __sub__(self, other):
+        self._check_same_shape(other, "subtract")
+        return self._wrap(self._a - other._a)
+
+    def __mul__(self, scalar: float):
+        return self._wrap(self._a * float(scalar))
+
+    __rmul__ = __mul__
+
+
+class DenseMatrix(_Immutable):
+    """Immutable row-major dense real matrix."""
+
+    __slots__ = ()
+    _ndim = 2
+    _kind = "matrix"
+
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
         return cls._wrap(np.zeros((rows, cols)))
@@ -72,11 +114,6 @@ class DenseMatrix:
     @classmethod
     def identity(cls, n: int) -> "DenseMatrix":
         return cls._wrap(np.eye(n))
-
-    @property
-    def array(self) -> np.ndarray:
-        """The underlying (read-only) 2-D float64 array."""
-        return self._a
 
     @property
     def rows(self) -> int:
@@ -90,9 +127,6 @@ class DenseMatrix:
     def shape(self) -> tuple[int, int]:
         return self._a.shape
 
-    def column(self, j: int) -> "Vector":
-        return Vector._wrap(self._a[:, j].copy())
-
     def columns(self, j0: int, j1: int) -> "DenseMatrix":
         """Submatrix of columns j0..j1-1."""
         return DenseMatrix._wrap(np.ascontiguousarray(self._a[:, j0:j1]))
@@ -100,27 +134,8 @@ class DenseMatrix:
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
-    def _check_same_shape(self, other: "DenseMatrix", op: str) -> None:
-        if self.shape != other.shape:
-            raise DimensionError(
-                f"cannot {op} {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-
-    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._check_same_shape(other, "add")
-        return DenseMatrix._wrap(self._a + other._a)
-
-    def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._check_same_shape(other, "subtract")
-        return DenseMatrix._wrap(self._a - other._a)
-
     def __neg__(self) -> "DenseMatrix":
         return DenseMatrix._wrap(-self._a)
-
-    def __mul__(self, scalar: float) -> "DenseMatrix":
-        return DenseMatrix._wrap(self._a * float(scalar))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, scalar: float) -> "DenseMatrix":
         return DenseMatrix._wrap(self._a / float(scalar))
@@ -129,42 +144,12 @@ class DenseMatrix:
         return matmul(self, other)
 
 
-class Vector:
+class Vector(_Immutable):
     """Immutable dense real vector."""
 
-    __slots__ = ("_a",)
-
-    def __init__(self, values, *, copy: bool = True):
-        a = np.array(values, dtype=np.float64, copy=copy)
-        if a.ndim != 1:
-            raise DimensionError(f"vector must be 1-D, got {a.ndim}-D data")
-        if a.shape[0] < 1:
-            raise DimensionError("vector length must be positive")
-        if not np.isfinite(a).all():
-            raise ValueError("vector entries must be finite (no NaN/Inf)")
-        a.setflags(write=False)
-        self._a = a
-
-    @classmethod
-    def _wrap(cls, a: np.ndarray) -> "Vector":
-        obj = cls.__new__(cls)
-        if not a.flags["C_CONTIGUOUS"]:
-            a = np.ascontiguousarray(a)
-        a.setflags(write=False)
-        obj._a = a
-        return obj
-
-    @classmethod
-    def zeros(cls, n: int) -> "Vector":
-        return cls._wrap(np.zeros(n))
-
-    @classmethod
-    def ones(cls, n: int) -> "Vector":
-        return cls._wrap(np.ones(n))
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._a
+    __slots__ = ()
+    _ndim = 1
+    _kind = "vector"
 
     def __len__(self) -> int:
         return self._a.shape[0]
@@ -174,23 +159,6 @@ class Vector:
 
     def slice(self, i0: int, i1: int) -> "Vector":
         return Vector._wrap(self._a[i0:i1].copy())
-
-    def _check_same_len(self, other: "Vector", op: str) -> None:
-        if len(self) != len(other):
-            raise DimensionError(f"cannot {op} vectors of length {len(self)} and {len(other)}")
-
-    def __add__(self, other: "Vector") -> "Vector":
-        self._check_same_len(other, "add")
-        return Vector._wrap(self._a + other._a)
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        self._check_same_len(other, "subtract")
-        return Vector._wrap(self._a - other._a)
-
-    def __mul__(self, scalar: float) -> "Vector":
-        return Vector._wrap(self._a * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def vector_norm(v: Vector) -> float:

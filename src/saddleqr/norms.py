@@ -1,5 +1,4 @@
-"""Spectral-norm and condition-number estimation, plus an exact small-size
-symmetric eigensolver used as a test oracle."""
+"""Spectral-norm and condition-number estimation."""
 
 from __future__ import annotations
 
@@ -118,7 +117,7 @@ def inverse_norm(m: DenseMatrix, tol: float = DEFAULT_TOL) -> NormEstimate:
     up).  Rectangular input must have at least as many rows as columns.
     """
     from .householder import thin_householder_qr
-    from .triangular import _back_substitute_arr, _solve_upper_transposed_arr
+    from .triangular import _back_substitute_arr
 
     if m.rows < m.cols:
         raise DimensionError(f"inverse_norm needs rows >= cols, got {m.rows}x{m.cols}")
@@ -132,8 +131,12 @@ def inverse_norm(m: DenseMatrix, tol: float = DEFAULT_TOL) -> NormEstimate:
     if float(np.min(np.abs(np.diag(ra)))) <= gate:
         raise SingularMatrixError("singular-to-working-precision")
 
+    # R^T w = x is rt (P w) = P x, P the reversal and rt = P R^T P upper
+    # triangular, summed in forward-substitution order.  No subnormal pivot
+    # gets here: its reflector underflows and the QR raises NonFiniteError.
+    rt = np.ascontiguousarray(ra[::-1, ::-1].T)
     value, iters, converged = _power_iteration(
-        lambda v: _solve_upper_transposed_arr(ra, v),
+        lambda v: _back_substitute_arr(rt, v[::-1])[::-1],
         lambda v: _back_substitute_arr(ra, v),
         m.cols,
         tol,
@@ -166,61 +169,3 @@ def condition_number(m: DenseMatrix, tol: float = DEFAULT_TOL) -> NormEstimate:
     return NormEstimate(
         kappa, big.iterations + inv.iterations, big.converged and inv.converged
     )
-
-
-_JACOBI_MAX_DIM = 64
-
-
-def jacobi_eigenvalues(s, max_sweeps: int = 60, dtype=np.float64) -> np.ndarray:
-    """All eigenvalues of a small symmetric matrix by cyclic Jacobi sweeps.
-
-    Test oracle for dimensions <= 64.  ``dtype`` may be ``np.longdouble``
-    for extra-precision verification.  Returns eigenvalues ascending.
-    """
-    a = np.array(s.array if isinstance(s, DenseMatrix) else s, dtype=dtype)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"eigensolver needs a square matrix, got {a.shape}")
-    if n > _JACOBI_MAX_DIM:
-        raise DimensionError(f"eigensolver oracle is limited to {_JACOBI_MAX_DIM}, got {n}")
-    eps = np.finfo(dtype).eps
-    one = dtype(1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.square(a - np.diag(np.diag(a)))))
-        scale = np.sqrt(np.sum(np.square(a)))
-        if scale == 0.0 or off <= eps * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(one + theta * theta))
-                if theta == 0.0:
-                    t = one
-                c = one / np.sqrt(one + t * t)
-                sn = t * c
-                rot_p = c * a[:, p] - sn * a[:, q]
-                rot_q = sn * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - sn * a[q, :]
-                rot_q = sn * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.sort(np.diag(a))
-
-
-def exact_singular_values(x, dtype=np.float64) -> np.ndarray:
-    """Singular values (descending) via Jacobi on the explicitly formed
-    Gram matrix X^T X.  Oracle only; independent of the estimator path."""
-    xa = np.array(x.array if isinstance(x, DenseMatrix) else x, dtype=dtype)
-    gram = xa.T @ xa
-    evs = jacobi_eigenvalues(gram, dtype=dtype)
-    return np.sqrt(np.clip(evs, 0.0, None))[::-1]
-
-
-def exact_spectral_norm(x, dtype=np.float64) -> float:
-    """Largest singular value via the Jacobi oracle (dim <= 64)."""
-    return float(exact_singular_values(x, dtype=dtype)[0])

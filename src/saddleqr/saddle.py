@@ -14,7 +14,7 @@ import numpy as np
 from .blockgs import BlockPartition, bcgs, bcgs2
 from .errors import DimensionError, RankDeficientError
 from .householder import thin_householder_qr
-from .matrix import MACHINE_EPS, DenseMatrix, Vector, transpose, vconcat
+from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric, transpose, vconcat
 from .norms import spectral_norm
 from .triangular import back_substitute, cholesky
 
@@ -87,21 +87,16 @@ class ValidationReport:
         return self.a_spd and self.c_psd and self.b_full_rank
 
 
-def _symmetric_within(x: DenseMatrix, tol_factor: float) -> bool:
-    xa = x.array
-    scale = spectral_norm(x).value
-    return float(np.max(np.abs(xa - xa.T))) <= tol_factor * MACHINE_EPS * scale
-
-
 def validate(blocks: SaddleBlocks) -> ValidationReport:
     """Check A SPD, C symmetric PSD, and B full column rank.
 
     Failures land in the report rather than raising; the diagnostics carry
-    the minimum Cholesky pivot, the smallest-eigenvalue estimate of C and
-    the smallest |R| diagonal of B's thin QR.
+    the minimum Cholesky pivot (NaN when A is not symmetric), the
+    smallest-eigenvalue estimate of C and the smallest |R| diagonal of B's
+    thin QR.  A and C count as symmetric within 10 * eps * ||.||_F
+    entrywise (``matrix._is_symmetric``), the test ``cholesky`` applies.
     """
-    a_sym = _symmetric_within(blocks.a, 10.0)
-    if a_sym:
+    if _is_symmetric(blocks.a.array):
         chol = cholesky(blocks.a)
         a_spd = chol.ok
         min_pivot = chol.min_pivot
@@ -109,11 +104,10 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
         a_spd = False
         min_pivot = float("nan")
 
-    c_sym = _symmetric_within(blocks.c, 10.0)
     norm_c = spectral_norm(blocks.c).value
     shifted = norm_c * DenseMatrix.identity(blocks.n) - blocks.c
     c_min_eig = norm_c - spectral_norm(shifted).value
-    c_psd = c_sym and c_min_eig >= -100.0 * MACHINE_EPS * norm_c
+    c_psd = _is_symmetric(blocks.c.array) and c_min_eig >= -100.0 * MACHINE_EPS * norm_c
 
     b_min_r = None
     if blocks.n <= blocks.m:

@@ -10,6 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSolutionError, DimensionError, HypothesisError, NonFiniteError
+from .householder import ThinQR
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _norm2_arr, vector_norm
 from .norms import DEFAULT_TOL, condition_number, inverse_norm, spectral_norm
 
@@ -19,9 +20,31 @@ def _norm(xa: np.ndarray, tol: float) -> float:
     return spectral_norm(DenseMatrix._wrap(xa), tol=tol).value
 
 
-def _gram_defect(qa: np.ndarray) -> np.ndarray:
-    """I - Q^T Q."""
-    return np.eye(qa.shape[1]) - qa.T @ qa
+def _gram_defect(qa: np.ndarray, tol: float) -> float:
+    """||I - Q^T Q||."""
+    return _norm(np.eye(qa.shape[1]) - qa.T @ qa, tol)
+
+
+def _factor_defects(
+    xa: np.ndarray, qa: np.ndarray, ra: np.ndarray, norm_x: float, tol: float
+) -> tuple[float, float]:
+    """(||I - Q^T Q||, ||X - Q R|| / ||X||) of a factorization X = Q R."""
+    return _gram_defect(qa, tol), _norm(xa - qa @ ra, tol) / norm_x
+
+
+def qr_residuals(x: DenseMatrix, f: ThinQR, *, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """Orthogonality and decomposition errors of a thin QR, in units of eps.
+
+    Returns (orth, dec) with orth = ||I - Q^T Q|| / eps and
+    dec = ||X - Q R|| / (eps ||X||), all norms spectral.
+    """
+    q, r = f.q, f.r
+    if q.rows != x.rows or q.cols != r.rows or r.cols != x.cols:
+        raise DimensionError(
+            f"inconsistent factor shapes {q.shape} / {r.shape} for {x.shape}"
+        )
+    orth, dec = _factor_defects(x.array, q.array, r.array, _norm(x.array, tol), tol)
+    return orth / MACHINE_EPS, dec / MACHINE_EPS
 
 
 @dataclass(frozen=True)
@@ -85,12 +108,12 @@ def metrics(
     if kappa is None:
         kappa = condition_number(m, tol=tol).value
 
-    ma, qa, za = m.array, q.array, z_computed.array
-    orth = _norm(_gram_defect(qa), tol) / MACHINE_EPS
-    dec = _norm(ma - qa @ r.array, tol) / (MACHINE_EPS * norm_m)
-    res = _norm2_arr(ma @ za - f.array) / (MACHINE_EPS * norm_m * norm_z)
+    orth, dec = _factor_defects(m.array, q.array, r.array, norm_m, tol)
+    res = _norm2_arr(m.array @ z_computed.array - f.array) / (MACHINE_EPS * norm_m * norm_z)
     stab = vector_norm(z_computed - z_star) / (MACHINE_EPS * kappa * norm_z)
-    return StabilityReport(kappa=kappa, orth=orth, dec=dec, res=res, stab=stab)
+    return StabilityReport(
+        kappa=kappa, orth=orth / MACHINE_EPS, dec=dec / MACHINE_EPS, res=res, stab=stab
+    )
 
 
 class Lemma1Bounds(NamedTuple):
@@ -111,12 +134,12 @@ def lemma1_bounds(qt: DenseMatrix, tol: float = DEFAULT_TOL) -> Lemma1Bounds:
     if qt.rows != qt.cols:
         raise DimensionError(f"lemma1_bounds needs a square matrix, got {qt.shape}")
     qa = qt.array
-    beta = _norm(_gram_defect(qa), tol)
+    beta = _gram_defect(qa, tol)
     if beta >= 1.0:
         raise HypothesisError(f"Lemma 1 hypothesis violated: defect {beta:.3e} >= 1")
     norm_q = spectral_norm(qt, tol=tol).value
     norm_q_inv = inverse_norm(qt, tol=tol).value
-    right = _norm(_gram_defect(qa.T), tol)
+    right = _gram_defect(qa.T, tol)
     return Lemma1Bounds(beta=beta, norm_q=norm_q, norm_q_inverse=norm_q_inv, right_defect=right)
 
 
@@ -189,8 +212,7 @@ def backward_certificate(
     if delta is None:
         delta = MACHINE_EPS * l
     norm_m = spectral_norm(m, tol=tol).value
-    alpha = _norm(m.array - q.array @ r.array, tol) / norm_m
-    beta = _norm(_gram_defect(q.array), tol)
+    beta, alpha = _factor_defects(m.array, q.array, r.array, norm_m, tol)
     kappa = condition_number(m, tol=tol).value
     ok = beta < 1.0 and alpha * kappa < 1.0
     if ok:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 from .householder import thin_householder_qr
 from .matrix import DenseMatrix, Vector, mat_vec
 from .rng import mix64, standard_normals
@@ -148,7 +148,8 @@ def scale_problem(
 
     A = A1 / t, B = B1 * t, C = C1 * t; the exact solution is x* = t ones,
     y* = (1/t) ones, and f = M z* with the deterministic product.  Scaling
-    leaves kappa(A), kappa(B), kappa(C) unchanged but moves kappa(M).
+    leaves kappa(A), kappa(B), kappa(C) unchanged but moves kappa(M).  An
+    f that leaves the floating-point range raises :class:`NonFiniteError`.
     """
     t = float(t)
     if t == 0.0:
@@ -159,5 +160,8 @@ def scale_problem(
     z[:m] = t
     z[m:] = 1.0 / t
     z_star = Vector(z)
-    f = mat_vec(assemble(blocks), z_star)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = mat_vec(assemble(blocks), z_star)
+    if not np.isfinite(f.array).all():
+        raise NonFiniteError(f"right-hand side f = M z* is not finite at t={t:g}")
     return ScaledProblem(blocks=blocks, t=t, z_star=z_star, f=f, provenance=provenance)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ZeroDiagonalError
-from .matrix import MACHINE_EPS, DenseMatrix, Vector, _seq_sum
+from .matrix import DenseMatrix, Vector, _is_symmetric, _seq_sum
 
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -49,19 +49,6 @@ def back_substitute(r: DenseMatrix, g: Vector) -> Vector:
     return Vector._wrap(_back_substitute_arr(ra, g.array))
 
 
-def _solve_upper_transposed_arr(ra: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Solve R^T w = x for upper-triangular R (forward substitution)."""
-    n = ra.shape[0]
-    w = np.zeros(n)
-    for i in range(n):
-        d = ra[i, i]
-        if abs(d) < _TINY:
-            raise ZeroDiagonalError(i)
-        s = _seq_sum(ra[:i, i] * w[:i])
-        w[i] = (x[i] - s) / d
-    return w
-
-
 @dataclass(frozen=True)
 class CholeskyResult:
     """Outcome of a Cholesky attempt.
@@ -85,13 +72,12 @@ class CholeskyResult:
 def cholesky(a: DenseMatrix) -> CholeskyResult:
     """Attempt A = L L^T for symmetric A; used as an SPD certificate.
 
-    Requires A to be symmetric within 10 * eps * ||A||_F entrywise (the
-    Frobenius norm is a cheap upper bound for the spectral norm here).
+    Requires A to be symmetric within 10 * eps * ||A||_F entrywise (see
+    ``matrix._is_symmetric``).
     """
     _check_square(a, "cholesky matrix")
     aa = a.array
-    scale = _norm_fro(aa)
-    if np.max(np.abs(aa - aa.T)) > 10.0 * MACHINE_EPS * scale:
+    if not _is_symmetric(aa):
         raise ValueError("cholesky requires a symmetric matrix")
     n = a.rows
     low = np.zeros((n, n))
@@ -111,11 +97,3 @@ def cholesky(a: DenseMatrix) -> CholeskyResult:
                 sums = np.zeros(n - j - 1)
             low[j + 1 :, j] = (aa[j + 1 :, j] - sums) / ljj
     return CholeskyResult(factor=DenseMatrix._wrap(low), failed_pivot=None, min_pivot=min_pivot)
-
-
-def _norm_fro(x: np.ndarray) -> float:
-    scale = float(np.max(np.abs(x)))
-    if scale == 0.0:
-        return 0.0
-    y = (x / scale).ravel()
-    return scale * float(np.sqrt(_seq_sum(y * y)))

@@ -1,12 +1,17 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately written against plain numpy arrays with naive algorithms so
-they share no code path with the package under test.
+they share no code path with the package under test.  The one exception is
+``q_by_column_application``, which reuses the package's reflectors to
+cross-check how ``thin_householder_qr`` assembles Q from them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from saddleqr import DenseMatrix, DimensionError
+from saddleqr.householder import _fix_signs, _reflectors, default_rank_tol
 
 
 def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,3 +67,83 @@ def cramer_solve_3x3(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         mj[:, j] = rhs
         out[j] = det3(mj) / d
     return out
+
+
+_JACOBI_MAX_DIM = 64
+
+
+def jacobi_eigenvalues(s, max_sweeps: int = 60, dtype=np.float64) -> np.ndarray:
+    """All eigenvalues of a small symmetric matrix by cyclic Jacobi sweeps.
+
+    Test oracle for dimensions <= 64.  ``dtype`` may be ``np.longdouble``
+    for extra-precision verification.  Returns eigenvalues ascending.
+    """
+    a = np.array(s.array if isinstance(s, DenseMatrix) else s, dtype=dtype)
+    n = a.shape[0]
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"eigensolver needs a square matrix, got {a.shape}")
+    if n > _JACOBI_MAX_DIM:
+        raise DimensionError(f"eigensolver oracle is limited to {_JACOBI_MAX_DIM}, got {n}")
+    eps = np.finfo(dtype).eps
+    one = dtype(1.0)
+    for _ in range(max_sweeps):
+        off = np.sqrt(np.sum(np.square(a - np.diag(np.diag(a)))))
+        scale = np.sqrt(np.sum(np.square(a)))
+        if scale == 0.0 or off <= eps * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(one + theta * theta))
+                if theta == 0.0:
+                    t = one
+                c = one / np.sqrt(one + t * t)
+                sn = t * c
+                rot_p = c * a[:, p] - sn * a[:, q]
+                rot_q = sn * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rot_p, rot_q
+                rot_p = c * a[p, :] - sn * a[q, :]
+                rot_q = sn * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    return np.sort(np.diag(a))
+
+
+def exact_singular_values(x, dtype=np.float64) -> np.ndarray:
+    """Singular values (descending) via Jacobi on the explicitly formed
+    Gram matrix X^T X.  Oracle only; independent of the estimator path."""
+    xa = np.array(x.array if isinstance(x, DenseMatrix) else x, dtype=dtype)
+    gram = xa.T @ xa
+    evs = jacobi_eigenvalues(gram, dtype=dtype)
+    return np.sqrt(np.clip(evs, 0.0, None))[::-1]
+
+
+def exact_spectral_norm(x, dtype=np.float64) -> float:
+    """Largest singular value via the Jacobi oracle (dim <= 64)."""
+    return float(exact_singular_values(x, dtype=dtype)[0])
+
+
+def q_by_column_application(x: DenseMatrix, *, rank_tol: float | None = None) -> DenseMatrix:
+    """Alternate Q construction: apply the reflector chain to each identity
+    column independently, one reflector at a time, each taken from its
+    column of V and its diagonal entry of T.  Used to cross-check
+    ``thin_householder_qr`` (and so the assembly of T); the two paths agree
+    to rounding for full-column-rank input."""
+    if rank_tol is None:
+        rank_tol = default_rank_tol(x)
+    r, v_all, t_all = _reflectors(x.array, rank_tol)
+    l, k = v_all.shape
+    q = np.zeros((l, k))
+    for c in range(k):
+        y = np.zeros(l)
+        y[c] = 1.0
+        for j in range(k - 1, -1, -1):
+            v = v_all[j:, j]
+            y[j:] -= (t_all[j, j] * float(v @ y[j:])) * v
+        q[:, c] = y
+    _fix_signs(q, r)
+    return DenseMatrix._wrap(q)

@@ -19,7 +19,6 @@ from saddleqr import (
     assemble,
     backward_certificate,
     condition_number,
-    jacobi_eigenvalues,
     lemma1_bounds,
     mat_vec,
     matrix1,
@@ -40,7 +39,7 @@ from saddleqr.rng import mix64, standard_normals
 from saddleqr.saddle import SaddleBlocks
 from saddleqr.testgen import scale_problem
 
-from _oracles import gauss_solve
+from _oracles import gauss_solve, jacobi_eigenvalues
 
 
 def report(criterion: int, message: str) -> None:

@@ -8,6 +8,7 @@ import pytest
 
 import saddleqr
 from saddleqr import DenseMatrix, Vector, hilbert, read_matrix, read_vector, write_matrix, write_vector
+from saddleqr import NormEstimate, bench
 from saddleqr.bench import (
     BenchConfig,
     BenchRow,
@@ -98,6 +99,17 @@ class TestRunBench:
         path.write_text(text)
         _, parsed = read_bench_csv(path)
         assert parsed[0]["kappa_M"] == 3e15
+
+    def test_kappa_flagged_when_not_converged(self, monkeypatch):
+        def unconverged(m):
+            return NormEstimate(value=123.0, iterations=7, converged=False)
+
+        monkeypatch.setattr(bench, "condition_number", unconverged)
+        cfg = BenchConfig(example="1", m=4, n=2, t_list=(1.0,), methods=("bcgs2",))
+        rows = run_bench(cfg)
+        assert rows[0].kappa == 123.0 and not rows[0].kappa_converged
+        assert render_csv(cfg, rows).splitlines()[1].split(",")[1] == "~123"
+        assert "| kappa_M | ~1.2300e+02 |" in render_markdown(cfg, rows)
 
     def test_error_cells_preserved(self, tmp_path):
         cfg = BenchConfig(example="1", m=4, n=2, t_list=(1.0,), methods=("bcgs2",))
@@ -308,7 +320,7 @@ class TestCliBench:
                                capture_output=True, timeout=300)
             assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    @pytest.mark.parametrize("t", ["1e-160", "1e160"])
+    @pytest.mark.parametrize("t", ["1e-160", "1e155", "1e160"])
     def test_extreme_scale_gives_overflow_cells(self, tmp_path, capsys, t):
         out = tmp_path / "extreme.csv"
         code = main([

@@ -9,7 +9,6 @@ from saddleqr import (
     RankDeficientError,
     bcgs,
     bcgs2,
-    exact_spectral_norm,
     matmul,
     random_orthogonal,
     thin_householder_qr,
@@ -18,6 +17,8 @@ from saddleqr import (
 from saddleqr.bench import BenchConfig, base_blocks
 from saddleqr.rng import standard_normals
 from saddleqr.testgen import logspace_diag, scale_problem
+
+from _oracles import exact_spectral_norm
 
 
 def partition_from_array(a, m):

@@ -130,6 +130,12 @@ class TestVectorOps:
         with pytest.raises(DimensionError):
             v + Vector([1.0])
 
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(DimensionError, match=r"2x3.*3x2"):
+            rand_matrix(2, 3, 1) - rand_matrix(3, 2, 2)
+        with pytest.raises(DimensionError, match=r"len=2.*len=1"):
+            Vector([1.0, 2.0]) + Vector([1.0])
+
     def test_slice(self):
         v = Vector([1.0, 2.0, 3.0])
         assert np.array_equal(v.slice(1, 3).array, [2.0, 3.0])

@@ -6,18 +6,18 @@ import pytest
 from saddleqr import (
     DenseMatrix,
     DimensionError,
+    NonFiniteError,
     SingularMatrixError,
     condition_number,
-    exact_singular_values,
-    exact_spectral_norm,
     hilbert,
     inverse_norm,
-    jacobi_eigenvalues,
     matrix1,
     spectral_norm,
     transpose,
 )
 from saddleqr.rng import standard_normals
+
+from _oracles import exact_singular_values, exact_spectral_norm, jacobi_eigenvalues
 
 TOL = 1e-8
 
@@ -109,6 +109,12 @@ class TestConditionNumber:
         assert condition_number(x).value == pytest.approx(1e4, rel=1e-4)
         # orientation must not matter
         assert condition_number(transpose(x)).value == pytest.approx(1e4, rel=1e-4)
+
+    def test_subnormal_pivot_stops_in_the_qr(self):
+        # A pivot below the smallest normal float underflows its reflector's
+        # squared norm, so neither triangular solve meets a zero diagonal.
+        with pytest.raises(NonFiniteError):
+            inverse_norm(DenseMatrix(np.diag([1.0, 1e-310])))
 
     def test_inverse_norm_orthogonal(self):
         from saddleqr import random_orthogonal

@@ -119,6 +119,24 @@ class TestValidate:
         assert not report.c_psd
         assert report.c_min_eigenvalue == pytest.approx(-1.0, rel=1e-6)
 
+    def test_asymmetric_blocks_fail(self):
+        blocks = SaddleBlocks(
+            a=DenseMatrix([[2.0, 1.0], [0.0, 2.0]]),
+            b=DenseMatrix([[1.0], [0.0]]),
+            c=DenseMatrix([[0.0]]),
+        )
+        report = validate(blocks)
+        assert not report.a_spd and np.isnan(report.cholesky_min_pivot)
+        assert report.c_psd and report.b_full_rank
+        blocks = SaddleBlocks(
+            a=DenseMatrix.identity(2),
+            b=DenseMatrix.identity(2),
+            c=DenseMatrix([[1.0, 0.5], [0.0, 1.0]]),
+        )
+        report = validate(blocks)
+        assert not report.c_psd
+        assert report.a_spd and report.b_full_rank
+
     def test_rank_one_c_is_psd(self):
         from saddleqr import ones_rank_one
 

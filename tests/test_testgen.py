@@ -6,12 +6,11 @@ from saddleqr import (
     DimensionError,
     GeneratorSpec,
     MACHINE_EPS,
+    NonFiniteError,
     assemble,
     cholesky,
     condition_number,
-    exact_singular_values,
     hilbert,
-    jacobi_eigenvalues,
     logspace_diag,
     mat_vec,
     matrix1,
@@ -22,6 +21,8 @@ from saddleqr import (
     validate,
 )
 from saddleqr.saddle import SaddleBlocks
+
+from _oracles import exact_singular_values, jacobi_eigenvalues
 
 
 class TestLogspaceDiag:
@@ -186,6 +187,12 @@ class TestScaleProblem:
         a1, b1, c1 = self.base()
         with pytest.raises(ValueError):
             scale_problem(a1, b1, c1, 0.0)
+
+    def test_overflowing_rhs_raises(self):
+        # B^T x* carries t^2 = 1e310, past the float range.
+        a1, b1, c1 = self.base()
+        with pytest.raises(NonFiniteError):
+            scale_problem(a1, b1, c1, 1e155)
 
 
 class TestGeneratorSpec:

@@ -9,7 +9,6 @@ from saddleqr import (
     ZeroDiagonalError,
     back_substitute,
     cholesky,
-    exact_singular_values,
     mat_vec,
     matmul,
     matrix2,
@@ -17,6 +16,8 @@ from saddleqr import (
     vector_norm,
 )
 from saddleqr.rng import standard_normals
+
+from _oracles import exact_singular_values
 
 
 def random_upper(n, seed, diag_boost=2.0):
