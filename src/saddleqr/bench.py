@@ -23,7 +23,7 @@ EXAMPLES = ("1", "2", "3", "custom")
 EXAMPLE_DEFAULT_SIZES = {"1": (12, 6), "2": (1000, 500), "3": (3000, 100)}
 METRIC_NAMES = ("orth", "dec", "res", "stab")
 
-# Above this the kappa estimate is itself precision-limited and gets a "~".
+# Above this kappa is itself precision-limited and gets a "~".
 KAPPA_FLAG_LIMIT = 1e14
 
 
@@ -65,12 +65,10 @@ class BenchConfig:
 @dataclass
 class BenchRow:
     """One scale point: kappa(M) plus per-method metric cells.  A cell is a
-    float, or an ``ERR:<code>`` string when that computation failed.
-    ``kappa_converged`` is false when the kappa estimate did not converge."""
+    float, or an ``ERR:<code>`` string when that computation failed."""
 
     t: float
     kappa: float | str
-    kappa_converged: bool = True
     cells: dict[str, dict[str, float | str]] = field(default_factory=dict)
 
     @property
@@ -125,8 +123,7 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
             rows.append(BenchRow(t=t, kappa=err, cells=cells))
             continue
         try:
-            est = condition_number(m)
-            row = BenchRow(t=t, kappa=est.value, kappa_converged=est.converged)
+            row = BenchRow(t=t, kappa=condition_number(m).value)
         except LinAlgError as exc:
             row = BenchRow(t=t, kappa=f"ERR:{exc.code}")
         for method in cfg.ordered_methods:
@@ -167,12 +164,11 @@ def _fmt17(v: float) -> str:
 
 
 def _kappa_cell(row: BenchRow, spec: str) -> str:
-    """kappa in format ``spec``, with a ``~`` when the estimate is
-    precision-limited or did not converge."""
+    """kappa in format ``spec``, with a ``~`` when it is precision-limited."""
     if isinstance(row.kappa, str):
         return row.kappa
     text = format(row.kappa, spec)
-    return f"~{text}" if row.kappa >= KAPPA_FLAG_LIMIT or not row.kappa_converged else text
+    return f"~{text}" if row.kappa >= KAPPA_FLAG_LIMIT else text
 
 
 def csv_header(cfg: BenchConfig) -> list[str]:

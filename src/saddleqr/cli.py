@@ -19,7 +19,7 @@ from .bench import (
     run_bench,
     write_bench,
 )
-from .errors import DimensionError, LinAlgError, SingularMatrixError
+from .errors import DimensionError, LinAlgError
 from .matrix import DenseMatrix
 from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
 from .norms import condition_number
@@ -57,8 +57,8 @@ def cmd_gen(args) -> int:
     try:
         kappa = condition_number(matrix).value
         print(f"kappa: {kappa:.6e}")
-    except (SingularMatrixError, DimensionError):
-        print("kappa: singular-to-working-precision")
+    except LinAlgError as exc:  # singular, overflowed or not converged
+        print(f"kappa: {exc}")
     return 0
 
 

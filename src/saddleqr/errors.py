@@ -47,6 +47,12 @@ class NonFiniteError(LinAlgError):
     code = "overflow"
 
 
+class NonConvergedError(LinAlgError):
+    """A LAPACK eigenvalue or singular-value routine did not converge."""
+
+    code = "nonconverged"
+
+
 class ZeroDiagonalError(SingularMatrixError):
     """Back-substitution hit a zero (or subnormal) diagonal entry."""
 

@@ -15,7 +15,7 @@ from .blockgs import BlockPartition, bcgs, bcgs2
 from .errors import DimensionError, RankDeficientError
 from .householder import thin_householder_qr
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric, transpose, vconcat
-from .norms import spectral_norm
+from .norms import _lapack
 from .triangular import back_substitute, cholesky
 
 METHODS = ("bcgs", "bcgs2", "householder")
@@ -92,7 +92,7 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
 
     Failures land in the report rather than raising; the diagnostics carry
     the minimum Cholesky pivot (NaN when A is not symmetric), the
-    smallest-eigenvalue estimate of C and the smallest |R| diagonal of B's
+    smallest eigenvalue of C and the smallest |R| diagonal of B's
     thin QR.  A and C count as symmetric within 10 * eps * ||.||_F
     entrywise (``matrix._is_symmetric``), the test ``cholesky`` applies.
     """
@@ -104,9 +104,9 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
         a_spd = False
         min_pivot = float("nan")
 
-    norm_c = spectral_norm(blocks.c).value
-    shifted = norm_c * DenseMatrix.identity(blocks.n) - blocks.c
-    c_min_eig = norm_c - spectral_norm(shifted).value
+    c_eigs = _lapack(np.linalg.eigvalsh, blocks.c.array)
+    c_min_eig = float(c_eigs[0])
+    norm_c = float(max(-c_eigs[0], c_eigs[-1]))
     c_psd = _is_symmetric(blocks.c.array) and c_min_eig >= -100.0 * MACHINE_EPS * norm_c
 
     b_min_r = None

@@ -12,27 +12,27 @@ import numpy as np
 from .errors import DegenerateSolutionError, DimensionError, HypothesisError, NonFiniteError
 from .householder import ThinQR
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _norm2_arr, vector_norm
-from .norms import DEFAULT_TOL, condition_number, inverse_norm, spectral_norm
+from .norms import condition_number, inverse_norm, spectral_norm
 
 
-def _norm(xa: np.ndarray, tol: float) -> float:
-    """Spectral-norm estimate of a raw array, wrapped without a copy."""
-    return spectral_norm(DenseMatrix._wrap(xa), tol=tol).value
+def _norm(xa: np.ndarray) -> float:
+    """Spectral norm of a raw array, wrapped without a copy."""
+    return spectral_norm(DenseMatrix._wrap(xa)).value
 
 
-def _gram_defect(qa: np.ndarray, tol: float) -> float:
+def _gram_defect(qa: np.ndarray) -> float:
     """||I - Q^T Q||."""
-    return _norm(np.eye(qa.shape[1]) - qa.T @ qa, tol)
+    return _norm(np.eye(qa.shape[1]) - qa.T @ qa)
 
 
 def _factor_defects(
-    xa: np.ndarray, qa: np.ndarray, ra: np.ndarray, norm_x: float, tol: float
+    xa: np.ndarray, qa: np.ndarray, ra: np.ndarray, norm_x: float
 ) -> tuple[float, float]:
     """(||I - Q^T Q||, ||X - Q R|| / ||X||) of a factorization X = Q R."""
-    return _gram_defect(qa, tol), _norm(xa - qa @ ra, tol) / norm_x
+    return _gram_defect(qa), _norm(xa - qa @ ra) / norm_x
 
 
-def qr_residuals(x: DenseMatrix, f: ThinQR, *, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def qr_residuals(x: DenseMatrix, f: ThinQR) -> tuple[float, float]:
     """Orthogonality and decomposition errors of a thin QR, in units of eps.
 
     Returns (orth, dec) with orth = ||I - Q^T Q|| / eps and
@@ -43,14 +43,14 @@ def qr_residuals(x: DenseMatrix, f: ThinQR, *, tol: float = DEFAULT_TOL) -> tupl
         raise DimensionError(
             f"inconsistent factor shapes {q.shape} / {r.shape} for {x.shape}"
         )
-    orth, dec = _factor_defects(x.array, q.array, r.array, _norm(x.array, tol), tol)
+    orth, dec = _factor_defects(x.array, q.array, r.array, _norm(x.array))
     return orth / MACHINE_EPS, dec / MACHINE_EPS
 
 
 @dataclass(frozen=True)
 class StabilityReport:
     """The four solve-quality ratios, in units of machine precision, plus
-    the estimated condition number of the system matrix.
+    the condition number of the system matrix.
 
     orth = ||I - Q^T Q|| / eps
     dec  = ||M - Q R|| / (eps ||M||)
@@ -86,11 +86,10 @@ def metrics(
     *,
     kappa: float | None = None,
     norm_m: float | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> StabilityReport:
     """Measure a solve M z = f produced through the factorization (Q, R).
 
-    ``kappa`` and ``norm_m`` may be passed in to reuse estimates when
+    ``kappa`` and ``norm_m`` may be passed in to reuse values when
     several methods are scored against the same matrix.
     """
     l = m.rows
@@ -104,11 +103,11 @@ def metrics(
     if norm_z == 0.0:
         raise DegenerateSolutionError("degenerate solution for metric normalization")
     if norm_m is None:
-        norm_m = spectral_norm(m, tol=tol).value
+        norm_m = spectral_norm(m).value
     if kappa is None:
-        kappa = condition_number(m, tol=tol).value
+        kappa = condition_number(m).value
 
-    orth, dec = _factor_defects(m.array, q.array, r.array, norm_m, tol)
+    orth, dec = _factor_defects(m.array, q.array, r.array, norm_m)
     res = _norm2_arr(m.array @ z_computed.array - f.array) / (MACHINE_EPS * norm_m * norm_z)
     stab = vector_norm(z_computed - z_star) / (MACHINE_EPS * kappa * norm_z)
     return StabilityReport(
@@ -123,7 +122,7 @@ class Lemma1Bounds(NamedTuple):
     right_defect: float
 
 
-def lemma1_bounds(qt: DenseMatrix, tol: float = DEFAULT_TOL) -> Lemma1Bounds:
+def lemma1_bounds(qt: DenseMatrix) -> Lemma1Bounds:
     """Measured quantities for the near-orthogonality bounds.
 
     For square Qt with beta = ||I - Qt^T Qt|| < 1 the following hold:
@@ -134,12 +133,12 @@ def lemma1_bounds(qt: DenseMatrix, tol: float = DEFAULT_TOL) -> Lemma1Bounds:
     if qt.rows != qt.cols:
         raise DimensionError(f"lemma1_bounds needs a square matrix, got {qt.shape}")
     qa = qt.array
-    beta = _gram_defect(qa, tol)
+    beta = _gram_defect(qa)
     if beta >= 1.0:
         raise HypothesisError(f"Lemma 1 hypothesis violated: defect {beta:.3e} >= 1")
-    norm_q = spectral_norm(qt, tol=tol).value
-    norm_q_inv = inverse_norm(qt, tol=tol).value
-    right = _gram_defect(qa.T, tol)
+    norm_q = spectral_norm(qt).value
+    norm_q_inv = inverse_norm(qt).value
+    right = _gram_defect(qa.T)
     return Lemma1Bounds(beta=beta, norm_q=norm_q, norm_q_inverse=norm_q_inv, right_defect=right)
 
 
@@ -192,7 +191,6 @@ def backward_certificate(
     *,
     gamma: float | None = None,
     delta: float | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> PerturbationBound:
     """Measure alpha and beta for a factorization and evaluate the
     perturbation bound.
@@ -211,9 +209,9 @@ def backward_certificate(
         gamma = MACHINE_EPS * l
     if delta is None:
         delta = MACHINE_EPS * l
-    norm_m = spectral_norm(m, tol=tol).value
-    beta, alpha = _factor_defects(m.array, q.array, r.array, norm_m, tol)
-    kappa = condition_number(m, tol=tol).value
+    norm_m = spectral_norm(m).value
+    beta, alpha = _factor_defects(m.array, q.array, r.array, norm_m)
+    kappa = condition_number(m).value
     ok = beta < 1.0 and alpha * kappa < 1.0
     if ok:
         mu, nu = theorem1_bound(alpha, beta, gamma, delta)

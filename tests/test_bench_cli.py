@@ -8,7 +8,6 @@ import pytest
 
 import saddleqr
 from saddleqr import DenseMatrix, Vector, hilbert, read_matrix, read_vector, write_matrix, write_vector
-from saddleqr import NormEstimate, bench
 from saddleqr.bench import (
     BenchConfig,
     BenchRow,
@@ -100,16 +99,17 @@ class TestRunBench:
         _, parsed = read_bench_csv(path)
         assert parsed[0]["kappa_M"] == 3e15
 
-    def test_kappa_flagged_when_not_converged(self, monkeypatch):
-        def unconverged(m):
-            return NormEstimate(value=123.0, iterations=7, converged=False)
+    def test_lapack_failure_gives_nonconverged_cells(self, monkeypatch, tmp_path, capsys):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(bench, "condition_number", unconverged)
-        cfg = BenchConfig(example="1", m=4, n=2, t_list=(1.0,), methods=("bcgs2",))
-        rows = run_bench(cfg)
-        assert rows[0].kappa == 123.0 and not rows[0].kappa_converged
-        assert render_csv(cfg, rows).splitlines()[1].split(",")[1] == "~123"
-        assert "| kappa_M | ~1.2300e+02 |" in render_markdown(cfg, rows)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        out = tmp_path / "nc.csv"
+        code = main(["bench", "--example", "1", "--t-list", "1", "--out", str(out)])
+        assert code == 1
+        assert "1 with errors" in capsys.readouterr().out
+        header, rows = read_bench_csv(out)
+        assert all(rows[0][key] == "ERR:nonconverged" for key in header[1:])
 
     def test_error_cells_preserved(self, tmp_path):
         cfg = BenchConfig(example="1", m=4, n=2, t_list=(1.0,), methods=("bcgs2",))
@@ -163,6 +163,16 @@ class TestCliGen:
         assert main(["gen", "--kind", "ones_rank_one", "--n", "4", "--out", str(out)]) == 0
         assert np.array_equal(read_matrix(out).array, np.ones((4, 4)))
         assert "singular-to-working-precision" in capsys.readouterr().out
+
+    def test_lapack_failure_in_kappa_still_writes(self, tmp_path, capsys, monkeypatch):
+        def fails(a, compute_uv=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        out = tmp_path / "h3.mtx"
+        assert main(["gen", "--kind", "hilbert", "--m", "3", "--out", str(out)]) == 0
+        assert np.array_equal(read_matrix(out).array, hilbert(3).array)
+        assert "kappa: LAPACK did not converge" in capsys.readouterr().out
 
     def test_invalid_spec_exits_2(self, tmp_path):
         assert main(["gen", "--kind", "matrix1", "--m", "2", "--n", "5",

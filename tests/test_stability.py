@@ -92,9 +92,9 @@ class TestLemma1:
 
     @pytest.mark.parametrize("eta", [1e-8, 1e-4, 1e-2])
     def test_perturbed_orthogonal_sweep(self, eta):
-        # estimator-level slack (two independent power iterations can
-        # disagree by their convergence error); the tight extended-precision
-        # version lives in the acceptance suite
+        # slack for beta, ||Qt|| and ||Qt^{-1}|| coming from separate LAPACK
+        # computations; the tight extended-precision version lives in the
+        # acceptance suite
         slack = 1e-4
         for seed in range(8):
             q = random_orthogonal(6, 500 + seed)
