@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, LinAlgError, RankDeficientError
 from .householder import ThinQR, thin_householder_qr
-from .matrix import DenseMatrix, hconcat, matmul
+from .matrix import DenseMatrix, hconcat
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,16 @@ def bcgs2(p: BlockPartition) -> BlockQR:
     After the single-pass steps (S1, Y1, Q2 R2), the second panel's Q
     factor is orthogonalized against Q1 once more:
     S2 = Q1^T Q2; Y2 = Q2 - Q1 S2; Y2 = Q2' R2'; then
-    S = S1 + S2 R2 and R2_final = R2' R2.  These last two products use the
-    serial ``matmul``, so both update identities hold bitwise when
-    recomputed with it from the diagnostics.
+    S = S1 + S2 R2 and R2_final = R2' R2.
     """
     f1, s1, f2 = _first_pass(p)
     q1, q2 = f1.q.array, f2.q.array
-    s2 = DenseMatrix._wrap(q1.T @ q2)
-    f3 = _panel_qr(q2 - q1 @ s2.array, "reorthogonalization panel")
+    s2 = q1.T @ q2
+    f3 = _panel_qr(q2 - q1 @ s2, "reorthogonalization panel")
 
-    s_new = s1 + matmul(s2, f2.r)
-    r2_new = matmul(f3.r, f2.r)
+    r2 = f2.r.array
+    s_new = DenseMatrix._wrap(s1.array + s2 @ r2)
+    r2_new = DenseMatrix._wrap(f3.r.array @ r2)
     diag = np.diag(r2_new.array)
     if np.any(diag <= 0.0):
         bad = int(np.argmin(diag))
@@ -149,5 +148,7 @@ def bcgs2(p: BlockPartition) -> BlockQR:
         r1=f1.r,
         s=s_new,
         r2=r2_new,
-        diagnostics=ReorthDiagnostics(s1=s1, s2=s2, r2_initial=f2.r, r2_refine=f3.r),
+        diagnostics=ReorthDiagnostics(
+            s1=s1, s2=DenseMatrix._wrap(s2), r2_initial=f2.r, r2_refine=f3.r
+        ),
     )

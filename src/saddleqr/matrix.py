@@ -11,7 +11,7 @@ Determinism comes in two tiers.  The public ``matmul`` and ``mat_vec``,
 and the two-norm, accumulate in a fixed serial order -- ascending inner
 index -- so they are bitwise identical to the naive triple loop on every
 run and at every thread count.  The package's internal products (QR,
-block Gram-Schmidt, solves, norms, metrics, generators) use
+block Gram-Schmidt, solves, norms, metrics, generators) use LAPACK and
 numpy ``@`` on the underlying arrays: their results are byte-reproducible
 from run to run at a fixed BLAS thread count, but not across thread
 counts.

@@ -63,8 +63,9 @@ def _r_singular_values(m: DenseMatrix) -> np.ndarray:
     """Singular values, descending, of M (rows >= cols), taken from the R
     of its Householder QR.  Raises :class:`SingularMatrixError` if M is
     singular to working precision: a QR diagonal collapses essentially to
-    zero, or sigma_min is not a normal float.  No subnormal pivot gets past
-    the QR: its reflector underflows and the QR raises NonFiniteError.
+    zero, or sigma_min is not a normal float.  The QR's reflectors are
+    scaled, so a subnormal pivot reaches these tests instead of failing in
+    the QR.
     """
     from .householder import thin_householder_qr
 

@@ -1,9 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately written against plain numpy arrays with naive algorithms so
-they share no code path with the package under test.  The one exception is
-``q_by_column_application``, which reuses the package's reflectors to
-cross-check how ``thin_householder_qr`` assembles Q from them.
+they share no code path with the package under test.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from saddleqr import DenseMatrix, DimensionError
-from saddleqr.householder import _fix_signs, _reflectors, default_rank_tol
 
 
 def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,23 +124,33 @@ def exact_spectral_norm(x, dtype=np.float64) -> float:
     return float(exact_singular_values(x, dtype=dtype)[0])
 
 
-def q_by_column_application(x: DenseMatrix, *, rank_tol: float | None = None) -> DenseMatrix:
-    """Alternate Q construction: apply the reflector chain to each identity
-    column independently, one reflector at a time, each taken from its
-    column of V and its diagonal entry of T.  Used to cross-check
-    ``thin_householder_qr`` (and so the assembly of T); the two paths agree
-    to rounding for full-column-rank input."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol(x)
-    r, v_all, t_all = _reflectors(x.array, rank_tol)
-    l, k = v_all.shape
+def q_by_column_application(x: DenseMatrix) -> DenseMatrix:
+    """Alternate thin QR Q by an unblocked textbook reflector chain.
+
+    Reflector j is I - tau v v^T with v = x + sign(x_0) ||x|| e_0
+    (sign(0) = +1) and tau = 2 / v^T v, x the updated column j on rows
+    j..l-1, applied to the remaining columns one column at a time.  Q is
+    the chain applied to each identity column independently, with the
+    columns whose R diagonal came out negative negated.  Used to
+    cross-check ``thin_householder_qr``; the two agree to rounding for
+    full-column-rank input."""
+    w = np.array(x.array, dtype=np.float64)
+    l, k = w.shape
+    chain = []
+    for j in range(k):
+        v = w[j:, j].copy()
+        v[0] += (1.0 if v[0] >= 0.0 else -1.0) * np.sqrt(v @ v)
+        tau = 2.0 / (v @ v)
+        for c in range(j, k):
+            w[j:, c] -= (tau * (v @ w[j:, c])) * v
+        chain.append((v, tau))
     q = np.zeros((l, k))
     for c in range(k):
         y = np.zeros(l)
         y[c] = 1.0
         for j in range(k - 1, -1, -1):
-            v = v_all[j:, j]
-            y[j:] -= (t_all[j, j] * float(v @ y[j:])) * v
+            v, tau = chain[j]
+            y[j:] -= (tau * (v @ y[j:])) * v
         q[:, c] = y
-    _fix_signs(q, r)
-    return DenseMatrix._wrap(q)
+    q[:, np.diag(w) < 0.0] *= -1.0
+    return DenseMatrix(q)

@@ -262,9 +262,9 @@ def test_criterion_06_near_orthogonality_bounds():
         norm_q = np.sqrt(left[-1])
         assert abs(norm_q - np.sqrt(one + beta)) <= slack
 
-    # float estimator: beta agrees with the extended-precision measurement,
-    # and the norm estimates respect their lower-bound contract (power
-    # iteration on the tightly clustered Gram spectrum converges from below)
+    # float computation: beta agrees with the extended-precision
+    # measurement, and the LAPACK norms of Q and Q^-1 do not exceed the
+    # extended-precision values by more than rounding
     for idx in range(15):
         n = 3 + idx % 6
         base = random_orthogonal(n, mix64(603, idx)).array

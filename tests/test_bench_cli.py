@@ -330,7 +330,7 @@ class TestCliBench:
                                capture_output=True, timeout=300)
             assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    @pytest.mark.parametrize("t", ["1e-160", "1e155", "1e160"])
+    @pytest.mark.parametrize("t", ["1e155", "1e160"])
     def test_extreme_scale_gives_overflow_cells(self, tmp_path, capsys, t):
         out = tmp_path / "extreme.csv"
         code = main([
@@ -341,6 +341,20 @@ class TestCliBench:
         assert "1 with errors" in capsys.readouterr().out
         header, rows = read_bench_csv(out)
         assert all(rows[0][key] == "ERR:overflow" for key in header[1:])
+
+    def test_tiny_scale_is_diagnosed_singular(self, tmp_path, capsys):
+        # t = 1e-160 gives kappa(M) near 1e320: the QR factors M, the
+        # singular gate rejects it, and every block panel is rank deficient.
+        out = tmp_path / "tiny.csv"
+        code = main([
+            "bench", "--example", "1", "--t-list", "1e-160",
+            "--methods", "bcgs,bcgs2,householder", "--out", str(out),
+        ])
+        assert code == 1
+        assert "1 with errors" in capsys.readouterr().out
+        header, rows = read_bench_csv(out)
+        assert rows[0]["kappa_M"] == "ERR:singular"
+        assert all(rows[0][key] == "ERR:rank_deficient" for key in header[2:])
 
     def test_custom_requires_sizes(self, tmp_path):
         assert main(["bench", "--example", "custom", "--out", str(tmp_path / "x.csv")]) == 2

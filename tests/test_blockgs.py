@@ -117,10 +117,10 @@ class TestBcgs2:
         f = bcgs2(p)
         d = f.diagnostics
         assert d is not None
-        s_rebuilt = d.s1 + matmul(d.s2, d.r2_initial)
-        assert np.array_equal(s_rebuilt.array, f.s.array)
-        r2_rebuilt = matmul(d.r2_refine, d.r2_initial)
-        assert np.array_equal(r2_rebuilt.array, f.r2.array)
+        s_rebuilt = d.s1.array + d.s2.array @ d.r2_initial.array
+        assert np.array_equal(s_rebuilt, f.s.array)
+        r2_rebuilt = d.r2_refine.array @ d.r2_initial.array
+        assert np.array_equal(r2_rebuilt, f.r2.array)
 
     def test_factorization_residual(self):
         for seed in range(3):

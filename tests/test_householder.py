@@ -5,7 +5,9 @@ from saddleqr import (
     DenseMatrix,
     DimensionError,
     MACHINE_EPS,
+    NonFiniteError,
     RankDeficientError,
+    condition_number,
     matmul,
     matrix1,
     qr_residuals,
@@ -13,6 +15,7 @@ from saddleqr import (
     thin_householder_qr,
     transpose,
 )
+from saddleqr.householder import default_rank_tol
 from saddleqr.rng import standard_normals
 
 from _oracles import exact_spectral_norm, q_by_column_application
@@ -59,19 +62,37 @@ class TestThinQR:
         assert orth <= 1e2 * 40
         assert dec <= 1e2 * 40
 
+    def test_qr_contract_is_scale_invariant(self):
+        # Reflectors of a tiny or huge (but finite) input stay in range.
+        g = rand_matrix(50, 20, 4).array
+        for scale in (1e-300, 1e-170, 1e200, 1e300):
+            x = DenseMatrix(scale * g)
+            orth, dec = qr_residuals(x, thin_householder_qr(x))
+            assert orth <= 1e2
+            assert dec <= 1e2
+        assert condition_number(DenseMatrix(1e-170 * np.eye(4))).value == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        a = rand_matrix(6, 3, 8).array.copy()
+        a[4, 1] = bad
+        with pytest.raises(NonFiniteError):
+            thin_householder_qr(DenseMatrix._wrap(a))
+
     def test_idempotent_on_orthogonal(self):
         q = random_orthogonal(12, 8)
         f = thin_householder_qr(q)
         r_defect = f.r - DenseMatrix.identity(12)
         assert exact_spectral_norm(r_defect) <= 1e2 * MACHINE_EPS * 12
 
-    # Below one panel (12 x 7), then column counts on both sides of the
-    # first and second panel boundaries.
+    # Column counts on both sides of multiples of 32, the dgeqrf/dorgqr
+    # block size of reference LAPACK, and past its crossover to blocked
+    # code at 128 columns.
     @pytest.mark.parametrize(
         "rows, cols, seed",
         [(12, 7, 40), (12, 7, 41), (12, 7, 42), (40, 31, 43), (40, 32, 44), (45, 33, 45),
-         (80, 65, 46)],
-        ids=["0", "1", "2", "31cols", "32cols", "33cols", "65cols"],
+         (80, 65, 46), (160, 130, 47)],
+        ids=["0", "1", "2", "31cols", "32cols", "33cols", "65cols", "130cols"],
     )
     def test_uniqueness_two_code_paths(self, rows, cols, seed):
         x = rand_matrix(rows, cols, seed)
@@ -98,9 +119,26 @@ class TestThinQR:
             thin_householder_qr(DenseMatrix(a))
         assert exc.value.column == 40
 
+    def test_first_of_two_dependent_columns_named(self):
+        a = rand_matrix(80, 50, 10).array.copy()
+        a[:, 20] = a[:, 2]
+        a[:, 45] = a[:, 7]
+        with pytest.raises(RankDeficientError) as exc:
+            thin_householder_qr(DenseMatrix(a))
+        assert exc.value.column == 20
+
     def test_zero_column_detected(self):
         with pytest.raises(RankDeficientError, match="column 2"):
             thin_householder_qr(DenseMatrix(np.diag([1.0, 2.0, 0.0])))
+
+    def test_default_rank_tol_is_eps_sqrt_rows_max_column_norm(self):
+        a = rand_matrix(30, 6, 11).array.copy()
+        a[:, 4] *= 10.0  # column 4 has the largest norm
+        for scale in (1e-300, 1.0, 1e300):
+            expected = MACHINE_EPS * np.sqrt(30) * scale * np.linalg.norm(a[:, 4])
+            got = default_rank_tol(DenseMatrix(scale * a))
+            assert got == pytest.approx(expected, rel=1e-14)
+        assert default_rank_tol(DenseMatrix.zeros(3, 2)) == 0.0
 
     def test_rank_tol_zero_allows_near_singular(self):
         x = matrix1(8, 4, 14.0, 3)  # kappa ~ 1e14
