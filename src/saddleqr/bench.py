@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import LinAlgError
 from .matrix import DenseMatrix
-from .norms import condition_number, spectral_norm
+from .norms import _extreme_singular_values, _nonsingular
 from .rng import mix64
 from .saddle import METHODS, SaddleBlocks, assemble, solve_detailed
 from .stability import metrics
@@ -116,14 +116,14 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
         try:
             problem = scale_problem(a1, b1, c1, t, provenance)
             m = assemble(problem.blocks)
-            norm_m = spectral_norm(m).value
+            norm_m, sigma_min = _extreme_singular_values(m.array)
         except LinAlgError as exc:  # no problem or no ||M||, so no metric of the row
             err = f"ERR:{exc.code}"
             cells = {method: dict.fromkeys(METRIC_NAMES, err) for method in cfg.ordered_methods}
             rows.append(BenchRow(t=t, kappa=err, cells=cells))
             continue
-        try:
-            row = BenchRow(t=t, kappa=condition_number(m).value)
+        try:  # a singular M has a norm but no kappa, so only kappa and stab fail
+            row = BenchRow(t=t, kappa=norm_m / _nonsingular(norm_m, sigma_min))
         except LinAlgError as exc:
             row = BenchRow(t=t, kappa=f"ERR:{exc.code}")
         for method in cfg.ordered_methods:

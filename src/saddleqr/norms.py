@@ -8,15 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergedError, NonFiniteError, RankDeficientError
-from .errors import SingularMatrixError
-from .matrix import MACHINE_EPS, DenseMatrix, transpose
+from .errors import DimensionError, NonConvergedError, NonFiniteError, SingularMatrixError
+from .matrix import MACHINE_EPS, DenseMatrix
 
-# Gate for declaring a QR diagonal "zero" before the singular values of R
-# are taken.  Deliberately far below rounding noise so that matrices
-# conditioned near 1/eps still get a kappa; only pivots that collapsed
-# essentially to zero trip it.
-_SINGULAR_GATE_FACTOR = 1e-2 * MACHINE_EPS
+# M is singular to working precision when sigma_min <= this factor times
+# sigma_max, or sigma_min is not a normal float.  Far below rounding noise,
+# so kappa near 1/eps is still reported; no kappa that passes can overflow.
+_SINGULAR_GATE_FACTOR = 1e-3 * MACHINE_EPS
 
 
 @dataclass(frozen=True)
@@ -37,50 +35,53 @@ def _lapack(routine, a: np.ndarray) -> np.ndarray:
         raise NonConvergedError(f"LAPACK did not converge: {exc}") from exc
 
 
-def spectral_norm(x: DenseMatrix) -> NormEstimate:
-    """Two-norm of ``x`` as scale * sqrt(lambda_max(Y^T Y)), Y = X / scale.
-
-    Dividing by scale = max|X| keeps the Gram matrix, taken on the smaller
-    side of X, clear of overflow and underflow.  The zero matrix returns
-    0.  A matrix holding inf or NaN, or a norm past the float range,
-    raises :class:`NonFiniteError`.
-    """
-    xa = x.array
+def _scaled(xa: np.ndarray) -> tuple[float, np.ndarray]:
+    """(s, X / s) with s = max|X|, clear of overflow and underflow.  The
+    zero matrix gives (0, X); inf or NaN raises :class:`NonFiniteError`."""
     scale = float(np.max(np.abs(xa)))
-    if scale == 0.0:
-        return NormEstimate(0.0, 0, True)
     if not np.isfinite(scale):
-        raise NonFiniteError("spectral norm of a matrix that is not finite")
-    y = xa / scale
+        raise NonFiniteError("norm of a matrix that is not finite")
+    return scale, (xa / scale if scale else xa)
+
+
+def _extreme_singular_values(xa: np.ndarray) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of X from Y = X / max|X|: |eigvalsh(Y)| when
+    Y is exactly symmetric (Golub & Van Loan, Matrix Computations, 8.1),
+    else ``svd(Y)``.  A sigma_max past the float range raises
+    :class:`NonFiniteError`."""
+    scale, y = _scaled(xa)
+    if np.array_equal(y, y.T):
+        sv = np.abs(_lapack(np.linalg.eigvalsh, y))
+    else:
+        sv = _lapack(lambda a: np.linalg.svd(a, compute_uv=False), y)
+    sigma_max = scale * float(np.max(sv))
+    if not np.isfinite(sigma_max):
+        raise NonFiniteError("spectral norm is not finite")
+    return sigma_max, scale * float(np.min(sv))
+
+
+def _nonsingular(sigma_max: float, sigma_min: float) -> float:
+    """``sigma_min``, or :class:`SingularMatrixError` if the gate rejects it."""
+    if sigma_min <= _SINGULAR_GATE_FACTOR * sigma_max or not sigma_min >= np.finfo(float).tiny:
+        raise SingularMatrixError("singular-to-working-precision")
+    return sigma_min
+
+
+def spectral_norm(x: DenseMatrix) -> NormEstimate:
+    """Two-norm of ``x``: its largest |eigenvalue| if it is symmetric, else
+    scale * sqrt(lambda_max(Y^T Y)), Y = X / scale, scale = max|X|, with the
+    Gram matrix on the smaller side of X (cheaper than an SVD, as for the
+    defect M - QR).  The zero matrix returns 0; inf or NaN input, or a norm
+    past the float range, raises :class:`NonFiniteError`."""
+    xa = x.array
+    if np.array_equal(xa, xa.T):
+        return NormEstimate(_extreme_singular_values(xa)[0], 0, True)
+    scale, y = _scaled(xa)
     gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
     value = scale * float(np.sqrt(max(_lapack(np.linalg.eigvalsh, gram)[-1], 0.0)))
     if not np.isfinite(value):
         raise NonFiniteError("spectral norm is not finite")
     return NormEstimate(value, 0, True)
-
-
-def _r_singular_values(m: DenseMatrix) -> np.ndarray:
-    """Singular values, descending, of M (rows >= cols), taken from the R
-    of its Householder QR.  Raises :class:`SingularMatrixError` if M is
-    singular to working precision: a QR diagonal collapses essentially to
-    zero, or sigma_min is not a normal float.  The QR's reflectors are
-    scaled, so a subnormal pivot reaches these tests instead of failing in
-    the QR.
-    """
-    from .householder import thin_householder_qr
-
-    try:
-        fac = thin_householder_qr(m, rank_tol=0.0)
-    except RankDeficientError as exc:
-        raise SingularMatrixError("singular-to-working-precision") from exc
-    ra = fac.r.array
-    gate = _SINGULAR_GATE_FACTOR * float(np.max(np.abs(ra)))
-    if float(np.min(np.abs(np.diag(ra)))) <= gate:
-        raise SingularMatrixError("singular-to-working-precision")
-    sv = _lapack(lambda a: np.linalg.svd(a, compute_uv=False), ra)
-    if not sv[-1] >= np.finfo(np.float64).tiny:
-        raise SingularMatrixError("singular-to-working-precision")
-    return sv
 
 
 def inverse_norm(m: DenseMatrix) -> NormEstimate:
@@ -89,14 +90,11 @@ def inverse_norm(m: DenseMatrix) -> NormEstimate:
     M must have at least as many rows as columns."""
     if m.rows < m.cols:
         raise DimensionError(f"inverse_norm needs rows >= cols, got {m.rows}x{m.cols}")
-    return NormEstimate(1.0 / float(_r_singular_values(m)[-1]), 0, True)
+    return NormEstimate(1.0 / _nonsingular(*_extreme_singular_values(m.array)), 0, True)
 
 
 def condition_number(m: DenseMatrix) -> NormEstimate:
-    """kappa(M) = sigma_max(M) / sigma_min(M), from the singular values of
-    the R factor of M (transposed first if it is wider than tall)."""
-    sv = _r_singular_values(transpose(m) if m.rows < m.cols else m)
-    kappa = float(sv[0]) / float(sv[-1])
-    if not np.isfinite(kappa):
-        raise NonFiniteError("condition number overflowed")
-    return NormEstimate(kappa, 0, True)
+    """kappa(M) = sigma_max(M) / sigma_min(M).  Raises
+    :class:`SingularMatrixError` if M is singular to working precision."""
+    sigma_max, sigma_min = _extreme_singular_values(m.array)
+    return NormEstimate(sigma_max / _nonsingular(sigma_max, sigma_min), 0, True)

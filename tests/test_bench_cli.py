@@ -11,6 +11,7 @@ from saddleqr import DenseMatrix, Vector, hilbert, read_matrix, read_vector, wri
 from saddleqr.bench import (
     BenchConfig,
     BenchRow,
+    base_blocks,
     read_bench_csv,
     render_csv,
     render_markdown,
@@ -18,6 +19,7 @@ from saddleqr.bench import (
 )
 from saddleqr.cli import main
 from saddleqr.saddle import assemble, SaddleBlocks
+from saddleqr.testgen import scale_problem
 
 SMALL = dict(example="1", m=12, n=6, t_list=(1.0, 10.0), methods=("bcgs", "bcgs2"))
 
@@ -52,6 +54,50 @@ class TestRunBench:
             for method in cfg.ordered_methods:
                 for name in ("orth", "dec", "res", "stab"):
                     assert isinstance(row.cells[method][name], float)
+
+    def test_m_is_factored_once_and_eigensolved_once(self, monkeypatch):
+        # ||M|| and kappa(M) come from one singular-value call on M, and
+        # only the householder method runs a QR of M.
+        from saddleqr import bench, householder, norms, saddle
+
+        cfg = BenchConfig(example="1", m=12, n=6, t_list=(1.0,),
+                          methods=("bcgs", "bcgs2", "householder"))
+        a1, b1, c1, provenance = base_blocks(cfg, 0)
+        ma = assemble(scale_problem(a1, b1, c1, 1.0, provenance).blocks).array
+        qr_calls, sv_calls = [], []
+
+        def spy(module, name, calls):
+            original = getattr(module, name)
+
+            def wrapper(x, *args, **kwargs):
+                xa = x.array if isinstance(x, DenseMatrix) else x
+                calls.append(np.array_equal(xa, ma))
+                return original(x, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (householder, saddle):
+            spy(module, "thin_householder_qr", qr_calls)
+        for module in (norms, bench):
+            spy(module, "_extreme_singular_values", sv_calls)
+        (row,) = run_bench(cfg)
+        assert isinstance(row.kappa, float)
+        assert sum(qr_calls) == 1
+        assert sum(sv_calls) == 1
+
+    def test_singular_kappa_marks_only_kappa_and_stab(self, monkeypatch):
+        from saddleqr import bench
+        from saddleqr.errors import SingularMatrixError
+
+        def singular(sigma_max, sigma_min):
+            raise SingularMatrixError("singular-to-working-precision")
+
+        monkeypatch.setattr(bench, "_nonsingular", singular)
+        (row,) = run_bench(BenchConfig(example="1", m=12, n=6, t_list=(1.0,)))
+        assert row.kappa == "ERR:singular"
+        for cells in row.cells.values():
+            assert cells["stab"] == "ERR:singular"
+            assert all(isinstance(cells[name], float) for name in ("orth", "dec", "res"))
 
     def test_deterministic_output(self):
         cfg = BenchConfig(**SMALL)
@@ -165,10 +211,11 @@ class TestCliGen:
         assert "singular-to-working-precision" in capsys.readouterr().out
 
     def test_lapack_failure_in_kappa_still_writes(self, tmp_path, capsys, monkeypatch):
-        def fails(a, compute_uv=True):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", fails)
+        # hilbert(3) is symmetric, so its kappa comes from eigvalsh.
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
         out = tmp_path / "h3.mtx"
         assert main(["gen", "--kind", "hilbert", "--m", "3", "--out", str(out)]) == 0
         assert np.array_equal(read_matrix(out).array, hilbert(3).array)
@@ -343,8 +390,9 @@ class TestCliBench:
         assert all(rows[0][key] == "ERR:overflow" for key in header[1:])
 
     def test_tiny_scale_is_diagnosed_singular(self, tmp_path, capsys):
-        # t = 1e-160 gives kappa(M) near 1e320: the QR factors M, the
-        # singular gate rejects it, and every block panel is rank deficient.
+        # t = 1e-160 gives kappa(M) near 1e320: the eigensolve of M runs,
+        # the singular gate rejects its sigma_min, and every block panel is
+        # rank deficient.
         out = tmp_path / "tiny.csv"
         code = main([
             "bench", "--example", "1", "--t-list", "1e-160",

@@ -106,9 +106,19 @@ class TestConditionNumber:
         assert condition_number(transpose(x)).value == pytest.approx(1e4, rel=1e-4)
 
     def test_subnormal_pivot_is_singular(self):
-        # kappa = 1e310: the QR factors it, the singular gate rejects it.
+        # kappa = 1e310: the eigensolve resolves sigma_min = 1e-310, the
+        # singular gate rejects it.
         with pytest.raises(SingularMatrixError):
             inverse_norm(DenseMatrix(np.diag([1.0, 1e-310])))
+
+    @pytest.mark.parametrize("fn", [condition_number, inverse_norm])
+    def test_singular_gate_is_on_the_sigma_ratio(self, fn):
+        # M is singular to working precision when sigma_min <= 1e-3 eps sigma_max.
+        eps = np.finfo(np.float64).eps
+        kept = 2e-3 * eps
+        assert fn(DenseMatrix(np.diag([1.0, kept]))).value == pytest.approx(1.0 / kept, rel=1e-15)
+        with pytest.raises(SingularMatrixError):
+            fn(DenseMatrix(np.diag([1.0, 5e-4 * eps])))
 
     def test_inverse_norm_orthogonal(self):
         from saddleqr import random_orthogonal
@@ -117,36 +127,77 @@ class TestConditionNumber:
         assert inverse_norm(q).value == pytest.approx(1.0, rel=1e-6)
 
 
+class TestSingularValueBranches:
+    @staticmethod
+    def _fails(*args, **kwargs):
+        raise AssertionError("wrong LAPACK routine")
+
+    def test_symmetric_input_takes_eigvalsh(self, monkeypatch):
+        h = hilbert(6)
+        ref = np.linalg.svd(h.array, compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", self._fails)
+        kappa = ref[0] / ref[-1]
+        assert condition_number(h).value == pytest.approx(kappa, rel=np.finfo(float).eps * kappa)
+        assert spectral_norm(h).value == pytest.approx(ref[0], rel=1e-15)
+
+    def test_one_ulp_asymmetric_input_takes_svd(self, monkeypatch):
+        # max|H| = 1, so the scaled matrix is H itself and gesdd of it is
+        # reproduced exactly.
+        xa = hilbert(6).array.copy()
+        xa[0, 1] = np.nextafter(xa[0, 1], 2.0)
+        x = DenseMatrix(xa)
+        ref = np.linalg.svd(xa, compute_uv=False)
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", self._fails)
+        assert condition_number(x).value == ref[0] / ref[-1]
+        assert inverse_norm(x).value == 1.0 / ref[-1]
+        # The two-norm of a non-symmetric matrix comes from its Gram matrix.
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert spectral_norm(x).value == pytest.approx(ref[0], rel=1e-15)
+
+
+def _check_against_gesdd(example, m, n, seed, t, methods=("bcgs", "bcgs2", "householder")):
+    """||M||, kappa(M), ||M^-1|| and the orth/dec metrics of one bench row
+    against numpy's SVD (LAPACK gesdd)."""
+    from saddleqr import MACHINE_EPS, metrics
+    from saddleqr.bench import BenchConfig, base_blocks
+    from saddleqr.saddle import assemble, solve_detailed
+    from saddleqr.testgen import scale_problem
+
+    cfg = BenchConfig(example=example, m=m, n=n, seed=seed)
+    a1, b1, c1, provenance = base_blocks(cfg, cfg.t_list.index(t))
+    problem = scale_problem(a1, b1, c1, t, provenance)
+    m = assemble(problem.blocks)
+    ma = m.array
+    sv = np.linalg.svd(ma, compute_uv=False)
+    kappa = sv[0] / sv[-1]
+    assert spectral_norm(m).value == pytest.approx(sv[0], rel=1e-12)
+    # sigma_min of M is itself determined only to about eps * kappa
+    # relative, by any backward-stable method.
+    assert condition_number(m).value == pytest.approx(kappa, rel=MACHINE_EPS * kappa)
+    assert inverse_norm(m).value == pytest.approx(1.0 / sv[-1], rel=MACHINE_EPS * kappa)
+    for method in methods:
+        d = solve_detailed(problem.blocks, problem.f, method)
+        qa, ra = d.q.array, d.r.array
+        report = metrics(m, d.q, d.r, problem.f, d.solution.z, problem.z_star)
+        orth = np.linalg.svd(np.eye(len(qa)) - qa.T @ qa, compute_uv=False)[0]
+        dec = np.linalg.svd(ma - qa @ ra, compute_uv=False)[0] / sv[0]
+        assert report.orth == pytest.approx(orth / MACHINE_EPS, rel=1e-12)
+        assert report.dec == pytest.approx(dec / MACHINE_EPS, rel=1e-12)
+
+
 class TestAgainstLapackSvd:
     def test_example2_row(self):
         # Example 2 reduced (l = 300), seed 3, t = 1: a power iteration on
         # this M stalls for thousands of steps and stops 1.4e-6 off.
-        from saddleqr import MACHINE_EPS, metrics
-        from saddleqr.bench import BenchConfig, base_blocks
-        from saddleqr.saddle import assemble, solve_detailed
-        from saddleqr.testgen import scale_problem
+        _check_against_gesdd("2", 200, 100, 3, 1.0)
 
-        cfg = BenchConfig(example="2", m=200, n=100, seed=3)
-        t_index = cfg.t_list.index(1.0)
-        a1, b1, c1, provenance = base_blocks(cfg, t_index)
-        problem = scale_problem(a1, b1, c1, 1.0, provenance)
-        m = assemble(problem.blocks)
-        ma = m.array
-        sv = np.linalg.svd(ma, compute_uv=False)
-        kappa = sv[0] / sv[-1]
-        assert spectral_norm(m).value == pytest.approx(sv[0], rel=1e-12)
-        # sigma_min of M is itself determined only to about eps * kappa
-        # relative (here 3e-8), by any backward-stable method.
-        assert condition_number(m).value == pytest.approx(kappa, rel=MACHINE_EPS * kappa)
-        assert inverse_norm(m).value == pytest.approx(1.0 / sv[-1], rel=MACHINE_EPS * kappa)
-        for method in ("bcgs", "bcgs2", "householder"):
-            d = solve_detailed(problem.blocks, problem.f, method)
-            qa, ra = d.q.array, d.r.array
-            report = metrics(m, d.q, d.r, problem.f, d.solution.z, problem.z_star)
-            orth = np.linalg.svd(np.eye(len(qa)) - qa.T @ qa, compute_uv=False)[0]
-            dec = np.linalg.svd(ma - qa @ ra, compute_uv=False)[0] / sv[0]
-            assert report.orth == pytest.approx(orth / MACHINE_EPS, rel=1e-12)
-            assert report.dec == pytest.approx(dec / MACHINE_EPS, rel=1e-12)
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_example1_seed0_rows(self, t):
+        # The rows of the example-1 golden table, kappa 1.6e10 to 7.6e17.  At
+        # t = 0.01 the householder QR of M is rank deficient (an ERR cell).
+        methods = ("bcgs", "bcgs2") if t == 0.01 else ("bcgs", "bcgs2", "householder")
+        _check_against_gesdd("1", 12, 6, 0, t, methods)
 
 
 class TestJacobiOracle:
