@@ -126,15 +126,17 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
             row = BenchRow(t=t, kappa=norm_m / _nonsingular(norm_m, sigma_min))
         except LinAlgError as exc:
             row = BenchRow(t=t, kappa=f"ERR:{exc.code}")
+        first = None  # the bcgs cell's factorization, which the bcgs2 cell reorthogonalizes
         for method in cfg.ordered_methods:
-            row.cells[method] = _method_cells(problem, m, norm_m, row.kappa, method)
+            row.cells[method], first = _method_cells(problem, m, norm_m, row.kappa, method, first)
         rows.append(row)
     return rows
 
 
-def _method_cells(problem, m, norm_m, kappa, method) -> dict[str, float | str]:
+def _method_cells(problem, m, norm_m, kappa, method, first):
+    """One method's metric cells, and the factorization of a bcgs cell that succeeded."""
     try:
-        detail = solve_detailed(problem.blocks, problem.f, method)
+        detail = solve_detailed(problem.blocks, problem.f, method, first_pass=first)
         kappa_value = kappa if isinstance(kappa, float) else 1.0
         report = metrics(
             m,
@@ -147,7 +149,7 @@ def _method_cells(problem, m, norm_m, kappa, method) -> dict[str, float | str]:
             norm_m=norm_m,
         )
     except LinAlgError as exc:
-        return dict.fromkeys(METRIC_NAMES, f"ERR:{exc.code}")
+        return dict.fromkeys(METRIC_NAMES, f"ERR:{exc.code}"), None
     cells: dict[str, float | str] = {
         "orth": report.orth,
         "dec": report.dec,
@@ -156,7 +158,7 @@ def _method_cells(problem, m, norm_m, kappa, method) -> dict[str, float | str]:
     }
     if isinstance(kappa, str):
         cells["stab"] = kappa  # no condition number, no forward-error ratio
-    return cells
+    return cells, detail.block_qr if method == "bcgs" else None
 
 
 def _fmt17(v: float) -> str:

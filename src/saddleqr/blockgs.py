@@ -101,39 +101,28 @@ def _panel_qr(x: np.ndarray, step: str) -> ThinQR:
         raise RankDeficientError(column=exc.column, step=step) from exc
 
 
-def _first_pass(p: BlockPartition) -> tuple[ThinQR, DenseMatrix, ThinQR]:
-    """M1 = Q1 R1; S = Q1^T M2; Y = M2 - Q1 S; Y = Q2 R2."""
-    f1 = _panel_qr(p.m1.array, "first panel")
-    q1, m2 = f1.q.array, p.m2.array
-    s = q1.T @ m2
-    f2 = _panel_qr(m2 - q1 @ s, "second panel")
-    return f1, DenseMatrix._wrap(s), f2
-
-
 def bcgs(p: BlockPartition) -> BlockQR:
     """Single-pass block classical Gram-Schmidt.
 
     Steps: M1 = Q1 R1; S = Q1^T M2; Y = M2 - Q1 S; Y = Q2 R2.
     """
-    f1, s, f2 = _first_pass(p)
-    return BlockQR(q1=f1.q, q2=f2.q, r1=f1.r, s=s, r2=f2.r)
+    f1 = _panel_qr(p.m1.array, "first panel")
+    q1, m2 = f1.q.array, p.m2.array
+    s = q1.T @ m2
+    f2 = _panel_qr(m2 - q1 @ s, "second panel")
+    return BlockQR(q1=f1.q, q2=f2.q, r1=f1.r, s=DenseMatrix._wrap(s), r2=f2.r)
 
 
-def bcgs2(p: BlockPartition) -> BlockQR:
-    """Block classical Gram-Schmidt with one reorthogonalization pass.
-
-    After the single-pass steps (S1, Y1, Q2 R2), the second panel's Q
-    factor is orthogonalized against Q1 once more:
-    S2 = Q1^T Q2; Y2 = Q2 - Q1 S2; Y2 = Q2' R2'; then
-    S = S1 + S2 R2 and R2_final = R2' R2.
-    """
-    f1, s1, f2 = _first_pass(p)
-    q1, q2 = f1.q.array, f2.q.array
+def _reorthogonalize(first: BlockQR) -> BlockQR:
+    """One reorthogonalization pass of the second panel's Q factor of a
+    ``bcgs`` factorization: S2 = Q1^T Q2; Y2 = Q2 - Q1 S2; Y2 = Q2' R2';
+    then S = S1 + S2 R2 and R2_final = R2' R2."""
+    q1, q2 = first.q1.array, first.q2.array
     s2 = q1.T @ q2
     f3 = _panel_qr(q2 - q1 @ s2, "reorthogonalization panel")
 
-    r2 = f2.r.array
-    s_new = DenseMatrix._wrap(s1.array + s2 @ r2)
+    r2 = first.r2.array
+    s_new = DenseMatrix._wrap(first.s.array + s2 @ r2)
     r2_new = DenseMatrix._wrap(f3.r.array @ r2)
     diag = np.diag(r2_new.array)
     if np.any(diag <= 0.0):
@@ -143,12 +132,17 @@ def bcgs2(p: BlockPartition) -> BlockQR:
             f"(value {diag[bad]:.3e})"
         )
     return BlockQR(
-        q1=f1.q,
+        q1=first.q1,
         q2=f3.q,
-        r1=f1.r,
+        r1=first.r1,
         s=s_new,
         r2=r2_new,
         diagnostics=ReorthDiagnostics(
-            s1=s1, s2=DenseMatrix._wrap(s2), r2_initial=f2.r, r2_refine=f3.r
+            s1=first.s, s2=DenseMatrix._wrap(s2), r2_initial=first.r2, r2_refine=f3.r
         ),
     )
+
+
+def bcgs2(p: BlockPartition) -> BlockQR:
+    """Block classical Gram-Schmidt with one reorthogonalization pass of the bcgs factorization."""
+    return _reorthogonalize(bcgs(p))

@@ -29,9 +29,9 @@ class ThinQR:
 
 def _fix_signs(q: np.ndarray, r: np.ndarray) -> None:
     """Negate row i of R and column i of Q wherever R_ii < 0 (in place)."""
-    neg = np.diag(r) < 0.0
-    r[neg, :] = -r[neg, :]
-    q[:, neg] = -q[:, neg]
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    r *= sign[:, None]
+    q *= sign
 
 
 def default_rank_tol(x: DenseMatrix) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockgs import BlockPartition, bcgs, bcgs2
+from .blockgs import BlockPartition, BlockQR, _reorthogonalize, bcgs, bcgs2
 from .errors import DimensionError, RankDeficientError
 from .householder import thin_householder_qr
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric, transpose, vconcat
@@ -149,9 +149,20 @@ class SolveDetail:
     q: DenseMatrix
     r: DenseMatrix
 
+    @property
+    def block_qr(self) -> BlockQR:
+        """Q and R split after column m, sliced per call so that only one copy is kept."""
+        m, q, ra, wrap = len(self.solution.x), self.q, self.r.array, DenseMatrix._wrap
+        return BlockQR(q1=q.columns(0, m), q2=q.columns(m, q.cols), r1=wrap(ra[:m, :m]),
+                       s=wrap(ra[:m, m:]), r2=wrap(ra[m:, m:]))
 
-def solve_detailed(blocks: SaddleBlocks, f: Vector, method: str) -> SolveDetail:
-    """Factor M with the chosen path, then solve R z = Q^T f."""
+
+def solve_detailed(
+    blocks: SaddleBlocks, f: Vector, method: str, *, first_pass: BlockQR | None = None
+) -> SolveDetail:
+    """Factor M with the chosen path, then solve R z = Q^T f.  Given ``first_pass``, the
+    ``block_qr`` of a bcgs solve of the same blocks, bcgs2 runs only its reorthogonalization
+    pass; the other methods ignore it."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if len(f) != blocks.l:
@@ -161,10 +172,12 @@ def solve_detailed(blocks: SaddleBlocks, f: Vector, method: str) -> SolveDetail:
     m = assemble(blocks)
     if method == "householder":
         fac = thin_householder_qr(m)
-        q, r = fac.q, fac.r
+    elif method == "bcgs2" and first_pass is not None:
+        fac = _reorthogonalize(first_pass)
     else:
-        factor = bcgs(partition(blocks)) if method == "bcgs" else bcgs2(partition(blocks))
-        q, r = factor.q(), factor.r()
+        p = BlockPartition.split(m, blocks.m)
+        fac = bcgs(p) if method == "bcgs" else bcgs2(p)
+    q, r = (fac.q, fac.r) if method == "householder" else (fac.q(), fac.r())
     z = back_substitute(r, Vector._wrap(q.array.T @ f.array))
     sol = SaddleSolution(
         z=z, x=z.slice(0, blocks.m), y=z.slice(blocks.m, blocks.l), method=method

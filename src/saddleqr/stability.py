@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DegenerateSolutionError, DimensionError, HypothesisError, NonFiniteError
 from .householder import ThinQR
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _norm2_arr, vector_norm
-from .norms import condition_number, inverse_norm, spectral_norm
+from .norms import _extreme_singular_values, _nonsingular, inverse_norm, spectral_norm
 
 
 def _norm(xa: np.ndarray) -> float:
@@ -102,10 +102,10 @@ def metrics(
     norm_z = vector_norm(z_computed)
     if norm_z == 0.0:
         raise DegenerateSolutionError("degenerate solution for metric normalization")
-    if norm_m is None:
-        norm_m = spectral_norm(m).value
-    if kappa is None:
-        kappa = condition_number(m).value
+    if norm_m is None or kappa is None:  # one singular-value call on M for both
+        sigma_max, sigma_min = _extreme_singular_values(m.array)
+        norm_m = sigma_max if norm_m is None else norm_m
+        kappa = sigma_max / _nonsingular(sigma_max, sigma_min) if kappa is None else kappa
 
     orth, dec = _factor_defects(m.array, q.array, r.array, norm_m)
     res = _norm2_arr(m.array @ z_computed.array - f.array) / (MACHINE_EPS * norm_m * norm_z)
@@ -209,9 +209,9 @@ def backward_certificate(
         gamma = MACHINE_EPS * l
     if delta is None:
         delta = MACHINE_EPS * l
-    norm_m = spectral_norm(m).value
+    norm_m, sigma_min = _extreme_singular_values(m.array)
     beta, alpha = _factor_defects(m.array, q.array, r.array, norm_m)
-    kappa = condition_number(m).value
+    kappa = norm_m / _nonsingular(norm_m, sigma_min)
     ok = beta < 1.0 and alpha * kappa < 1.0
     if ok:
         mu, nu = theorem1_bound(alpha, beta, gamma, delta)

@@ -18,16 +18,17 @@ def _check_square(r: DenseMatrix, what: str) -> None:
 
 
 def _back_substitute_arr(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
+    small = np.flatnonzero(np.abs(np.diag(ra)) < _TINY)
+    if small.size:
+        raise ZeroDiagonalError(int(small[-1]))  # the row a bottom-up solve meets first
     n = ra.shape[0]
-    z = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        d = ra[i, i]
-        if abs(d) < _TINY:
-            raise ZeroDiagonalError(i)
-        # inner accumulation over j > i in descending column order
-        terms = ra[i, i + 1 :] * z[i + 1 :]
-        s = _seq_sum(terms[::-1])
-        z[i] = (g[i] - s) / d
+    z = np.empty(n)
+    z[-1] = g[-1] / ra[-1, -1]
+    # acc[i] sums ra[i, j] z[j] over swept columns j > i, descending; assigned first (keeps -0.0)
+    acc = ra[:, -1] * z[-1]
+    for j in range(n - 2, -1, -1):
+        z[j] = (g[j] - acc[j]) / ra[j, j]
+        acc[:j] += ra[:j, j] * z[j]
     return z
 
 
@@ -36,7 +37,7 @@ def back_substitute(r: DenseMatrix, g: Vector) -> Vector:
 
     The inner accumulation runs over columns in descending order, fixed for
     bit-reproducibility.  A zero (or subnormal) diagonal entry raises
-    :class:`ZeroDiagonalError` naming the row.
+    :class:`ZeroDiagonalError` naming the bottom-most such row.
     """
     _check_square(r, "back_substitute matrix")
     if len(g) != r.rows:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from saddleqr import DenseMatrix, DimensionError
+from saddleqr import DenseMatrix, DimensionError, ZeroDiagonalError
 
 
 def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,6 +44,23 @@ def gauss_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     z = np.zeros(n)
     for row in range(n - 1, -1, -1):
         z[row] = (x[row] - a[row, row + 1 :] @ z[row + 1 :]) / a[row, row]
+    return z
+
+
+def row_back_substitute(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-oriented back-substitution, bottom row first: z_i = (g_i - s_i)
+    / r_ii with s_i the serial sum of r_ij z_j over j = l-1 down to i+1
+    (started from its first term, not from 0.0).  The first row met with
+    |r_ii| below the smallest normal float raises ZeroDiagonalError.  The
+    bitwise reference for ``triangular.back_substitute``."""
+    n = ra.shape[0]
+    z = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        if abs(ra[i, i]) < np.finfo(np.float64).tiny:
+            raise ZeroDiagonalError(i)
+        terms = (ra[i, i + 1 :] * z[i + 1 :])[::-1]
+        s = float(np.cumsum(terms)[-1]) if terms.size else 0.0
+        z[i] = (g[i] - s) / ra[i, i]
     return z
 
 

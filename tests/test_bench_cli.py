@@ -85,6 +85,42 @@ class TestRunBench:
         assert sum(qr_calls) == 1
         assert sum(sv_calls) == 1
 
+    def test_row_of_three_methods_runs_eight_qrs(self, monkeypatch):
+        # Generation 4, bcgs 2, the bcgs2 reorthogonalization 1 (its first
+        # pass is the bcgs factorization), householder 1.
+        from saddleqr import blockgs, householder, saddle, testgen
+
+        calls = []
+        original = householder.thin_householder_qr
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (householder, blockgs, saddle, testgen):
+            monkeypatch.setattr(module, "thin_householder_qr", counted)
+        run_bench(BenchConfig(example="2", m=20, n=10, t_list=(1.0,),
+                              methods=("bcgs", "bcgs2", "householder")))
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("example, m, n", [("1", 12, 6), ("2", 200, 100)])
+    def test_bcgs2_cells_same_with_and_without_bcgs(self, example, m, n):
+        def bcgs2_columns(methods):
+            cfg = BenchConfig(example=example, m=m, n=n, methods=methods)
+            header, *lines = render_csv(cfg, run_bench(cfg)).splitlines()
+            keep = [k for k, name in enumerate(header.split(",")) if name.endswith("_bcgs2")]
+            return [[line.split(",")[k] for k in keep] for line in lines]
+
+        assert bcgs2_columns(("bcgs2",)) == bcgs2_columns(("bcgs", "bcgs2"))
+
+    def test_failed_first_pass_fails_both_block_cells(self):
+        # At t = 1e-160 the second panel of the first pass is rank deficient.
+        for methods in (("bcgs", "bcgs2"), ("bcgs2",)):
+            cfg = BenchConfig(example="1", m=12, n=6, t_list=(1e-160,), methods=methods)
+            (row,) = run_bench(cfg)
+            for method in methods:
+                assert set(row.cells[method].values()) == {"ERR:rank_deficient"}
+
     def test_singular_kappa_marks_only_kappa_and_stab(self, monkeypatch):
         from saddleqr import bench
         from saddleqr.errors import SingularMatrixError

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from saddleqr import (
     transpose,
 )
 from saddleqr.bench import BenchConfig, base_blocks
+from saddleqr.blockgs import _reorthogonalize
 from saddleqr.rng import standard_normals
 from saddleqr.testgen import logspace_diag, scale_problem
 
@@ -111,6 +114,17 @@ class TestBcgs2:
         r_a = bcgs(p).r().array
         r_b = bcgs2(p).r().array
         assert np.max(np.abs(r_a - r_b)) <= 1e3 * MACHINE_EPS * norm_m
+
+    @pytest.mark.parametrize("s", [1, 6, 12])
+    def test_is_bcgs_plus_one_reorthogonalization_pass(self, s):
+        p = conditioned_partition(12, 7, s, 40 + s)
+        ours, reference = bcgs2(p), _reorthogonalize(bcgs(p))
+        pairs = [(ours, reference), (ours.diagnostics, reference.diagnostics)]
+        for a, b in pairs:
+            for field in dataclasses.fields(a):
+                if field.name != "diagnostics":
+                    x, y = getattr(a, field.name), getattr(b, field.name)
+                    assert x.array.tobytes() == y.array.tobytes(), field.name
 
     def test_reorthogonalization_update_identities(self):
         p = conditioned_partition(9, 5, 6, 77)

@@ -67,6 +67,30 @@ class TestMetrics:
         assert report.kappa == 7.0
 
 
+@pytest.mark.parametrize("call", ["metrics", "backward_certificate"])
+def test_m_gets_one_singular_value_call(call, monkeypatch):
+    # ||M|| and kappa(M) come from the same call on M.
+    from saddleqr import norms, stability
+
+    problem, detail = example_style_run(12, 6, 1.0, "bcgs2", example="1")
+    ma = detail.matrix.array
+    on_m = []
+    original = norms._extreme_singular_values
+
+    def spy(xa):
+        on_m.append(np.array_equal(xa, ma))
+        return original(xa)
+
+    for module in (norms, stability):
+        monkeypatch.setattr(module, "_extreme_singular_values", spy)
+    args = (detail.matrix, detail.q, detail.r, problem.f, detail.solution.z)
+    if call == "metrics":
+        metrics(*args, problem.z_star)
+    else:
+        backward_certificate(*args)
+    assert sum(on_m) == 1
+
+
 class TestLemma1:
     def test_orthogonal_input(self):
         q = random_orthogonal(8, 3)

@@ -16,8 +16,9 @@ from saddleqr import (
     vector_norm,
 )
 from saddleqr.rng import standard_normals
+from saddleqr.triangular import _back_substitute_arr
 
-from _oracles import exact_singular_values
+from _oracles import exact_singular_values, row_back_substitute
 
 
 def random_upper(n, seed, diag_boost=2.0):
@@ -58,6 +59,45 @@ class TestBackSubstitute:
         resid = vector_norm(mat_vec(r, z) - g)
         norm_r = float(exact_singular_values(r)[0])
         assert resid <= 1e2 * MACHINE_EPS * norm_r * vector_norm(z)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_column_sweep_matches_row_oracle_bitwise(self, seed):
+        # Row i scaled by 10^a_i and column j by 10^b_j, a, b in {-150, 0, 150}:
+        # z_j ~ 10^-b_j, and every product in row i is ~ 10^a_i.
+        n = 1 + 7 * seed % 61
+        exps = 150.0 * (np.floor(3.0 * np.abs(standard_normals(900 + seed, 2 * n))) % 3 - 1)
+        rows, cols = 10.0 ** exps[:n], 10.0 ** exps[n:]
+        ra = random_upper(n, 300 + seed).array * rows[:, None] * cols[None, :]
+        g = standard_normals(400 + seed, n) * rows
+        z = _back_substitute_arr(ra, g)
+        assert z.tobytes() == row_back_substitute(ra, g).tobytes()
+
+    def test_signed_zeros_match_row_oracle(self):
+        # z_1 = -0.0, so row 0 sums the single product 1 * -0.0 = -0.0 and
+        # z_0 = -0.0 - (-0.0) = +0.0; a sum started from +0.0 would give -0.0.
+        ra = np.array([[1.0, 1.0], [0.0, 1.0]])
+        z = _back_substitute_arr(ra, np.array([-0.0, -0.0]))
+        assert z.tobytes() == np.array([0.0, -0.0]).tobytes()
+        for seed in range(10):
+            n = 12
+            ra = random_upper(n, 500 + seed).array
+            pick = np.abs(standard_normals(600 + seed, 2 * n * n)).reshape(2, n, n)
+            ra = np.where(np.triu(pick[0] < 0.7, 1), np.copysign(0.0, pick[1] - 0.7), ra)
+            g = np.copysign(0.0, standard_normals(700 + seed, n))
+            g[::3] = standard_normals(800 + seed, n)[::3]
+            assert _back_substitute_arr(ra, g).tobytes() == row_back_substitute(ra, g).tobytes()
+
+    @pytest.mark.parametrize("zero_rows", [(0,), (2, 5), (7,), (0, 3, 7)])
+    def test_zero_diagonal_row_matches_row_oracle(self, zero_rows):
+        ra = random_upper(8, 40).array.copy()
+        subnormal = float(np.finfo(np.float64).tiny) / 4.0
+        ra[zero_rows, zero_rows] = [0.0, subnormal, -0.0][: len(zero_rows)]
+        g = standard_normals(41, 8)
+        with pytest.raises(ZeroDiagonalError) as expected:
+            row_back_substitute(ra, g)
+        with pytest.raises(ZeroDiagonalError) as exc:
+            _back_substitute_arr(ra, g)
+        assert exc.value.row == expected.value.row == max(zero_rows)
 
     def test_zero_diagonal_names_row(self):
         r = DenseMatrix([[1.0, 1.0], [0.0, 0.0]])
