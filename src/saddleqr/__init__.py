@@ -1,7 +1,7 @@
 """saddleqr: block Gram-Schmidt QR solvers and stability benchmarks for
 symmetric saddle-point systems."""
 
-from .blockgs import BlockPartition, BlockQR, ReorthDiagnostics, bcgs, bcgs2
+from .blockgs import BlockPartition, bcgs, bcgs2
 from .errors import (
     DegenerateSolutionError,
     DimensionError,
@@ -13,120 +13,46 @@ from .errors import (
     SingularMatrixError,
     ZeroDiagonalError,
 )
-from .householder import ThinQR, thin_householder_qr
-from .matrix import (
-    MACHINE_EPS,
-    DenseMatrix,
-    Vector,
-    hconcat,
-    mat_vec,
-    matmul,
-    transpose,
-    vconcat,
-    vector_norm,
-)
-from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
-from .norms import NormEstimate, condition_number, inverse_norm, spectral_norm
-from .saddle import (
-    METHODS,
-    SaddleBlocks,
-    SaddleSolution,
-    SolveDetail,
-    ValidationReport,
-    assemble,
-    partition,
-    solve,
-    solve_detailed,
-    validate,
-)
-from .stability import (
-    Lemma1Bounds,
-    PerturbationBound,
-    StabilityReport,
-    backward_certificate,
-    lemma1_bounds,
-    metrics,
-    qr_residuals,
-    theorem1_bound,
-)
-from .testgen import (
-    GeneratorSpec,
-    ScaledProblem,
-    hilbert,
-    logspace_diag,
-    matrix1,
-    matrix2,
-    ones_rank_one,
-    random_orthogonal,
-    scale_problem,
-)
-from .triangular import CholeskyResult, back_substitute, cholesky
+from .householder import thin_householder_qr
+from .matrix import DenseMatrix, Vector, mat_vec, matmul, vector_norm
+from .norms import condition_number, inverse_norm, spectral_norm
+from .saddle import SaddleBlocks, assemble, solve_detailed, validate
+from .stability import backward_certificate, lemma1_bounds, metrics, qr_residuals
+from .testgen import matrix1, matrix2, scale_problem
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MACHINE_EPS",
-    "METHODS",
     "BlockPartition",
-    "BlockQR",
-    "CholeskyResult",
     "DegenerateSolutionError",
     "DenseMatrix",
     "DimensionError",
-    "GeneratorSpec",
     "HypothesisError",
-    "Lemma1Bounds",
     "LinAlgError",
-    "MatrixMarketError",
     "NonConvergedError",
     "NonFiniteError",
-    "NormEstimate",
-    "PerturbationBound",
     "RankDeficientError",
-    "ReorthDiagnostics",
     "SaddleBlocks",
-    "SaddleSolution",
-    "ScaledProblem",
     "SingularMatrixError",
-    "SolveDetail",
-    "StabilityReport",
-    "ThinQR",
-    "ValidationReport",
     "Vector",
     "ZeroDiagonalError",
     "assemble",
-    "back_substitute",
     "backward_certificate",
     "bcgs",
     "bcgs2",
-    "cholesky",
     "condition_number",
-    "hconcat",
-    "hilbert",
     "inverse_norm",
     "lemma1_bounds",
-    "logspace_diag",
     "mat_vec",
     "matmul",
     "matrix1",
     "matrix2",
     "metrics",
-    "ones_rank_one",
-    "partition",
     "qr_residuals",
-    "random_orthogonal",
-    "read_matrix",
-    "read_vector",
     "scale_problem",
-    "solve",
     "solve_detailed",
     "spectral_norm",
-    "theorem1_bound",
     "thin_householder_qr",
-    "transpose",
     "validate",
-    "vconcat",
     "vector_norm",
-    "write_matrix",
-    "write_vector",
 ]

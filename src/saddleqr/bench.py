@@ -8,6 +8,7 @@ every numeric cell round-trips exactly); markdown output is eyeball-first
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from .errors import LinAlgError
 from .matrix import DenseMatrix
 from .norms import _extreme_singular_values, _nonsingular
 from .rng import mix64
-from .saddle import METHODS, SaddleBlocks, assemble, solve_detailed
+from .saddle import METHODS, assemble, solve_detailed
 from .stability import metrics
 from .testgen import GeneratorSpec, hilbert, matrix1, matrix2, ones_rank_one, scale_problem
 
@@ -47,8 +48,10 @@ class BenchConfig:
             raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if not self.t_list:
             raise ValueError("t_list must be nonempty")
-        if any(t == 0.0 for t in self.t_list):
-            raise ValueError("every t must be nonzero")
+        if not all(0.0 < abs(t) < math.inf for t in self.t_list):
+            raise ValueError("every t must be finite and nonzero")
+        if not all(0.0 <= s < math.inf for s in (self.s_a, self.s_b, self.s_c)):
+            raise ValueError("sA, sB and sC must be finite and nonnegative")
         if not self.methods:
             raise ValueError("at least one method is required")
         bad = [meth for meth in self.methods if meth not in METHODS]

@@ -51,18 +51,6 @@ class BlockPartition:
 
 
 @dataclass(frozen=True)
-class ReorthDiagnostics:
-    """Intermediates of the reorthogonalization pass, kept so the exact
-    update identities s = s1 + s2 r2_initial and r2 = r2_refine r2_initial
-    can be checked."""
-
-    s1: DenseMatrix
-    s2: DenseMatrix
-    r2_initial: DenseMatrix
-    r2_refine: DenseMatrix
-
-
-@dataclass(frozen=True)
 class BlockQR:
     """Assembled two-panel factorization: Q = (q1, q2),
     R = [[r1, s], [0, r2]]."""
@@ -72,7 +60,6 @@ class BlockQR:
     r1: DenseMatrix
     s: DenseMatrix
     r2: DenseMatrix
-    diagnostics: ReorthDiagnostics | None = None
 
     @property
     def m(self) -> int:
@@ -131,16 +118,7 @@ def _reorthogonalize(first: BlockQR) -> BlockQR:
             f"refined second-panel triangle lost its positive diagonal at {bad} "
             f"(value {diag[bad]:.3e})"
         )
-    return BlockQR(
-        q1=first.q1,
-        q2=f3.q,
-        r1=first.r1,
-        s=s_new,
-        r2=r2_new,
-        diagnostics=ReorthDiagnostics(
-            s1=first.s, s2=DenseMatrix._wrap(s2), r2_initial=first.r2, r2_refine=f3.r
-        ),
-    )
+    return BlockQR(q1=first.q1, q2=f3.q, r1=first.r1, s=s_new, r2=r2_new)
 
 
 def bcgs2(p: BlockPartition) -> BlockQR:

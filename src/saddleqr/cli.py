@@ -20,7 +20,6 @@ from .bench import (
     write_bench,
 )
 from .errors import DimensionError, LinAlgError
-from .matrix import DenseMatrix
 from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
 from .norms import condition_number
 from .saddle import METHODS, SaddleBlocks, solve_detailed
@@ -55,7 +54,7 @@ def cmd_gen(args) -> int:
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}", 2)
     try:
-        kappa = condition_number(matrix).value
+        kappa = condition_number(matrix)
         print(f"kappa: {kappa:.6e}")
     except LinAlgError as exc:  # singular, overflowed or not converged
         print(f"kappa: {exc}")

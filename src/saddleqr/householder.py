@@ -53,15 +53,14 @@ def default_rank_tol(x: DenseMatrix) -> float:
     return MACHINE_EPS * float(np.sqrt(x.rows)) * max_col
 
 
-def thin_householder_qr(x: DenseMatrix, *, rank_tol: float | None = None) -> ThinQR:
+def thin_householder_qr(x: DenseMatrix) -> ThinQR:
     """Thin Householder QR of an l x k matrix with l >= k.
 
     A final sign pass makes every diagonal entry of R positive, which pins
     down the unique positive-diagonal thin QR of a full-column-rank input.
     |R_jj| is the norm of column j after the first j reflectors; the first
-    j with |R_jj| <= ``rank_tol`` raises :class:`RankDeficientError`
-    naming column j.  ``rank_tol`` overrides the pivot threshold (see
-    ``default_rank_tol``); pass 0.0 to fail only on exactly zero pivots.
+    j with |R_jj| <= ``default_rank_tol(x)`` raises
+    :class:`RankDeficientError` naming column j.
     Input holding inf or NaN, or a factor that is not finite, raises
     :class:`NonFiniteError`.
     """
@@ -70,12 +69,10 @@ def thin_householder_qr(x: DenseMatrix, *, rank_tol: float | None = None) -> Thi
     xa = x.array
     if not np.isfinite(xa).all():
         raise NonFiniteError("QR of a matrix that is not finite")
-    if rank_tol is None:
-        rank_tol = default_rank_tol(x)
     q, r = np.linalg.qr(xa, mode="reduced")
     if not (np.isfinite(q).all() and np.isfinite(r).all()):
         raise NonFiniteError("QR factor is not finite")
-    small = np.flatnonzero(np.abs(np.diag(r)) <= rank_tol)
+    small = np.flatnonzero(np.abs(np.diag(r)) <= default_rank_tol(x))
     if small.size:
         raise RankDeficientError(column=int(small[0]))
     _fix_signs(q, r)

@@ -4,8 +4,6 @@ call returns a value accurate to rounding or raises a typed LinAlgError."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NonConvergedError, NonFiniteError, SingularMatrixError
@@ -15,16 +13,6 @@ from .matrix import MACHINE_EPS, DenseMatrix
 # sigma_max, or sigma_min is not a normal float.  Far below rounding noise,
 # so kappa near 1/eps is still reported; no kappa that passes can overflow.
 _SINGULAR_GATE_FACTOR = 1e-3 * MACHINE_EPS
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    """A nonnegative norm value.  LAPACK computes it directly, so
-    ``iterations`` is always 0 and ``converged`` always true."""
-
-    value: float
-    iterations: int
-    converged: bool
 
 
 def _lapack(routine, a: np.ndarray) -> np.ndarray:
@@ -67,34 +55,38 @@ def _nonsingular(sigma_max: float, sigma_min: float) -> float:
     return sigma_min
 
 
-def spectral_norm(x: DenseMatrix) -> NormEstimate:
-    """Two-norm of ``x``: its largest |eigenvalue| if it is symmetric, else
-    scale * sqrt(lambda_max(Y^T Y)), Y = X / scale, scale = max|X|, with the
-    Gram matrix on the smaller side of X (cheaper than an SVD, as for the
-    defect M - QR).  The zero matrix returns 0; inf or NaN input, or a norm
-    past the float range, raises :class:`NonFiniteError`."""
-    xa = x.array
+def _two_norm(xa: np.ndarray) -> float:
+    """:func:`spectral_norm` of a raw array."""
     if np.array_equal(xa, xa.T):
-        return NormEstimate(_extreme_singular_values(xa)[0], 0, True)
+        return _extreme_singular_values(xa)[0]
     scale, y = _scaled(xa)
     gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
     value = scale * float(np.sqrt(max(_lapack(np.linalg.eigvalsh, gram)[-1], 0.0)))
     if not np.isfinite(value):
         raise NonFiniteError("spectral norm is not finite")
-    return NormEstimate(value, 0, True)
+    return value
 
 
-def inverse_norm(m: DenseMatrix) -> NormEstimate:
+def spectral_norm(x: DenseMatrix) -> float:
+    """Two-norm of ``x``: its largest |eigenvalue| if it is symmetric, else
+    scale * sqrt(lambda_max(Y^T Y)), Y = X / scale, scale = max|X|, with the
+    Gram matrix on the smaller side of X (cheaper than an SVD, as for the
+    defect M - QR).  The zero matrix returns 0; inf or NaN input, or a norm
+    past the float range, raises :class:`NonFiniteError`."""
+    return _two_norm(x.array)
+
+
+def inverse_norm(m: DenseMatrix) -> float:
     """1 / sigma_min(M), which is ||M^{-1}|| for square M.  Raises
     :class:`SingularMatrixError` if M is singular to working precision;
     M must have at least as many rows as columns."""
     if m.rows < m.cols:
         raise DimensionError(f"inverse_norm needs rows >= cols, got {m.rows}x{m.cols}")
-    return NormEstimate(1.0 / _nonsingular(*_extreme_singular_values(m.array)), 0, True)
+    return 1.0 / _nonsingular(*_extreme_singular_values(m.array))
 
 
-def condition_number(m: DenseMatrix) -> NormEstimate:
+def condition_number(m: DenseMatrix) -> float:
     """kappa(M) = sigma_max(M) / sigma_min(M).  Raises
     :class:`SingularMatrixError` if M is singular to working precision."""
     sigma_max, sigma_min = _extreme_singular_values(m.array)
-    return NormEstimate(sigma_max / _nonsingular(sigma_max, sigma_min), 0, True)
+    return sigma_max / _nonsingular(sigma_max, sigma_min)

@@ -12,24 +12,19 @@ import numpy as np
 from .errors import DegenerateSolutionError, DimensionError, HypothesisError, NonFiniteError
 from .householder import ThinQR
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _norm2_arr, vector_norm
-from .norms import _extreme_singular_values, _nonsingular, inverse_norm, spectral_norm
-
-
-def _norm(xa: np.ndarray) -> float:
-    """Spectral norm of a raw array, wrapped without a copy."""
-    return spectral_norm(DenseMatrix._wrap(xa)).value
+from .norms import _extreme_singular_values, _nonsingular, _two_norm
 
 
 def _gram_defect(qa: np.ndarray) -> float:
     """||I - Q^T Q||."""
-    return _norm(np.eye(qa.shape[1]) - qa.T @ qa)
+    return _two_norm(np.eye(qa.shape[1]) - qa.T @ qa)
 
 
 def _factor_defects(
     xa: np.ndarray, qa: np.ndarray, ra: np.ndarray, norm_x: float
 ) -> tuple[float, float]:
     """(||I - Q^T Q||, ||X - Q R|| / ||X||) of a factorization X = Q R."""
-    return _gram_defect(qa), _norm(xa - qa @ ra) / norm_x
+    return _gram_defect(qa), _two_norm(xa - qa @ ra) / norm_x
 
 
 def qr_residuals(x: DenseMatrix, f: ThinQR) -> tuple[float, float]:
@@ -43,7 +38,7 @@ def qr_residuals(x: DenseMatrix, f: ThinQR) -> tuple[float, float]:
         raise DimensionError(
             f"inconsistent factor shapes {q.shape} / {r.shape} for {x.shape}"
         )
-    orth, dec = _factor_defects(x.array, q.array, r.array, _norm(x.array))
+    orth, dec = _factor_defects(x.array, q.array, r.array, _two_norm(x.array))
     return orth / MACHINE_EPS, dec / MACHINE_EPS
 
 
@@ -136,8 +131,8 @@ def lemma1_bounds(qt: DenseMatrix) -> Lemma1Bounds:
     beta = _gram_defect(qa)
     if beta >= 1.0:
         raise HypothesisError(f"Lemma 1 hypothesis violated: defect {beta:.3e} >= 1")
-    norm_q = spectral_norm(qt).value
-    norm_q_inv = inverse_norm(qt).value
+    norm_q = _two_norm(qa)
+    norm_q_inv = 1.0 / _nonsingular(*_extreme_singular_values(qa))
     right = _gram_defect(qa.T)
     return Lemma1Bounds(beta=beta, norm_q=norm_q, norm_q_inverse=norm_q_inv, right_defect=right)
 

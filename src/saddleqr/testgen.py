@@ -29,8 +29,8 @@ def logspace_diag(s: float, n: int) -> DenseMatrix:
     """
     if n < 1:
         raise DimensionError(f"size must be positive, got {n}")
-    if s < 0.0:
-        raise ValueError(f"decade exponent must be nonnegative, got {s}")
+    if not 0.0 <= s < np.inf:
+        raise ValueError(f"decade exponent must be finite and nonnegative, got {s}")
     if n == 1:
         exps = np.array([-float(s)])
     else:
@@ -148,20 +148,21 @@ def scale_problem(
 
     A = A1 / t, B = B1 * t, C = C1 * t; the exact solution is x* = t ones,
     y* = (1/t) ones, and f = M z* with the deterministic product.  Scaling
-    leaves kappa(A), kappa(B), kappa(C) unchanged but moves kappa(M).  An
-    f that leaves the floating-point range raises :class:`NonFiniteError`.
+    leaves kappa(A), kappa(B), kappa(C) unchanged but moves kappa(M).  A
+    scaled block, z* or f that leaves the floating-point range raises
+    :class:`NonFiniteError`.
     """
     t = float(t)
     if t == 0.0:
         raise ValueError("scale parameter t must be nonzero")
-    blocks = SaddleBlocks(a=a1 / t, b=b1 * t, c=c1 * t)
-    m, n = blocks.m, blocks.n
-    z = np.empty(m + n)
-    z[:m] = t
-    z[m:] = 1.0 / t
-    z_star = Vector(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = mat_vec(assemble(blocks), z_star)
+        blocks = SaddleBlocks(a=a1 / t, b=b1 * t, c=c1 * t)
+        z = np.concatenate([np.full(blocks.m, t), np.full(blocks.n, 1.0 / t)])
+        m = assemble(blocks)
+        if not (np.isfinite(m.array).all() and np.isfinite(z).all()):
+            raise NonFiniteError(f"scaled blocks or z* are not finite at t={t:g}")
+        z_star = Vector._wrap(z)
+        f = mat_vec(m, z_star)
     if not np.isfinite(f.array).all():
         raise NonFiniteError(f"right-hand side f = M z* is not finite at t={t:g}")
     return ScaledProblem(blocks=blocks, t=t, z_star=z_star, f=f, provenance=provenance)

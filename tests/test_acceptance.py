@@ -14,7 +14,6 @@ import pytest
 
 from saddleqr import (
     DenseMatrix,
-    MACHINE_EPS,
     Vector,
     assemble,
     backward_certificate,
@@ -24,20 +23,19 @@ from saddleqr import (
     matrix1,
     matrix2,
     qr_residuals,
-    random_orthogonal,
-    read_matrix,
     solve_detailed,
     spectral_norm,
     thin_householder_qr,
     validate,
     vector_norm,
-    write_matrix,
 )
 from saddleqr.bench import BenchConfig, base_blocks, render_csv, run_bench
 from saddleqr.cli import main as cli_main
+from saddleqr.matrix import MACHINE_EPS
+from saddleqr.mmio import read_matrix, write_matrix
 from saddleqr.rng import mix64, standard_normals
 from saddleqr.saddle import SaddleBlocks
-from saddleqr.testgen import scale_problem
+from saddleqr.testgen import random_orthogonal, scale_problem
 
 from _oracles import gauss_solve, jacobi_eigenvalues
 
@@ -62,7 +60,7 @@ def _solve_family(cfg: BenchConfig, methods=("bcgs2",)) -> list[SolvedSystem]:
         a1, b1, c1, _ = base_blocks(cfg, t_index)
         problem = scale_problem(a1, b1, c1, t)
         m = assemble(problem.blocks)
-        kappa = condition_number(m).value
+        kappa = condition_number(m)
         details = {meth: solve_detailed(problem.blocks, problem.f, meth) for meth in methods}
         out.append(
             SolvedSystem(
@@ -119,7 +117,7 @@ def small_validated_systems():
         if not validate(blocks).all_passed:
             continue
         mat = assemble(blocks)
-        kappa = condition_number(mat).value
+        kappa = condition_number(mat)
         if kappa > 1e6:
             continue
         f = Vector(standard_normals(mix64(seed, 4), blocks.l))
@@ -307,7 +305,7 @@ def test_criterion_07_backward_certificates(
                 )
                 precision_limited += 1
                 continue
-            norm_m = spectral_norm(sys_.matrix).value
+            norm_m = spectral_norm(sys_.matrix)
             z = detail.solution.z
             resid = vector_norm(mat_vec(sys_.matrix, z) - sys_.f)
             rhs = (
@@ -341,8 +339,8 @@ def test_criterion_09_generator_conditioning():
     worst = 0.0
     for s in (2.0, 6.0, 10.0):
         for i in range(5):
-            k1 = condition_number(matrix1(25, 12, s, mix64(700, i))).value
-            k2 = condition_number(matrix2(14, s, mix64(701, i))).value
+            k1 = condition_number(matrix1(25, 12, s, mix64(700, i)))
+            k2 = condition_number(matrix2(14, s, mix64(701, i)))
             for kappa in (k1, k2):
                 assert 10 ** (s - 0.5) <= kappa <= 10 ** (s + 0.5)
                 worst = max(worst, abs(math.log10(kappa) - s))

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import saddleqr
-from saddleqr import DenseMatrix, Vector, hilbert, read_matrix, read_vector, write_matrix, write_vector
+from saddleqr import DenseMatrix, Vector
+from saddleqr.mmio import read_matrix, read_vector, write_matrix, write_vector
+from saddleqr.testgen import hilbert
 from saddleqr.bench import (
     BenchConfig,
     BenchRow,
@@ -18,7 +20,7 @@ from saddleqr.bench import (
     run_bench,
 )
 from saddleqr.cli import main
-from saddleqr.saddle import assemble, SaddleBlocks
+from saddleqr.saddle import SaddleBlocks, assemble
 from saddleqr.testgen import scale_problem
 
 SMALL = dict(example="1", m=12, n=6, t_list=(1.0, 10.0), methods=("bcgs", "bcgs2"))
@@ -413,7 +415,7 @@ class TestCliBench:
                                capture_output=True, timeout=300)
             assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    @pytest.mark.parametrize("t", ["1e155", "1e160"])
+    @pytest.mark.parametrize("t", ["1e155", "1e160", "1e-320"])
     def test_extreme_scale_gives_overflow_cells(self, tmp_path, capsys, t):
         out = tmp_path / "extreme.csv"
         code = main([
@@ -442,6 +444,23 @@ class TestCliBench:
 
     def test_custom_requires_sizes(self, tmp_path):
         assert main(["bench", "--example", "custom", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["bench", "--t-list", "nan"],
+        ["bench", "--t-list", "inf"],
+        ["bench", "--t-list", "1,-inf"],
+        ["bench", "--sB", "-3"],
+        ["bench", "--sB", "nan"],
+        ["bench", "--sA", "inf"],
+        ["bench", "--example", "2", "--m", "4", "--n", "2", "--sC", "-1"],
+        ["gen", "--kind", "matrix2", "--n", "4", "--s", "nan"],
+        ["gen", "--kind", "matrix1", "--m", "4", "--n", "2", "--s", "inf"],
+    ])
+    def test_bad_scale_or_decade_exits_2_and_writes_nothing(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "saddleqr: error:" in capsys.readouterr().err
 
     def test_markdown_format(self, tmp_path):
         out = tmp_path / "bench.md"

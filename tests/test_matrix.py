@@ -4,15 +4,12 @@ import pytest
 from saddleqr import (
     DenseMatrix,
     DimensionError,
-    MACHINE_EPS,
     Vector,
-    hconcat,
     mat_vec,
     matmul,
-    transpose,
-    vconcat,
     vector_norm,
 )
+from saddleqr.matrix import MACHINE_EPS, hconcat, transpose, vconcat
 from saddleqr.rng import standard_normals
 
 from _oracles import triple_loop_matmul

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from saddleqr import DenseMatrix, Vector, read_matrix, read_vector, write_matrix, write_vector
-from saddleqr.mmio import MatrixMarketError
+from saddleqr import DenseMatrix, Vector
+from saddleqr.mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
 from saddleqr.rng import standard_normals
 
 

@@ -8,13 +8,13 @@ from saddleqr import (
     DimensionError,
     SingularMatrixError,
     condition_number,
-    hilbert,
     inverse_norm,
     matrix1,
     spectral_norm,
-    transpose,
 )
+from saddleqr.matrix import transpose
 from saddleqr.rng import standard_normals
+from saddleqr.testgen import hilbert
 
 from _oracles import exact_singular_values, exact_spectral_norm, jacobi_eigenvalues
 
@@ -28,8 +28,7 @@ def rand_matrix(rows, cols, seed):
 class TestSpectralNorm:
     def test_diagonal(self):
         est = spectral_norm(DenseMatrix(np.diag([1.0, 10.0])))
-        assert est.converged
-        assert est.value == pytest.approx(10.0, rel=TOL)
+        assert est == pytest.approx(10.0, rel=TOL)
 
     def test_golden_ratio(self):
         # eigenvalues of X^T X for X = [[1,1],[0,1]] are (3 +- sqrt 5)/2,
@@ -37,58 +36,65 @@ class TestSpectralNorm:
         expected = math.sqrt((3.0 + math.sqrt(5.0)) / 2.0)
         assert expected == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-15)
         est = spectral_norm(DenseMatrix([[1.0, 1.0], [0.0, 1.0]]))
-        assert est.value == pytest.approx(expected, rel=10 * TOL)
+        assert est == pytest.approx(expected, rel=10 * TOL)
 
     def test_zero_matrix(self):
         est = spectral_norm(DenseMatrix.zeros(3, 3))
-        assert est.value == 0.0 and est.converged
+        assert est == 0.0
 
     def test_transpose_symmetry(self):
         for seed in range(4):
             x = rand_matrix(7, 4, seed)
-            a = spectral_norm(x).value
-            b = spectral_norm(transpose(x)).value
+            a = spectral_norm(x)
+            b = spectral_norm(transpose(x))
             assert a == pytest.approx(b, rel=10 * TOL)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_against_jacobi_oracle(self, seed):
         x = rand_matrix(9, 6, 30 + seed)
-        assert spectral_norm(x).value == pytest.approx(
+        assert spectral_norm(x) == pytest.approx(
             exact_spectral_norm(x), rel=1e-6
         )
 
     def test_nonnegative_lower_bound_contract(self):
         est = spectral_norm(rand_matrix(8, 8, 77))
-        assert est.value >= 0.0
-        assert est.value <= exact_spectral_norm(rand_matrix(8, 8, 77)) * (1 + 1e-6)
+        assert est >= 0.0
+        assert est <= exact_spectral_norm(rand_matrix(8, 8, 77)) * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("x", [[[2.0, 1.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 3.0]]])
+def test_norms_return_plain_floats(x):
+    # a non-symmetric and a symmetric input, one per LAPACK branch
+    for fn in (spectral_norm, inverse_norm, condition_number):
+        assert type(fn(DenseMatrix(x))) is float
 
 
 class TestConditionNumber:
     def test_identity(self):
         for size in (1, 3, 7):
-            assert condition_number(DenseMatrix.identity(size)).value == pytest.approx(
+            assert condition_number(DenseMatrix.identity(size)) == pytest.approx(
                 1.0, rel=1e-6
             )
 
     def test_diagonal(self):
         est = condition_number(DenseMatrix(np.diag([1.0, 1e-3])))
-        assert est.value == pytest.approx(1e3, rel=1e-6)
+        assert est == pytest.approx(1e3, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_diagonal_ratio_property(self, seed):
         d = 10.0 ** (standard_normals(seed, 6) * 2.0)
         est = condition_number(DenseMatrix(np.diag(d)))
-        assert est.value == pytest.approx(d.max() / d.min(), rel=1e-6)
+        assert est == pytest.approx(d.max() / d.min(), rel=1e-6)
 
     def test_hilbert4_vs_eigen_oracle(self):
         h4 = hilbert(4)
         evs = jacobi_eigenvalues(h4)
         oracle = float(evs[-1] / evs[0])  # SPD: kappa = lambda_max / lambda_min
         assert oracle == pytest.approx(1.5514e4, rel=1e-3)
-        assert condition_number(h4).value == pytest.approx(oracle, rel=1e-3)
+        assert condition_number(h4) == pytest.approx(oracle, rel=1e-3)
 
     def test_hilbert12_edge_of_precision(self):
-        kappa = condition_number(hilbert(12)).value
+        kappa = condition_number(hilbert(12))
         assert 1e15 <= kappa <= 10**17.5
 
     def test_singular_matrix_raises(self):
@@ -101,9 +107,9 @@ class TestConditionNumber:
 
     def test_rectangular(self):
         x = matrix1(20, 8, 4.0, 99)
-        assert condition_number(x).value == pytest.approx(1e4, rel=1e-4)
+        assert condition_number(x) == pytest.approx(1e4, rel=1e-4)
         # orientation must not matter
-        assert condition_number(transpose(x)).value == pytest.approx(1e4, rel=1e-4)
+        assert condition_number(transpose(x)) == pytest.approx(1e4, rel=1e-4)
 
     def test_subnormal_pivot_is_singular(self):
         # kappa = 1e310: the eigensolve resolves sigma_min = 1e-310, the
@@ -116,15 +122,15 @@ class TestConditionNumber:
         # M is singular to working precision when sigma_min <= 1e-3 eps sigma_max.
         eps = np.finfo(np.float64).eps
         kept = 2e-3 * eps
-        assert fn(DenseMatrix(np.diag([1.0, kept]))).value == pytest.approx(1.0 / kept, rel=1e-15)
+        assert fn(DenseMatrix(np.diag([1.0, kept]))) == pytest.approx(1.0 / kept, rel=1e-15)
         with pytest.raises(SingularMatrixError):
             fn(DenseMatrix(np.diag([1.0, 5e-4 * eps])))
 
     def test_inverse_norm_orthogonal(self):
-        from saddleqr import random_orthogonal
+        from saddleqr.testgen import random_orthogonal
 
         q = random_orthogonal(6, 5)
-        assert inverse_norm(q).value == pytest.approx(1.0, rel=1e-6)
+        assert inverse_norm(q) == pytest.approx(1.0, rel=1e-6)
 
 
 class TestSingularValueBranches:
@@ -137,8 +143,8 @@ class TestSingularValueBranches:
         ref = np.linalg.svd(h.array, compute_uv=False)
         monkeypatch.setattr(np.linalg, "svd", self._fails)
         kappa = ref[0] / ref[-1]
-        assert condition_number(h).value == pytest.approx(kappa, rel=np.finfo(float).eps * kappa)
-        assert spectral_norm(h).value == pytest.approx(ref[0], rel=1e-15)
+        assert condition_number(h) == pytest.approx(kappa, rel=np.finfo(float).eps * kappa)
+        assert spectral_norm(h) == pytest.approx(ref[0], rel=1e-15)
 
     def test_one_ulp_asymmetric_input_takes_svd(self, monkeypatch):
         # max|H| = 1, so the scaled matrix is H itself and gesdd of it is
@@ -149,17 +155,18 @@ class TestSingularValueBranches:
         ref = np.linalg.svd(xa, compute_uv=False)
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", self._fails)
-        assert condition_number(x).value == ref[0] / ref[-1]
-        assert inverse_norm(x).value == 1.0 / ref[-1]
+        assert condition_number(x) == ref[0] / ref[-1]
+        assert inverse_norm(x) == 1.0 / ref[-1]
         # The two-norm of a non-symmetric matrix comes from its Gram matrix.
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        assert spectral_norm(x).value == pytest.approx(ref[0], rel=1e-15)
+        assert spectral_norm(x) == pytest.approx(ref[0], rel=1e-15)
 
 
 def _check_against_gesdd(example, m, n, seed, t, methods=("bcgs", "bcgs2", "householder")):
     """||M||, kappa(M), ||M^-1|| and the orth/dec metrics of one bench row
     against numpy's SVD (LAPACK gesdd)."""
-    from saddleqr import MACHINE_EPS, metrics
+    from saddleqr import metrics
+    from saddleqr.matrix import MACHINE_EPS
     from saddleqr.bench import BenchConfig, base_blocks
     from saddleqr.saddle import assemble, solve_detailed
     from saddleqr.testgen import scale_problem
@@ -171,11 +178,11 @@ def _check_against_gesdd(example, m, n, seed, t, methods=("bcgs", "bcgs2", "hous
     ma = m.array
     sv = np.linalg.svd(ma, compute_uv=False)
     kappa = sv[0] / sv[-1]
-    assert spectral_norm(m).value == pytest.approx(sv[0], rel=1e-12)
+    assert spectral_norm(m) == pytest.approx(sv[0], rel=1e-12)
     # sigma_min of M is itself determined only to about eps * kappa
     # relative, by any backward-stable method.
-    assert condition_number(m).value == pytest.approx(kappa, rel=MACHINE_EPS * kappa)
-    assert inverse_norm(m).value == pytest.approx(1.0 / sv[-1], rel=MACHINE_EPS * kappa)
+    assert condition_number(m) == pytest.approx(kappa, rel=MACHINE_EPS * kappa)
+    assert inverse_norm(m) == pytest.approx(1.0 / sv[-1], rel=MACHINE_EPS * kappa)
     for method in methods:
         d = solve_detailed(problem.blocks, problem.f, method)
         qa, ra = d.q.array, d.r.array

@@ -7,21 +7,20 @@ from saddleqr import (
     DegenerateSolutionError,
     DenseMatrix,
     HypothesisError,
-    MACHINE_EPS,
     Vector,
     backward_certificate,
     lemma1_bounds,
     mat_vec,
     metrics,
-    random_orthogonal,
     solve_detailed,
     spectral_norm,
-    theorem1_bound,
     vector_norm,
 )
 from saddleqr.bench import BenchConfig, base_blocks, run_bench
+from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
-from saddleqr.testgen import scale_problem
+from saddleqr.stability import theorem1_bound
+from saddleqr.testgen import random_orthogonal, scale_problem
 
 
 def example_style_run(m, n, t, method, seed=0, example="2"):
@@ -177,7 +176,7 @@ class TestBackwardCertificate:
         assert cert.mu <= 1e4 * MACHINE_EPS
         assert cert.nu <= 1e4 * MACHINE_EPS
         # the certified residual inequality must hold on the actual solve
-        norm_m = spectral_norm(detail.matrix).value
+        norm_m = spectral_norm(detail.matrix)
         z, f = detail.solution.z, problem.f
         resid = vector_norm(mat_vec(detail.matrix, z) - f)
         slack = 1e2 * MACHINE_EPS * (norm_m * vector_norm(z) + vector_norm(f))

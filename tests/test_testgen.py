@@ -4,23 +4,19 @@ import pytest
 from saddleqr import (
     DenseMatrix,
     DimensionError,
-    GeneratorSpec,
-    MACHINE_EPS,
     NonFiniteError,
     assemble,
-    cholesky,
     condition_number,
-    hilbert,
-    logspace_diag,
     mat_vec,
     matrix1,
     matrix2,
-    ones_rank_one,
-    random_orthogonal,
     scale_problem,
     validate,
 )
+from saddleqr.matrix import MACHINE_EPS
 from saddleqr.saddle import SaddleBlocks
+from saddleqr.testgen import GeneratorSpec, hilbert, logspace_diag, ones_rank_one, random_orthogonal
+from saddleqr.triangular import cholesky
 
 from _oracles import exact_singular_values, jacobi_eigenvalues
 
@@ -43,8 +39,9 @@ class TestLogspaceDiag:
     def test_domain_checks(self):
         with pytest.raises(DimensionError):
             logspace_diag(1.0, 0)
-        with pytest.raises(ValueError):
-            logspace_diag(-1.0, 3)
+        for s in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                logspace_diag(s, 3)
 
 
 class TestRandomOrthogonal:
@@ -75,7 +72,7 @@ class TestMatrix1:
         assert np.allclose(sv, 1.0, rtol=1e-10)
 
     def test_conditioning_band(self):
-        kappa = condition_number(matrix1(12, 6, 10.0, 1)).value
+        kappa = condition_number(matrix1(12, 6, 10.0, 1))
         assert 10**9.5 <= kappa <= 10**10.5
 
     def test_singular_values_match_logspace(self):
@@ -102,7 +99,7 @@ class TestMatrix2:
         assert cholesky(matrix2(20, 6.0, 11)).ok
 
     def test_conditioning_band(self):
-        kappa = condition_number(matrix2(50, 10.0, 2)).value
+        kappa = condition_number(matrix2(50, 10.0, 2))
         assert 10**9.5 <= kappa <= 10**10.5
 
     def test_validate_accepts_as_a_block(self):
@@ -125,7 +122,7 @@ class TestHilbert:
         assert np.array_equal(hilbert(3).array, ref)
 
     def test_size_twelve_conditioning(self):
-        kappa = condition_number(hilbert(12)).value
+        kappa = condition_number(hilbert(12))
         assert 1e15 <= kappa <= 10**17.5
 
 
@@ -170,17 +167,17 @@ class TestScaleProblem:
 
     def test_block_conditioning_invariant_under_scaling(self):
         a1, b1, c1 = self.base()
-        k_ref = condition_number(a1).value
+        k_ref = condition_number(a1)
         for t in (0.01, 100.0):
             p = scale_problem(a1, b1, c1, t)
-            assert condition_number(p.blocks.a).value == pytest.approx(k_ref, rel=1e-6)
+            assert condition_number(p.blocks.a) == pytest.approx(k_ref, rel=1e-6)
 
     def test_system_conditioning_moves_with_t(self):
         a1 = matrix2(50, 10.0, 3)
         b1 = matrix1(50, 25, 10.0, 4)
         c1 = matrix2(25, 10.0, 5)
-        k_small_t = condition_number(assemble(scale_problem(a1, b1, c1, 0.01).blocks)).value
-        k_unit = condition_number(assemble(scale_problem(a1, b1, c1, 1.0).blocks)).value
+        k_small_t = condition_number(assemble(scale_problem(a1, b1, c1, 0.01).blocks))
+        k_unit = condition_number(assemble(scale_problem(a1, b1, c1, 1.0).blocks))
         assert k_small_t >= 1e2 * k_unit
 
     def test_zero_scale_rejected(self):
@@ -193,6 +190,13 @@ class TestScaleProblem:
         a1, b1, c1 = self.base()
         with pytest.raises(NonFiniteError):
             scale_problem(a1, b1, c1, 1e155)
+
+    @pytest.mark.parametrize("t", [1e-310, 1e-320, float("nan")])
+    def test_overflowing_blocks_or_solution_raise(self, t):
+        # A1 / t and y* = 1 / t overflow for the tiny t; nan fills every block.
+        a1, b1, c1 = self.base()
+        with pytest.raises(NonFiniteError, match="scaled blocks"):
+            scale_problem(a1, b1, c1, t)
 
 
 class TestGeneratorSpec:

@@ -4,19 +4,16 @@ import pytest
 from saddleqr import (
     DenseMatrix,
     DimensionError,
-    MACHINE_EPS,
     Vector,
     ZeroDiagonalError,
-    back_substitute,
-    cholesky,
     mat_vec,
     matmul,
     matrix2,
-    transpose,
     vector_norm,
 )
+from saddleqr.matrix import MACHINE_EPS, transpose
 from saddleqr.rng import standard_normals
-from saddleqr.triangular import _back_substitute_arr
+from saddleqr.triangular import _back_substitute_arr, back_substitute, cholesky
 
 from _oracles import exact_singular_values, row_back_substitute
 
