@@ -1,7 +1,7 @@
 """saddleqr: block Gram-Schmidt QR solvers and stability benchmarks for
 symmetric saddle-point systems."""
 
-from .blockgs import BlockPartition, bcgs, bcgs2
+from .blockgs import bcgs, bcgs2
 from .errors import (
     DegenerateSolutionError,
     DimensionError,
@@ -23,7 +23,6 @@ from .testgen import matrix1, matrix2, scale_problem
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition",
     "DegenerateSolutionError",
     "DenseMatrix",
     "DimensionError",

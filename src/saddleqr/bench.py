@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import LinAlgError
+from .householder import ThinQR
 from .matrix import DenseMatrix
 from .norms import _extreme_singular_values, _nonsingular
 from .rng import mix64
@@ -161,7 +162,7 @@ def _method_cells(problem, m, norm_m, kappa, method, first):
     }
     if isinstance(kappa, str):
         cells["stab"] = kappa  # no condition number, no forward-error ratio
-    return cells, detail.block_qr if method == "bcgs" else None
+    return cells, ThinQR(detail.q, detail.r) if method == "bcgs" else None
 
 
 def _fmt17(v: float) -> str:

@@ -2,83 +2,19 @@
 
 ``bcgs`` orthogonalizes the second panel against the first once;
 ``bcgs2`` adds one full reorthogonalization pass of the second panel's Q
-factor.  Both assemble an l x l factorization M = Q R with R upper
-triangular and positive diagonal.
+factor.  Both factor a square l x l matrix split after column m into one
+l x l factorization M = Q R with R upper triangular and positive
+diagonal.  The panel factors Q1 = Q[:, :m], Q2 = Q[:, m:], R1 = R[:m, :m],
+S = R[:m, m:] and R2 = R[m:, m:] are written straight into Q and R.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, LinAlgError, RankDeficientError
 from .householder import ThinQR, thin_householder_qr
-from .matrix import DenseMatrix, hconcat
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Two-block column partition (M1, M2) of a square l x l matrix,
-    with M1 of width m, M2 of width n and l = m + n."""
-
-    m1: DenseMatrix
-    m2: DenseMatrix
-
-    def __post_init__(self):
-        if self.m1.rows != self.m2.rows:
-            raise DimensionError(
-                f"panels must share row count, got {self.m1.shape} and {self.m2.shape}"
-            )
-        if self.m1.rows != self.m1.cols + self.m2.cols:
-            raise DimensionError(
-                f"partition must be square overall: {self.m1.rows} rows vs "
-                f"{self.m1.cols}+{self.m2.cols} columns"
-            )
-
-    @classmethod
-    def split(cls, m: DenseMatrix, width: int) -> "BlockPartition":
-        if not 0 < width < m.cols:
-            raise DimensionError(f"split width {width} out of range for {m.shape}")
-        return cls(m1=m.columns(0, width), m2=m.columns(width, m.cols))
-
-    @property
-    def l(self) -> int:
-        return self.m1.rows
-
-    def full(self) -> DenseMatrix:
-        return hconcat(self.m1, self.m2)
-
-
-@dataclass(frozen=True)
-class BlockQR:
-    """Assembled two-panel factorization: Q = (q1, q2),
-    R = [[r1, s], [0, r2]]."""
-
-    q1: DenseMatrix
-    q2: DenseMatrix
-    r1: DenseMatrix
-    s: DenseMatrix
-    r2: DenseMatrix
-
-    @property
-    def m(self) -> int:
-        return self.q1.cols
-
-    @property
-    def n(self) -> int:
-        return self.q2.cols
-
-    def q(self) -> DenseMatrix:
-        return hconcat(self.q1, self.q2)
-
-    def r(self) -> DenseMatrix:
-        m, n = self.m, self.n
-        out = np.zeros((m + n, m + n))
-        out[:m, :m] = self.r1.array
-        out[:m, m:] = self.s.array
-        out[m:, m:] = self.r2.array
-        return DenseMatrix._wrap(out)
+from .matrix import DenseMatrix
 
 
 def _panel_qr(x: np.ndarray, step: str) -> ThinQR:
@@ -88,39 +24,48 @@ def _panel_qr(x: np.ndarray, step: str) -> ThinQR:
         raise RankDeficientError(column=exc.column, step=step) from exc
 
 
-def bcgs(p: BlockPartition) -> BlockQR:
-    """Single-pass block classical Gram-Schmidt.
+def bcgs(x: DenseMatrix, m: int) -> ThinQR:
+    """Single-pass block classical Gram-Schmidt of the square ``x`` split
+    after column ``m`` into M1 = x[:, :m] and M2 = x[:, m:].
 
     Steps: M1 = Q1 R1; S = Q1^T M2; Y = M2 - Q1 S; Y = Q2 R2.
     """
-    f1 = _panel_qr(p.m1.array, "first panel")
-    q1, m2 = f1.q.array, p.m2.array
+    if x.rows != x.cols or not 0 < m < x.cols:
+        raise DimensionError(f"bcgs needs a square matrix split inside it, got {x.shape} at {m}")
+    xa, l = x.array, x.rows
+    q, r = np.empty((l, l)), np.zeros((l, l))
+    f1 = _panel_qr(xa[:, :m], "first panel")
+    q[:, :m], r[:m, :m] = f1.q.array, f1.r.array
+    q1, m2 = q[:, :m], xa[:, m:]
     s = q1.T @ m2
     f2 = _panel_qr(m2 - q1 @ s, "second panel")
-    return BlockQR(q1=f1.q, q2=f2.q, r1=f1.r, s=DenseMatrix._wrap(s), r2=f2.r)
+    q[:, m:], r[:m, m:], r[m:, m:] = f2.q.array, s, f2.r.array
+    return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))
 
 
-def _reorthogonalize(first: BlockQR) -> BlockQR:
+def _reorthogonalize(first: ThinQR, m: int) -> ThinQR:
     """One reorthogonalization pass of the second panel's Q factor of a
-    ``bcgs`` factorization: S2 = Q1^T Q2; Y2 = Q2 - Q1 S2; Y2 = Q2' R2';
-    then S = S1 + S2 R2 and R2_final = R2' R2."""
-    q1, q2 = first.q1.array, first.q2.array
+    ``bcgs`` factorization split after column m: S2 = Q1^T Q2;
+    Y2 = Q2 - Q1 S2; Y2 = Q2' R2'; then S = S1 + S2 R2 and R2_final = R2' R2."""
+    qa, ra = first.q.array, first.r.array
+    q1, q2, r2 = qa[:, :m], qa[:, m:], ra[m:, m:]
     s2 = q1.T @ q2
     f3 = _panel_qr(q2 - q1 @ s2, "reorthogonalization panel")
 
-    r2 = first.r2.array
-    s_new = DenseMatrix._wrap(first.s.array + s2 @ r2)
-    r2_new = DenseMatrix._wrap(f3.r.array @ r2)
-    diag = np.diag(r2_new.array)
+    q, r = qa.copy(), ra.copy()
+    q[:, m:] = f3.q.array
+    r[:m, m:] = ra[:m, m:] + s2 @ r2
+    r[m:, m:] = f3.r.array @ r2
+    diag = np.diag(r)[m:]
     if np.any(diag <= 0.0):
         bad = int(np.argmin(diag))
         raise LinAlgError(
             f"refined second-panel triangle lost its positive diagonal at {bad} "
             f"(value {diag[bad]:.3e})"
         )
-    return BlockQR(q1=first.q1, q2=f3.q, r1=first.r1, s=s_new, r2=r2_new)
+    return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))
 
 
-def bcgs2(p: BlockPartition) -> BlockQR:
+def bcgs2(x: DenseMatrix, m: int) -> ThinQR:
     """Block classical Gram-Schmidt with one reorthogonalization pass of the bcgs factorization."""
-    return _reorthogonalize(bcgs(p))
+    return _reorthogonalize(bcgs(x, m), m)

@@ -127,10 +127,6 @@ class DenseMatrix(_Immutable):
     def shape(self) -> tuple[int, int]:
         return self._a.shape
 
-    def columns(self, j0: int, j1: int) -> "DenseMatrix":
-        """Submatrix of columns j0..j1-1."""
-        return DenseMatrix._wrap(np.ascontiguousarray(self._a[:, j0:j1]))
-
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
@@ -209,22 +205,3 @@ def mat_vec(a: DenseMatrix, v: Vector) -> Vector:
         )
     return Vector._wrap(_seq_matvec(a.array, v.array))
 
-
-def transpose(a: DenseMatrix) -> DenseMatrix:
-    return DenseMatrix._wrap(np.ascontiguousarray(a.array.T))
-
-
-def hconcat(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    if a.rows != b.rows:
-        raise DimensionError(
-            f"cannot stack {a.rows}x{a.cols} beside {b.rows}x{b.cols}"
-        )
-    return DenseMatrix._wrap(np.hstack([a.array, b.array]))
-
-
-def vconcat(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    if a.cols != b.cols:
-        raise DimensionError(
-            f"cannot stack {a.rows}x{a.cols} above {b.rows}x{b.cols}"
-        )
-    return DenseMatrix._wrap(np.vstack([a.array, b.array]))

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockgs import BlockPartition, BlockQR, _reorthogonalize, bcgs, bcgs2
+from .blockgs import _reorthogonalize, bcgs, bcgs2
 from .errors import DimensionError, RankDeficientError
-from .householder import thin_householder_qr
-from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric, transpose, vconcat
+from .householder import ThinQR, thin_householder_qr
+from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric
 from .norms import _lapack
 from .triangular import back_substitute, cholesky
 
@@ -62,13 +62,6 @@ def assemble(blocks: SaddleBlocks) -> DenseMatrix:
     out[m:, :m] = blocks.b.array.T
     out[m:, m:] = -blocks.c.array
     return DenseMatrix._wrap(out)
-
-
-def partition(blocks: SaddleBlocks) -> BlockPartition:
-    """Column panels M1 = (A; B^T), M2 = (B; -C) of the assembled matrix."""
-    m1 = vconcat(blocks.a, transpose(blocks.b))
-    m2 = vconcat(blocks.b, -blocks.c)
-    return BlockPartition(m1=m1, m2=m2)
 
 
 @dataclass(frozen=True)
@@ -149,20 +142,13 @@ class SolveDetail:
     q: DenseMatrix
     r: DenseMatrix
 
-    @property
-    def block_qr(self) -> BlockQR:
-        """Q and R split after column m, sliced per call so that only one copy is kept."""
-        m, q, ra, wrap = len(self.solution.x), self.q, self.r.array, DenseMatrix._wrap
-        return BlockQR(q1=q.columns(0, m), q2=q.columns(m, q.cols), r1=wrap(ra[:m, :m]),
-                       s=wrap(ra[:m, m:]), r2=wrap(ra[m:, m:]))
-
 
 def solve_detailed(
-    blocks: SaddleBlocks, f: Vector, method: str, *, first_pass: BlockQR | None = None
+    blocks: SaddleBlocks, f: Vector, method: str, *, first_pass: ThinQR | None = None
 ) -> SolveDetail:
     """Factor M with the chosen path, then solve R z = Q^T f.  Given ``first_pass``, the
-    ``block_qr`` of a bcgs solve of the same blocks, bcgs2 runs only its reorthogonalization
-    pass; the other methods ignore it."""
+    factorization (q, r) of a bcgs solve of the same blocks, bcgs2 runs only its
+    reorthogonalization pass; the other methods ignore it."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if len(f) != blocks.l:
@@ -173,18 +159,11 @@ def solve_detailed(
     if method == "householder":
         fac = thin_householder_qr(m)
     elif method == "bcgs2" and first_pass is not None:
-        fac = _reorthogonalize(first_pass)
+        fac = _reorthogonalize(first_pass, blocks.m)
     else:
-        p = BlockPartition.split(m, blocks.m)
-        fac = bcgs(p) if method == "bcgs" else bcgs2(p)
-    q, r = (fac.q, fac.r) if method == "householder" else (fac.q(), fac.r())
-    z = back_substitute(r, Vector._wrap(q.array.T @ f.array))
+        fac = bcgs(m, blocks.m) if method == "bcgs" else bcgs2(m, blocks.m)
+    z = back_substitute(fac.r, Vector._wrap(fac.q.array.T @ f.array))
     sol = SaddleSolution(
         z=z, x=z.slice(0, blocks.m), y=z.slice(blocks.m, blocks.l), method=method
     )
-    return SolveDetail(solution=sol, matrix=m, q=q, r=r)
-
-
-def solve(blocks: SaddleBlocks, f: Vector, method: str) -> SaddleSolution:
-    """Solve M z = f via the chosen QR path (bcgs | bcgs2 | householder)."""
-    return solve_detailed(blocks, f, method).solution
+    return SolveDetail(solution=sol, matrix=m, q=fac.q, r=fac.r)

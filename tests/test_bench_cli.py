@@ -442,6 +442,22 @@ class TestCliBench:
         assert rows[0]["kappa_M"] == "ERR:singular"
         assert all(rows[0][key] == "ERR:rank_deficient" for key in header[2:])
 
+    @pytest.mark.parametrize("m, n", [(5, 1), (3, 3)])
+    def test_edge_splits_stay_in_band(self, tmp_path, m, n):
+        # A one-column second panel, and a second panel as wide as the first.
+        out = tmp_path / "edge.csv"
+        code = main([
+            "bench", "--example", "custom", "--m", str(m), "--n", str(n),
+            "--methods", "bcgs,bcgs2,householder", "--out", str(out),
+        ])
+        assert code == 0
+        header, rows = read_bench_csv(out)
+        assert not [key for row in rows for key in header if isinstance(row[key], str)]
+        for row in rows:
+            assert all(row[f"dec_{method}"] <= 1e3 for method in ("bcgs", "bcgs2", "householder"))
+            assert row["res_bcgs2"] <= 1e2 and row["stab_bcgs2"] <= 1e2
+            assert row["orth_bcgs2"] <= 1e3
+
     def test_custom_requires_sizes(self, tmp_path):
         assert main(["bench", "--example", "custom", "--out", str(tmp_path / "x.csv")]) == 2
 

@@ -4,72 +4,61 @@ import numpy as np
 import pytest
 
 from saddleqr import (
-    BlockPartition,
     DenseMatrix,
     DimensionError,
     RankDeficientError,
+    assemble,
     bcgs,
     bcgs2,
     matmul,
+    qr_residuals,
     thin_householder_qr,
 )
-from saddleqr.bench import BenchConfig, base_blocks
+from saddleqr.bench import BenchConfig, base_blocks, run_bench
 from saddleqr.blockgs import _reorthogonalize
-from saddleqr.matrix import MACHINE_EPS, transpose
+from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
 from saddleqr.testgen import logspace_diag, random_orthogonal, scale_problem
 
 from _oracles import exact_spectral_norm
 
 
-def partition_from_array(a, m):
-    return BlockPartition.split(DenseMatrix(a), m)
-
-
-def conditioned_partition(l, m, s, seed):
-    """Square l x l matrix with kappa = 10^s, split after column m."""
+def conditioned(l, s, seed):
+    """Square l x l matrix with kappa = 10^s."""
     u = random_orthogonal(l, seed)
     v = random_orthogonal(l, seed + 1)
-    x = matmul(matmul(u, logspace_diag(float(s), l)), transpose(v))
-    return BlockPartition.split(x, m)
+    return matmul(matmul(u, logspace_diag(float(s), l)), DenseMatrix(v.array.T))
 
 
-class TestBlockPartition:
-    def test_split_round_trip(self):
-        x = DenseMatrix(standard_normals(0, 25).reshape(5, 5))
-        p = BlockPartition.split(x, 2)
-        assert np.array_equal(p.full().array, x.array)
-        assert p.m1.shape == (5, 2) and p.m2.shape == (5, 3)
+def orth_defect(f, norm=exact_spectral_norm):
+    l = f.q.cols
+    return norm(DenseMatrix.identity(l) - matmul(DenseMatrix(f.q.array.T), f.q))
 
-    def test_rejects_non_square_partition(self):
+
+class TestShapeContract:
+    @pytest.mark.parametrize("method", [bcgs, bcgs2], ids=["bcgs", "bcgs2"])
+    @pytest.mark.parametrize("shape, m", [((4, 3), 2), ((5, 5), 0), ((5, 5), 5)],
+                             ids=["non_square", "m_zero", "m_equals_l"])
+    def test_rejects_bad_shape(self, method, shape, m):
+        x = DenseMatrix(standard_normals(0, shape[0] * shape[1]).reshape(shape))
         with pytest.raises(DimensionError):
-            BlockPartition(
-                m1=DenseMatrix(np.ones((4, 2))),
-                m2=DenseMatrix(np.ones((4, 3))),
-            )
-
-    def test_rejects_row_mismatch(self):
-        with pytest.raises(DimensionError):
-            BlockPartition(
-                m1=DenseMatrix(np.ones((4, 2))),
-                m2=DenseMatrix(np.ones((5, 2))),
-            )
+            method(x, m)
 
 
 class TestBcgs:
     def test_identity(self):
-        f = bcgs(partition_from_array(np.eye(2), 1))
-        assert np.allclose(f.q().array, np.eye(2), atol=5 * MACHINE_EPS)
-        assert np.allclose(f.r().array, np.eye(2), atol=5 * MACHINE_EPS)
-        assert np.array_equal(f.s.array, [[0.0]])
+        f = bcgs(DenseMatrix(np.eye(2)), 1)
+        assert np.allclose(f.q.array, np.eye(2), atol=5 * MACHINE_EPS)
+        assert np.allclose(f.r.array, np.eye(2), atol=5 * MACHINE_EPS)
+        assert np.array_equal(f.r.array[:1, 1:], [[0.0]])
 
     def test_hand_example_matches_full_householder(self):
         m = DenseMatrix([[2.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, -1.0]])
-        f = bcgs(BlockPartition.split(m, 2))
+        f = bcgs(m, 2)
         norm_m = exact_spectral_norm(m)
-        resid = m - matmul(f.q(), f.r())
+        resid = m - matmul(f.q, f.r)
         assert exact_spectral_norm(resid) <= 1e2 * MACHINE_EPS * norm_m
-        r = f.r().array
+        r = f.r.array
         assert np.array_equal(np.tril(r, -1), np.zeros_like(r))
         assert np.all(np.diag(r) > 0)
         # positive-diagonal QR is unique, so R must match the unblocked one
@@ -78,103 +67,104 @@ class TestBcgs:
 
     def test_orthogonal_second_panel_passthrough(self):
         # M2 orthonormal and orthogonal to range(M1): S ~ 0 and R2 ~ I
-        q = random_orthogonal(8, 21)
+        q = random_orthogonal(8, 21).array
         r1 = np.triu(standard_normals(22, 9).reshape(3, 3))
         r1[np.diag_indices(3)] = np.abs(r1[np.diag_indices(3)]) + 1.0
-        m1 = matmul(q.columns(0, 3), DenseMatrix(r1))
-        m2 = q.columns(3, 8)
-        f = bcgs(BlockPartition(m1=m1, m2=m2))
-        assert np.max(np.abs(f.s.array)) <= 1e2 * MACHINE_EPS
-        assert np.max(np.abs(f.r2.array - np.eye(5))) <= 1e2 * MACHINE_EPS
+        m1 = matmul(DenseMatrix(q[:, :3]), DenseMatrix(r1))
+        f = bcgs(DenseMatrix(np.hstack([m1.array, q[:, 3:]])), 3)
+        assert np.max(np.abs(f.r.array[:3, 3:])) <= 1e2 * MACHINE_EPS
+        assert np.max(np.abs(f.r.array[3:, 3:] - np.eye(5))) <= 1e2 * MACHINE_EPS
 
     def test_first_panel_rank_error_annotated(self):
         bad = DenseMatrix([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(RankDeficientError, match="first panel"):
-            bcgs(BlockPartition.split(bad, 2))
+            bcgs(bad, 2)
 
     def test_second_panel_rank_error_annotated(self):
         # M2 = M1 = e1 cancels exactly in the projection step
         dup = DenseMatrix([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(RankDeficientError, match="second panel"):
-            bcgs(BlockPartition.split(dup, 1))
+            bcgs(dup, 1)
 
 
 class TestBcgs2:
     def test_identity(self):
-        f = bcgs2(partition_from_array(np.eye(2), 1))
-        assert np.allclose(f.q().array, np.eye(2), atol=5 * MACHINE_EPS)
-        assert np.allclose(f.r().array, np.eye(2), atol=5 * MACHINE_EPS)
+        f = bcgs2(DenseMatrix(np.eye(2)), 1)
+        assert np.allclose(f.q.array, np.eye(2), atol=5 * MACHINE_EPS)
+        assert np.allclose(f.r.array, np.eye(2), atol=5 * MACHINE_EPS)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_with_bcgs_when_well_conditioned(self, seed):
-        p = conditioned_partition(10, 6, 2, 60 + seed)  # kappa = 1e2
-        norm_m = exact_spectral_norm(p.full())
-        r_a = bcgs(p).r().array
-        r_b = bcgs2(p).r().array
+        x = conditioned(10, 2, 60 + seed)  # kappa = 1e2
+        norm_m = exact_spectral_norm(x)
+        r_a = bcgs(x, 6).r.array
+        r_b = bcgs2(x, 6).r.array
         assert np.max(np.abs(r_a - r_b)) <= 1e3 * MACHINE_EPS * norm_m
 
     @pytest.mark.parametrize("s", [1, 6, 12])
     def test_is_bcgs_plus_one_reorthogonalization_pass(self, s):
-        p = conditioned_partition(12, 7, s, 40 + s)
-        ours, reference = bcgs2(p), _reorthogonalize(bcgs(p))
+        x = conditioned(12, s, 40 + s)
+        ours, reference = bcgs2(x, 7), _reorthogonalize(bcgs(x, 7), 7)
         for field in dataclasses.fields(ours):
-            x, y = getattr(ours, field.name), getattr(reference, field.name)
-            assert x.array.tobytes() == y.array.tobytes(), field.name
+            a, b = getattr(ours, field.name), getattr(reference, field.name)
+            assert a.array.tobytes() == b.array.tobytes(), field.name
 
     def test_reorthogonalization_update_identities(self):
-        p = conditioned_partition(9, 5, 6, 77)
-        first, f = bcgs(p), bcgs2(p)
+        x = conditioned(9, 6, 77)
+        first, f = bcgs(x, 5), bcgs2(x, 5)
         # The pass's intermediates: S2 = Q1^T Q2 and the QR of Q2 - Q1 S2.
-        q1, q2, r2 = first.q1.array, first.q2.array, first.r2.array
+        q, r = first.q.array, first.r.array
+        q1, q2, r2 = q[:, :5], q[:, 5:], r[5:, 5:]
         s2 = q1.T @ q2
         refine = thin_householder_qr(DenseMatrix(q2 - q1 @ s2))
-        assert np.array_equal(first.s.array + s2 @ r2, f.s.array)
-        assert np.array_equal(refine.r.array @ r2, f.r2.array)
-        assert np.array_equal(refine.q.array, f.q2.array)
+        assert np.array_equal(r[:5, 5:] + s2 @ r2, f.r.array[:5, 5:])
+        assert np.array_equal(refine.r.array @ r2, f.r.array[5:, 5:])
+        assert np.array_equal(refine.q.array, f.q.array[:, 5:])
+        # The first panel and the zero block are carried over unchanged.
+        assert np.array_equal(q1, f.q.array[:, :5])
+        assert np.array_equal(r[:, :5], f.r.array[:, :5])
 
     def test_factorization_residual(self):
         for seed in range(3):
-            p = conditioned_partition(12, 7, 8, 90 + seed)
-            f = bcgs2(p)
-            m = p.full()
-            resid = m - matmul(f.q(), f.r())
+            m = conditioned(12, 8, 90 + seed)
+            f = bcgs2(m, 7)
+            resid = m - matmul(f.q, f.r)
             assert (
                 exact_spectral_norm(resid)
                 <= 1e3 * MACHINE_EPS * 12 * exact_spectral_norm(m)
             )
 
     def test_assembled_r_structure(self):
-        p = conditioned_partition(11, 4, 5, 33)
-        f = bcgs2(p)
-        r = f.r().array
+        f = bcgs2(conditioned(11, 5, 33), 4)
+        r = f.r.array
         assert np.array_equal(r[4:, :4], np.zeros((7, 4)))  # structurally zero
         assert np.all(np.diag(r) > 0)
 
     def test_orthogonality_beats_bcgs_on_hard_family(self):
         # matrix2/matrix1 blocks at kappa 1e10, moderate size
         from saddleqr import spectral_norm
-        from saddleqr.saddle import partition
 
         cfg = BenchConfig(example="2", m=100, n=50, t_list=(1.0,), seed=0)
         a1, b1, c1, _ = base_blocks(cfg, 0)
-        problem = scale_problem(a1, b1, c1, 1.0)
-        p = partition(problem.blocks)
-        defect = lambda f: spectral_norm(  # noqa: E731
-            DenseMatrix.identity(150) - matmul(transpose(f.q()), f.q())
-        )
-        orth_1 = defect(bcgs(p)) / MACHINE_EPS
-        orth_2 = defect(bcgs2(p)) / MACHINE_EPS
+        m = assemble(scale_problem(a1, b1, c1, 1.0).blocks)
+        orth_1 = orth_defect(bcgs(m, 100), spectral_norm) / MACHINE_EPS
+        orth_2 = orth_defect(bcgs2(m, 100), spectral_norm) / MACHINE_EPS
         assert orth_2 <= 1e3
         assert orth_1 >= 10 * orth_2
 
     def test_bcgs_orthogonality_tracks_second_panel_conditioning(self):
         # the single-pass defect grows with ||M2|| ||R2^{-1}||
-        mild = conditioned_partition(10, 5, 1, 11)
-        harsh = conditioned_partition(10, 5, 8, 11)
-        d_mild = exact_spectral_norm(
-            DenseMatrix.identity(10) - matmul(transpose(bcgs(mild).q()), bcgs(mild).q())
-        )
-        d_harsh = exact_spectral_norm(
-            DenseMatrix.identity(10) - matmul(transpose(bcgs(harsh).q()), bcgs(harsh).q())
-        )
+        d_mild = orth_defect(bcgs(conditioned(10, 1, 11), 5))
+        d_harsh = orth_defect(bcgs(conditioned(10, 8, 11), 5))
         assert d_harsh >= 1e2 * d_mild
+
+
+def test_qr_residuals_scores_block_factorizations_as_the_bench_does():
+    # The bench's orth and dec cells are qr_residuals of the factorization.
+    cfg = BenchConfig(example="2", m=40, n=20, t_list=(0.01, 1.0, 100.0))
+    for t_index, row in enumerate(run_bench(cfg)):
+        a1, b1, c1, provenance = base_blocks(cfg, t_index)
+        m = assemble(scale_problem(a1, b1, c1, row.t, provenance).blocks)
+        for method in (bcgs, bcgs2):
+            cells = row.cells[method.__name__]
+            assert qr_residuals(m, method(m, cfg.m)) == (cells["orth"], cells["dec"])

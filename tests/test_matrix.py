@@ -9,7 +9,7 @@ from saddleqr import (
     matmul,
     vector_norm,
 )
-from saddleqr.matrix import MACHINE_EPS, hconcat, transpose, vconcat
+from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
 
 from _oracles import triple_loop_matmul
@@ -87,27 +87,13 @@ class TestMatmul:
         assert np.array_equal(mat_vec(a, v).array, as_col)
 
     def test_transpose_product_identity(self):
-        # transpose(A B) == B^T A^T within 10 eps ||A|| ||B|| entrywise
+        # (A B)^T == B^T A^T within 10 eps ||A|| ||B|| entrywise
         a = rand_matrix(4, 6, 8)
         b = rand_matrix(6, 3, 9)
-        left = transpose(matmul(a, b)).array
-        right = matmul(transpose(b), transpose(a)).array
+        left = matmul(a, b).array.T
+        right = matmul(DenseMatrix(b.array.T), DenseMatrix(a.array.T)).array
         bound = 10 * MACHINE_EPS * np.linalg.norm(a.array, 2) * np.linalg.norm(b.array, 2)
         assert np.max(np.abs(left - right)) <= bound
-
-
-class TestTranspose:
-    def test_hand_example(self):
-        m = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(transpose(m).array, [[1.0, 3.0], [2.0, 4.0]])
-
-    def test_symmetric_fixed_point(self):
-        s = DenseMatrix([[2.0, 1.0], [1.0, 5.0]])
-        assert np.array_equal(transpose(s).array, s.array)
-
-    def test_involution_bitwise(self):
-        x = rand_matrix(5, 3, 11)
-        assert np.array_equal(transpose(transpose(x)).array, x.array)
 
 
 class TestVectorOps:
@@ -137,16 +123,3 @@ class TestVectorOps:
         v = Vector([1.0, 2.0, 3.0])
         assert np.array_equal(v.slice(1, 3).array, [2.0, 3.0])
 
-
-class TestConcat:
-    def test_hconcat_vconcat(self):
-        a = DenseMatrix([[1.0], [2.0]])
-        b = DenseMatrix([[3.0], [4.0]])
-        assert np.array_equal(hconcat(a, b).array, [[1.0, 3.0], [2.0, 4.0]])
-        assert np.array_equal(vconcat(a, b).array, [[1.0], [2.0], [3.0], [4.0]])
-
-    def test_shape_errors(self):
-        with pytest.raises(DimensionError):
-            hconcat(DenseMatrix([[1.0]]), DenseMatrix([[1.0], [2.0]]))
-        with pytest.raises(DimensionError):
-            vconcat(DenseMatrix([[1.0]]), DenseMatrix([[1.0, 2.0]]))

@@ -1,4 +1,10 @@
+import ast
+import importlib
+from pathlib import Path
+
 import saddleqr
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # Test oracles that live in tests/_oracles.py, not in the shipped package.
 ORACLES = ("jacobi_eigenvalues", "exact_singular_values", "exact_spectral_norm",
@@ -7,7 +13,7 @@ ORACLES = ("jacobi_eigenvalues", "exact_singular_values", "exact_spectral_norm",
 # The entry points the README documents; everything else is imported from
 # its module (saddleqr.testgen, saddleqr.mmio, ...).
 PUBLIC = [
-    "BlockPartition", "DegenerateSolutionError", "DenseMatrix", "DimensionError",
+    "DegenerateSolutionError", "DenseMatrix", "DimensionError",
     "HypothesisError", "LinAlgError", "NonConvergedError", "NonFiniteError",
     "RankDeficientError", "SaddleBlocks", "SingularMatrixError", "Vector",
     "ZeroDiagonalError", "assemble", "backward_certificate", "bcgs", "bcgs2",
@@ -24,7 +30,7 @@ def test_public_names_resolve():
 
 def test_all_is_the_documented_entry_points_sorted():
     assert saddleqr.__all__ == sorted(PUBLIC)
-    assert len(PUBLIC) == 32
+    assert len(PUBLIC) == 31
 
 
 def test_error_family_is_public():
@@ -35,3 +41,31 @@ def test_error_family_is_public():
 
 def test_test_oracles_not_exported():
     assert not set(ORACLES) & (set(saddleqr.__all__) | set(dir(saddleqr)))
+
+
+def _tracer_targets():
+    """Every ``Hook`` target and ``CELL_T_TARGET`` named in the benchmark's tracer."""
+    targets = []
+    for node in ast.walk(ast.parse(TRACING.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Hook":
+            targets += ast.literal_eval(node.args[1])
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "CELL_T_TARGET":
+            targets.append(ast.literal_eval(node.value))
+    return targets
+
+
+def test_benchmark_hook_targets_resolve():
+    # The tracer wraps the module attributes its callers look up and skips a
+    # missing one silently, so a refactor that drops another name would turn
+    # a benchmark layer to 0 without failing the traced run.
+    unresolved = set()
+    for target in _tracer_targets():
+        module, attr = target.split(".", 1)
+        if not callable(getattr(importlib.import_module(f"saddleqr.{module}"), attr, None)):
+            unresolved.add(target)
+    assert unresolved == {
+        "blockgs.matmul", "stability.matmul", "testgen.matmul",
+        "saddle.mat_vec", "stability.mat_vec",
+        "bench.spectral_norm", "stability.spectral_norm",
+        "bench.condition_number", "stability.condition_number",
+    }

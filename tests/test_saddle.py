@@ -18,7 +18,6 @@ from saddleqr import (
     vector_norm,
 )
 from saddleqr.matrix import MACHINE_EPS
-from saddleqr.saddle import partition, solve
 
 from _oracles import cramer_solve_3x3, gauss_solve
 
@@ -60,10 +59,6 @@ class TestAssemble:
         assert np.array_equal(
             m.array, [[2.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, -1.0]]
         )
-
-    def test_partition_matches_assemble(self):
-        p = partition(BLOCKS_3X3)
-        assert np.array_equal(p.full().array, assemble(BLOCKS_3X3).array)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -151,7 +146,7 @@ class TestSolve:
     @pytest.mark.parametrize("method", ["bcgs", "bcgs2", "householder"])
     def test_constructed_rhs(self, method):
         f = Vector([3.0, 2.0, 0.0])  # M (1,1,1)
-        sol = solve(BLOCKS_3X3, f, method)
+        sol = solve_detailed(BLOCKS_3X3, f, method).solution
         kappa = condition_number(assemble(BLOCKS_3X3))
         assert np.max(np.abs(sol.z.array - 1.0)) <= 1e3 * MACHINE_EPS * kappa
 
@@ -160,12 +155,12 @@ class TestSolve:
         f = Vector([1.0, 0.0, 0.0])
         oracle = cramer_solve_3x3(assemble(BLOCKS_3X3).array, f.array)
         assert oracle == pytest.approx([1.0 / 3.0, 0.0, 1.0 / 3.0], abs=1e-15)
-        sol = solve(BLOCKS_3X3, f, method)
+        sol = solve_detailed(BLOCKS_3X3, f, method).solution
         kappa = condition_number(assemble(BLOCKS_3X3))
         assert np.max(np.abs(sol.z.array - oracle)) <= 1e3 * MACHINE_EPS * kappa
 
     def test_solution_split_is_exact_concatenation(self):
-        sol = solve(BLOCKS_3X3, Vector([1.0, 0.0, 0.0]), "bcgs2")
+        sol = solve_detailed(BLOCKS_3X3, Vector([1.0, 0.0, 0.0]), "bcgs2").solution
         assert np.array_equal(
             np.concatenate([sol.x.array, sol.y.array]), sol.z.array
         )
@@ -179,22 +174,22 @@ class TestSolve:
             c=DenseMatrix([[0.0]]),
         )
         with pytest.raises((RankDeficientError, ZeroDiagonalError)):
-            solve(blocks, Vector([1.0, 1.0, 0.0]), "bcgs2")
+            solve_detailed(blocks, Vector([1.0, 1.0, 0.0]), "bcgs2")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            solve(BLOCKS_3X3, Vector([1.0, 0.0, 0.0]), "lu")
+            solve_detailed(BLOCKS_3X3, Vector([1.0, 0.0, 0.0]), "lu")
 
     def test_rhs_length_checked(self):
         with pytest.raises(DimensionError):
-            solve(BLOCKS_3X3, Vector([1.0, 0.0]), "bcgs2")
+            solve_detailed(BLOCKS_3X3, Vector([1.0, 0.0]), "bcgs2")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_method_independence(self, seed):
         blocks, f, _ = small_system(seed)
         kappa = condition_number(assemble(blocks))
-        z_a = solve(blocks, f, "bcgs2").z
-        z_b = solve(blocks, f, "householder").z
+        z_a = solve_detailed(blocks, f, "bcgs2").solution.z
+        z_b = solve_detailed(blocks, f, "householder").solution.z
         gap = vector_norm(z_a - z_b)
         assert gap <= 1e4 * MACHINE_EPS * kappa * vector_norm(z_a)
 
@@ -202,7 +197,7 @@ class TestSolve:
     def test_forward_error_bound(self, method):
         blocks, f, z_star = small_system(9)
         kappa = condition_number(assemble(blocks))
-        z = solve(blocks, f, method).z
+        z = solve_detailed(blocks, f, method).solution.z
         rel = vector_norm(z - z_star) / vector_norm(z_star)
         assert rel <= 1e3 * MACHINE_EPS * kappa
 
@@ -210,7 +205,7 @@ class TestSolve:
         blocks, f, _ = small_system(31)
         m = assemble(blocks)
         oracle = gauss_solve(m.array, f.array)
-        z = solve(blocks, f, "bcgs2").z
+        z = solve_detailed(blocks, f, "bcgs2").solution.z
         kappa = condition_number(m)
         rel = vector_norm(Vector(z.array - oracle)) / vector_norm(z)
         assert rel <= 1e4 * MACHINE_EPS * kappa
