@@ -154,12 +154,7 @@ def _method_cells(problem, m, norm_m, kappa, method, first):
         )
     except LinAlgError as exc:
         return dict.fromkeys(METRIC_NAMES, f"ERR:{exc.code}"), None
-    cells: dict[str, float | str] = {
-        "orth": report.orth,
-        "dec": report.dec,
-        "res": report.res,
-        "stab": report.stab,
-    }
+    cells: dict[str, float | str] = {name: getattr(report, name) for name in METRIC_NAMES}
     if isinstance(kappa, str):
         cells["stab"] = kappa  # no condition number, no forward-error ratio
     return cells, ThinQR(detail.q, detail.r) if method == "bcgs" else None

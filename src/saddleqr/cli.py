@@ -3,12 +3,14 @@ from Matrix Market files, and run the stability benchmark.
 
 Exit codes: 0 all requested computations succeeded; 1 some computation
 failed (singular / rank-deficient cells, reported inline); 2 configuration
-or I/O failure before any computation.
+or I/O failure before any computation, or a ``solve`` system that breaks
+the hypotheses A SPD, C PSD, B of full column rank.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from .bench import (
 from .errors import DimensionError, LinAlgError
 from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
 from .norms import condition_number
-from .saddle import METHODS, SaddleBlocks, solve_detailed
+from .saddle import METHODS, SaddleBlocks, ValidationReport, solve_detailed, validate
 from .stability import metrics
 from .testgen import GENERATOR_KINDS, GeneratorSpec
 
@@ -70,6 +72,24 @@ def _read_file(reader, path: str):
         raise MatrixMarketError(f"cannot read {path}: {exc}") from None
 
 
+def _broken_hypotheses(report: ValidationReport) -> list[str]:
+    """One line per failed certificate of ``validate``, with its diagnostic."""
+    broken = []
+    if not report.a_spd:
+        pivot = report.cholesky_min_pivot
+        broken.append(
+            "A is not symmetric" if math.isnan(pivot)
+            else f"A is not positive definite (Cholesky pivot {pivot:.3e})"
+        )
+    if not report.c_psd:
+        broken.append(
+            f"C is not symmetric positive semidefinite (lambda_min {report.c_min_eigenvalue:.3e})"
+        )
+    if not report.b_full_rank:
+        broken.append("B is rank-deficient or wider than tall")
+    return broken
+
+
 def cmd_solve(args) -> int:
     if args.report is not None and args.z_star is None:
         return _fail("--report requires --z-star", 2)
@@ -80,18 +100,19 @@ def cmd_solve(args) -> int:
         f = _read_file(read_vector, args.f)
         z_star = _read_file(read_vector, args.z_star) if args.z_star else None
         blocks = SaddleBlocks(a=a, b=b, c=c)
-        if len(f) != blocks.l:
-            raise DimensionError(
-                f"right-hand side {args.f} has length {len(f)}, system size is {blocks.l}"
-            )
-        if z_star is not None and len(z_star) != blocks.l:
-            raise DimensionError(
-                f"known solution {args.z_star} has length {len(z_star)}, "
-                f"system size is {blocks.l}"
-            )
+        vectors = (("right-hand side", args.f, f), ("known solution", args.z_star, z_star))
+        for what, path, v in vectors:
+            if v is not None and len(v) != blocks.l:
+                raise DimensionError(f"{what} {path} has length {len(v)}, system size {blocks.l}")
     except (MatrixMarketError, ValueError, DimensionError) as exc:
         return _fail(str(exc), 2)
 
+    try:
+        broken = _broken_hypotheses(validate(blocks))
+    except LinAlgError as exc:
+        return _fail(f"validate failed: {exc}", 1)
+    if broken:
+        return _fail("; ".join(broken), 2)
     try:
         detail = solve_detailed(blocks, f, args.method)
     except LinAlgError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError, RankDeficientError
-from .matrix import MACHINE_EPS, DenseMatrix
+from .matrix import MACHINE_EPS, DenseMatrix, _scaled
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,7 @@ def default_rank_tol(x: DenseMatrix) -> float:
     measured as scale * ||Y e_j|| with Y = X / scale, scale = max|X|, so
     the norms neither overflow nor underflow.
     """
-    xa = x.array
-    scale = float(np.max(np.abs(xa)))
-    if scale == 0.0:
-        return 0.0
-    y = xa / scale
+    scale, y = _scaled(x.array)
     max_col = scale * float(np.sqrt(np.max(np.sum(y * y, axis=0))))
     return MACHINE_EPS * float(np.sqrt(x.rows)) * max_col
 

@@ -4,8 +4,8 @@
 float storage, checked for shape and finiteness at construction and
 read-only afterwards.  This module is also the one home of the package's
 serial sum and two-norm (``_seq_sum``, ``_norm2_arr``; a Frobenius norm is
-the two-norm of the raveled array) and of its symmetry check
-(``_is_symmetric``).
+the two-norm of the raveled array), of its max-|X| scaling (``_scaled``)
+and of its symmetry check (``_is_symmetric``).
 
 Determinism comes in two tiers.  The public ``matmul`` and ``mat_vec``,
 and the two-norm, accumulate in a fixed serial order -- ascending inner
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)  # 2^-52, approx 2.22e-16
 
@@ -33,14 +33,18 @@ def _seq_sum(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1])
 
 
+def _scaled(xa: np.ndarray) -> tuple[float, np.ndarray]:
+    """(s, X / s) with s = max|X|, clear of overflow and underflow.  The
+    zero array gives (0, X); inf or NaN raises :class:`NonFiniteError`."""
+    scale = float(np.max(np.abs(xa)))
+    if not np.isfinite(scale):
+        raise NonFiniteError("norm of a matrix that is not finite")
+    return scale, (xa / scale if scale else xa)
+
+
 def _norm2_arr(x: np.ndarray) -> float:
     """Two-norm with serial accumulation, scaled to avoid overflow."""
-    if x.size == 0:
-        return 0.0
-    scale = float(np.max(np.abs(x)))
-    if scale == 0.0:
-        return 0.0
-    y = x / scale
+    scale, y = _scaled(x)
     return scale * float(np.sqrt(_seq_sum(y * y)))
 
 
@@ -107,14 +111,6 @@ class DenseMatrix(_Immutable):
     _ndim = 2
     _kind = "matrix"
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls._wrap(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseMatrix":
-        return cls._wrap(np.eye(n))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -165,9 +161,10 @@ def vector_norm(v: Vector) -> float:
 def _seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product with each entry summed over the inner index in ascending order.
 
-    Accumulates rank-one terms C += a[:, k] * b[k, :] for k = 0, 1, ...,
-    which performs, per output entry, exactly the multiply/add sequence of
-    the naive triple loop.
+    Accumulates rank-one terms C += a[:, k] * b[k, :] for k = 0, 1, ...
+    onto C = 0, which performs, per output entry, exactly the multiply/add
+    sequence of the naive triple loop, signed zeros included.  The one
+    serial product kernel: ``matmul`` and ``mat_vec`` both run on it.
     """
     r, kk = a.shape
     c = b.shape[1]
@@ -177,15 +174,6 @@ def _seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.multiply(a[:, k, None], b[k, None, :], out=tmp)
         out += tmp
     return out
-
-
-def _seq_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product, ascending-index serial accumulation per entry.
-
-    Bitwise identical to ``_seq_matmul(m, x[:, None])[:, 0]``: the cumsum
-    performs the same ordered add chain per output entry.
-    """
-    return np.cumsum(m * x[None, :], axis=1)[:, -1]
 
 
 def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -198,10 +186,10 @@ def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 
 def mat_vec(a: DenseMatrix, v: Vector) -> Vector:
-    """Matrix-vector product with the same accumulation order as matmul."""
+    """Matrix-vector product on matmul's serial kernel, with v as one column."""
     if a.cols != len(v):
         raise DimensionError(
             f"cannot multiply {a.rows}x{a.cols} by vector of length {len(v)}"
         )
-    return Vector._wrap(_seq_matvec(a.array, v.array))
+    return Vector._wrap(_seq_matmul(a.array, v.array[:, None])[:, 0])
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NonConvergedError, NonFiniteError, SingularMatrixError
-from .matrix import MACHINE_EPS, DenseMatrix
+from .matrix import MACHINE_EPS, DenseMatrix, _scaled
 
 # M is singular to working precision when sigma_min <= this factor times
 # sigma_max, or sigma_min is not a normal float.  Far below rounding noise,
@@ -21,15 +21,6 @@ def _lapack(routine, a: np.ndarray) -> np.ndarray:
         return routine(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergedError(f"LAPACK did not converge: {exc}") from exc
-
-
-def _scaled(xa: np.ndarray) -> tuple[float, np.ndarray]:
-    """(s, X / s) with s = max|X|, clear of overflow and underflow.  The
-    zero matrix gives (0, X); inf or NaN raises :class:`NonFiniteError`."""
-    scale = float(np.max(np.abs(xa)))
-    if not np.isfinite(scale):
-        raise NonFiniteError("norm of a matrix that is not finite")
-    return scale, (xa / scale if scale else xa)
 
 
 def _extreme_singular_values(xa: np.ndarray) -> tuple[float, float]:

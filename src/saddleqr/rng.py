@@ -20,29 +20,25 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 
-def _finalize(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-    return z ^ (z >> 31)
-
-
-def mix64(seed: int, salt: int) -> int:
-    """Derive a sub-seed from (seed, salt); splitmix64 step then finalize."""
-    return _finalize((seed + (salt + 1) * _GOLDEN) & _MASK)
-
-
-def uniforms(seed: int, count: int) -> np.ndarray:
-    """``count`` doubles in (0, 1], from the counter-based stream ``seed``."""
-    if count == 0:
-        return np.zeros(0)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
+def _splitmix(seed: int, idx: np.ndarray) -> np.ndarray:
+    """splitmix64 outputs ``finalize(seed + idx * GOLDEN)`` for uint64 ``idx``."""
     z = (np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN)).astype(np.uint64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX_A)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX_B)
     z ^= z >> np.uint64(31)
+    return z
+
+
+def mix64(seed: int, salt: int) -> int:
+    """Derive a sub-seed from (seed, salt): draw ``salt`` of stream ``seed``."""
+    return int(_splitmix(seed, np.array([(salt + 1) & _MASK], dtype=np.uint64))[0])
+
+
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """``count`` doubles in (0, 1], from the counter-based stream ``seed``."""
+    z = _splitmix(seed, np.arange(1, count + 1, dtype=np.uint64))
     # top 53 bits, shifted into (0, 1]
     return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 

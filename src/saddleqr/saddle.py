@@ -103,14 +103,11 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
     c_psd = _is_symmetric(blocks.c.array) and c_min_eig >= -100.0 * MACHINE_EPS * norm_c
 
     b_min_r = None
-    if blocks.n <= blocks.m:
-        try:
-            fac = thin_householder_qr(blocks.b)
-            b_min_r = float(np.min(np.abs(np.diag(fac.r.array))))
-            b_full_rank = True
-        except RankDeficientError:
-            b_full_rank = False
-    else:
+    try:  # a B wider than tall is refused by the QR's shape check
+        fac = thin_householder_qr(blocks.b)
+        b_min_r = float(np.min(np.abs(np.diag(fac.r.array))))
+        b_full_rank = True
+    except (DimensionError, RankDeficientError):
         b_full_rank = False
 
     return ValidationReport(

@@ -27,6 +27,17 @@ def _factor_defects(
     return _gram_defect(qa), _two_norm(xa - qa @ ra) / norm_x
 
 
+def _check_system(m: DenseMatrix, q: DenseMatrix, r: DenseMatrix, *vectors: Vector) -> None:
+    """Square M, Q and R of one size l, and every vector of length l."""
+    l = m.rows
+    if m.cols != l or q.shape != (l, l) or r.shape != (l, l):
+        raise DimensionError(
+            f"need square M, Q, R of one size, got {m.shape}, {q.shape}, {r.shape}"
+        )
+    if any(len(v) != l for v in vectors):
+        raise DimensionError("vector lengths do not match the system size")
+
+
 def qr_residuals(x: DenseMatrix, f: ThinQR) -> tuple[float, float]:
     """Orthogonality and decomposition errors of a thin QR, in units of eps.
 
@@ -87,13 +98,7 @@ def metrics(
     ``kappa`` and ``norm_m`` may be passed in to reuse values when
     several methods are scored against the same matrix.
     """
-    l = m.rows
-    if m.cols != l or q.shape != (l, l) or r.shape != (l, l):
-        raise DimensionError(
-            f"metrics needs square M, Q, R of one size, got {m.shape}, {q.shape}, {r.shape}"
-        )
-    if len(f) != l or len(z_computed) != l or len(z_star) != l:
-        raise DimensionError("vector lengths do not match the system size")
+    _check_system(m, q, r, f, z_computed, z_star)
     norm_z = vector_norm(z_computed)
     if norm_z == 0.0:
         raise DegenerateSolutionError("degenerate solution for metric normalization")
@@ -183,27 +188,15 @@ def backward_certificate(
     r: DenseMatrix,
     f: Vector,
     z_computed: Vector,
-    *,
-    gamma: float | None = None,
-    delta: float | None = None,
 ) -> PerturbationBound:
     """Measure alpha and beta for a factorization and evaluate the
     perturbation bound.
 
-    gamma and delta default to eps * l, the standard backward-error level
-    of triangular solves and orthogonal-factor application.
+    gamma and delta are both eps * l, the standard backward-error level of
+    triangular solves and orthogonal-factor application.
     """
-    l = m.rows
-    if m.cols != l or q.shape != (l, l) or r.shape != (l, l):
-        raise DimensionError(
-            f"certificate needs square M, Q, R of one size, got {m.shape}, {q.shape}, {r.shape}"
-        )
-    if len(f) != l or len(z_computed) != l:
-        raise DimensionError("vector lengths do not match the system size")
-    if gamma is None:
-        gamma = MACHINE_EPS * l
-    if delta is None:
-        delta = MACHINE_EPS * l
+    _check_system(m, q, r, f, z_computed)
+    gamma = delta = MACHINE_EPS * m.rows
     norm_m, sigma_min = _extreme_singular_values(m.array)
     beta, alpha = _factor_defects(m.array, q.array, r.array, norm_m)
     kappa = norm_m / _nonsingular(norm_m, sigma_min)

@@ -21,8 +21,8 @@ from .saddle import SaddleBlocks, assemble
 GENERATOR_KINDS = ("matrix1", "matrix2", "hilbert", "ones_rank_one")
 
 
-def logspace_diag(s: float, n: int) -> DenseMatrix:
-    """Diagonal matrix with entries 10^0 down to 10^-s, log-spaced.
+def _log_spectrum(s: float, n: int) -> np.ndarray:
+    """The n values 10^0 down to 10^-s, log-spaced.
 
     For n >= 2 entry i is 10^(-s i / (n-1)); a single point collapses to
     the right endpoint 10^-s.
@@ -35,7 +35,12 @@ def logspace_diag(s: float, n: int) -> DenseMatrix:
         exps = np.array([-float(s)])
     else:
         exps = -float(s) * np.arange(n) / (n - 1)
-    return DenseMatrix._wrap(np.diag(10.0**exps))
+    return 10.0**exps
+
+
+def logspace_diag(s: float, n: int) -> DenseMatrix:
+    """Diagonal matrix of the log-spaced values 10^0 down to 10^-s."""
+    return DenseMatrix._wrap(np.diag(_log_spectrum(s, n)))
 
 
 def random_orthogonal(n: int, seed: int) -> DenseMatrix:
@@ -62,7 +67,7 @@ def matrix1(m: int, n: int, s: float, seed: int) -> DenseMatrix:
         raise DimensionError(f"matrix1 requires m >= n >= 1, got m={m}, n={n}")
     p = random_orthogonal(m, mix64(seed, 1)).array[:, :n]
     qf = random_orthogonal(n, mix64(seed, 2)).array
-    d = np.diag(logspace_diag(s, n).array)  # P D as a column scaling
+    d = _log_spectrum(s, n)  # P D as a column scaling
     return DenseMatrix._wrap((p * d) @ qf.T)
 
 
@@ -71,7 +76,7 @@ def matrix2(n: int, s: float, seed: int) -> DenseMatrix:
     kappa about 10^s: P D P^T from one random orthogonal P, then
     symmetrized as (X + X^T)/2."""
     p = random_orthogonal(n, seed).array
-    d = np.diag(logspace_diag(s, n).array)
+    d = _log_spectrum(s, n)
     x = (p * d) @ p.T
     return DenseMatrix._wrap(0.5 * (x + x.T))
 

@@ -64,6 +64,27 @@ def row_back_substitute(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
     return z
 
 
+def loop_cholesky(a: np.ndarray) -> tuple[np.ndarray | None, int | None, float]:
+    """Column-by-column Cholesky A = L L^T, returning (L, None, min pivot)
+    on success and (None, j, pivot j) at the first pivot j <= 0.  Pivot j
+    is a_jj minus the serial sum of l_jk^2 over k < j; each entry below it
+    is (a_ij - serial sum of l_ik l_jk) / l_jj.  The reference for
+    ``triangular.cholesky``'s verdicts."""
+    n = a.shape[0]
+    low = np.zeros((n, n))
+    min_pivot = np.inf
+    for j in range(n):
+        pivot = a[j, j] - (float(np.cumsum(low[j, :j] ** 2)[-1]) if j else 0.0)
+        min_pivot = min(min_pivot, pivot)
+        if pivot <= 0.0:
+            return None, j, pivot
+        low[j, j] = np.sqrt(pivot)
+        for i in range(j + 1, n):
+            s = float(np.cumsum(low[i, :j] * low[j, :j])[-1]) if j else 0.0
+            low[i, j] = (a[i, j] - s) / low[j, j]
+    return low, None, min_pivot
+
+
 def cramer_solve_3x3(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Cramer's rule for a 3x3 system via explicit determinants."""
 

@@ -373,3 +373,24 @@ def test_criterion_10_determinism(tmp_path):
         write_matrix(path, m)
         assert np.array_equal(read_matrix(path).array, m.array)
     report(10, "bench CSV byte-identical across runs; 20 Matrix Market round-trips bit-exact")
+
+
+def test_example3_reduced_contrast():
+    # The paper's example 3 (a narrow second panel) at the reduced shape.
+    cfg = BenchConfig(
+        example="3", m=600, n=20, seed=0, methods=("bcgs", "bcgs2", "householder")
+    )
+    rows = run_bench(cfg)
+    for row in rows:
+        bcgs, bcgs2 = row.cells["bcgs"], row.cells["bcgs2"]
+        assert all(isinstance(v, float) for v in [*bcgs.values(), *bcgs2.values()])
+        assert bcgs2["res"] <= 1e2, f"res_BCGS2 {bcgs2['res']:.2f} at t={row.t:g}"
+        assert bcgs2["stab"] <= 1e2, f"stab_BCGS2 {bcgs2['stab']:.2f} at t={row.t:g}"
+        assert bcgs["orth"] >= 1e3 * bcgs2["orth"], f"orth contrast lost at t={row.t:g}"
+    res1 = max(row.cells["bcgs"]["res"] for row in rows)
+    assert res1 > 1e2, f"res_BCGS max {res1:.2f}"
+    print(
+        "[example 3] PASS: m=600, n=20: orth_BCGS / orth_BCGS2 >= "
+        f"{min(row.cells['bcgs']['orth'] / row.cells['bcgs2']['orth'] for row in rows):.3g}, "
+        f"res_BCGS max {res1:.3g}"
+    )

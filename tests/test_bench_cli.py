@@ -284,25 +284,42 @@ class TestCliSolve:
         assert code == 2
         assert "/nonexistent/c.mtx" in capsys.readouterr().err
 
-    def test_singular_system_exits_1(self, tmp_path, capsys):
+    @staticmethod
+    def _solve_files(tmp_path, blocks, f, method="bcgs2"):
         paths = {}
-        blocks = SaddleBlocks(
-            a=DenseMatrix.identity(2),
-            b=DenseMatrix.zeros(2, 1),
-            c=DenseMatrix([[0.0]]),
-        )
         for name, mat in (("a", blocks.a), ("b", blocks.b), ("c", blocks.c)):
             paths[name] = tmp_path / f"{name}.mtx"
             write_matrix(paths[name], mat)
-        fpath = tmp_path / "f.mtx"
-        write_vector(fpath, Vector([1.0, 1.0, 0.0]))
-        code = main([
+        write_vector(tmp_path / "f.mtx", f)
+        return main([
             "solve", "--a", str(paths["a"]), "--b", str(paths["b"]),
-            "--c", str(paths["c"]), "--f", str(fpath),
-            "--out", str(tmp_path / "z.mtx"),
+            "--c", str(paths["c"]), "--f", str(tmp_path / "f.mtx"),
+            "--method", method, "--out", str(tmp_path / "z.mtx"),
         ])
-        assert code == 1
-        assert "solve failed" in capsys.readouterr().err
+
+    def test_singular_system_exits_1(self, tmp_path, capsys):
+        # Example 1 at t = 1e-160 meets the hypotheses, but kappa(M) is near
+        # 1e320 and every factorization is rank deficient.
+        cfg = BenchConfig(example="1", m=12, n=6, t_list=(1e-160,))
+        problem = scale_problem(*base_blocks(cfg, 0)[:3], 1e-160)
+        for method in ("bcgs", "bcgs2", "householder"):
+            assert self._solve_files(tmp_path, problem.blocks, problem.f, method) == 1
+            err = capsys.readouterr().err
+            assert "solve failed" in err and "rank-deficient" in err
+            assert not (tmp_path / "z.mtx").exists()
+
+    @pytest.mark.parametrize("a, b, c, named", [
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0], [0.0]], [[0.0]], "B is rank-deficient"),
+        ([[1.0]], [[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], "B is rank-deficient or wider"),
+        ([[1.0, 2.0], [2.0, 1.0]], [[1.0], [0.0]], [[1.0]], "A is not positive definite"),
+        ([[1.0, 0.5], [0.0, 1.0]], [[1.0], [0.0]], [[1.0]], "A is not symmetric"),
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]], [[-1.0]], "C is not symmetric positive"),
+    ])
+    def test_broken_hypothesis_exits_2_and_names_it(self, tmp_path, capsys, a, b, c, named):
+        blocks = SaddleBlocks(a=DenseMatrix(a), b=DenseMatrix(b), c=DenseMatrix(c))
+        assert self._solve_files(tmp_path, blocks, Vector(np.ones(blocks.l))) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "z.mtx").exists()
 
     def test_report_requires_z_star(self, saddle_files):
         code = main([

@@ -32,7 +32,7 @@ def conditioned(l, s, seed):
 
 def orth_defect(f, norm=exact_spectral_norm):
     l = f.q.cols
-    return norm(DenseMatrix.identity(l) - matmul(DenseMatrix(f.q.array.T), f.q))
+    return norm(DenseMatrix(np.eye(l)) - matmul(DenseMatrix(f.q.array.T), f.q))
 
 
 class TestShapeContract:

@@ -53,7 +53,7 @@ class TestConstruction:
 class TestMatmul:
     def test_identity(self):
         x = rand_matrix(2, 2, 1)
-        assert np.array_equal(matmul(DenseMatrix.identity(2), x).array, x.array)
+        assert np.array_equal(matmul(DenseMatrix(np.eye(2)), x).array, x.array)
 
     def test_hand_example(self):
         a = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
@@ -81,10 +81,17 @@ class TestMatmul:
             matmul(rand_matrix(2, 3, 4), rand_matrix(4, 2, 5))
 
     def test_mat_vec_matches_matmul_bitwise(self):
-        a = rand_matrix(6, 5, 6)
-        v = Vector(standard_normals(7, 5))
-        as_col = matmul(a, DenseMatrix(v.array.reshape(-1, 1))).array[:, 0]
-        assert np.array_equal(mat_vec(a, v).array, as_col)
+        # The last case sums -0.0 + -0.0: the triple loop starts from +0.0,
+        # so the entry is +0.0, not the -0.0 of a sum started from its first term.
+        cases = [
+            (rand_matrix(6, 5, 6), Vector(standard_normals(7, 5))),
+            (DenseMatrix([[1.0, 1.0]]), Vector([-0.0, -0.0])),
+        ]
+        for a, v in cases:
+            as_col = DenseMatrix(v.array.reshape(-1, 1))
+            ref = triple_loop_matmul(a.array, as_col.array)[:, 0]
+            assert mat_vec(a, v).array.tobytes() == ref.tobytes()
+            assert mat_vec(a, v).array.tobytes() == matmul(a, as_col).array[:, 0].tobytes()
 
     def test_transpose_product_identity(self):
         # (A B)^T == B^T A^T within 10 eps ||A|| ||B|| entrywise

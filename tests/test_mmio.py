@@ -41,7 +41,7 @@ def test_vector_round_trip(tmp_path):
 
 def test_read_vector_rejects_matrix(tmp_path):
     path = tmp_path / "m.mtx"
-    write_matrix(path, DenseMatrix.identity(2))
+    write_matrix(path, DenseMatrix(np.eye(2)))
     with pytest.raises(MatrixMarketError, match="1-column"):
         read_vector(path)
 

@@ -48,8 +48,8 @@ class TestAssemble:
 
     def test_zero_coupling(self):
         blocks = SaddleBlocks(
-            a=DenseMatrix.identity(2),
-            b=DenseMatrix.zeros(2, 1),
+            a=DenseMatrix(np.eye(2)),
+            b=DenseMatrix(np.zeros((2, 1))),
             c=DenseMatrix([[3.0]]),
         )
         assert np.array_equal(assemble(blocks).array, np.diag([1.0, 1.0, -3.0]))
@@ -63,8 +63,8 @@ class TestAssemble:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             SaddleBlocks(
-                a=DenseMatrix.identity(2),
-                b=DenseMatrix.zeros(3, 1),
+                a=DenseMatrix(np.eye(2)),
+                b=DenseMatrix(np.zeros((3, 1))),
                 c=DenseMatrix([[1.0]]),
             )
 
@@ -72,7 +72,7 @@ class TestAssemble:
 class TestValidate:
     def test_clean_instance_passes(self):
         blocks = SaddleBlocks(
-            a=DenseMatrix.identity(2),
+            a=DenseMatrix(np.eye(2)),
             b=DenseMatrix([[1.0], [0.0]]),
             c=DenseMatrix([[0.0]]),
         )
@@ -95,9 +95,9 @@ class TestValidate:
 
     def test_rank_deficient_b_fails(self):
         blocks = SaddleBlocks(
-            a=DenseMatrix.identity(2),
+            a=DenseMatrix(np.eye(2)),
             b=DenseMatrix([[1.0, 1.0], [1.0, 1.0]]),
-            c=DenseMatrix.zeros(2, 2),
+            c=DenseMatrix(np.zeros((2, 2))),
         )
         report = validate(blocks)
         assert not report.b_full_rank
@@ -105,7 +105,7 @@ class TestValidate:
 
     def test_negative_c_fails_psd(self):
         blocks = SaddleBlocks(
-            a=DenseMatrix.identity(2),
+            a=DenseMatrix(np.eye(2)),
             b=DenseMatrix([[1.0], [0.0]]),
             c=DenseMatrix([[-1.0]]),
         )
@@ -123,8 +123,8 @@ class TestValidate:
         assert not report.a_spd and np.isnan(report.cholesky_min_pivot)
         assert report.c_psd and report.b_full_rank
         blocks = SaddleBlocks(
-            a=DenseMatrix.identity(2),
-            b=DenseMatrix.identity(2),
+            a=DenseMatrix(np.eye(2)),
+            b=DenseMatrix(np.eye(2)),
             c=DenseMatrix([[1.0, 0.5], [0.0, 1.0]]),
         )
         report = validate(blocks)
@@ -135,7 +135,7 @@ class TestValidate:
         from saddleqr.testgen import ones_rank_one
 
         blocks = SaddleBlocks(
-            a=DenseMatrix.identity(3),
+            a=DenseMatrix(np.eye(3)),
             b=matrix1(3, 2, 0.0, 5),
             c=ones_rank_one(2),
         )
@@ -169,8 +169,8 @@ class TestSolve:
     def test_singular_system_raises(self):
         # A = I2, B = 0, C = 0 makes M = diag(1, 1, 0), exactly singular
         blocks = SaddleBlocks(
-            a=DenseMatrix.identity(2),
-            b=DenseMatrix.zeros(2, 1),
+            a=DenseMatrix(np.eye(2)),
+            b=DenseMatrix(np.zeros((2, 1))),
             c=DenseMatrix([[0.0]]),
         )
         with pytest.raises((RankDeficientError, ZeroDiagonalError)):

@@ -33,14 +33,14 @@ def example_style_run(m, n, t, method, seed=0, example="2"):
 
 class TestMetrics:
     def test_exact_identity_case(self):
-        eye = DenseMatrix.identity(3)
+        eye = DenseMatrix(np.eye(3))
         ones = Vector([1.0, 1.0, 1.0])
         report = metrics(eye, eye, eye, ones, ones, ones)
         assert (report.orth, report.dec, report.res, report.stab) == (0, 0, 0, 0)
         assert report.kappa == pytest.approx(1.0, rel=1e-6)
 
     def test_zero_solution_rejected(self):
-        eye = DenseMatrix.identity(2)
+        eye = DenseMatrix(np.eye(2))
         ones = Vector([1.0, 1.0])
         zero = Vector([0.0, 0.0])
         with pytest.raises(DegenerateSolutionError, match="degenerate solution"):
@@ -60,7 +60,7 @@ class TestMetrics:
         assert report.res >= 1e3
 
     def test_precomputed_kappa_reused(self):
-        eye = DenseMatrix.identity(2)
+        eye = DenseMatrix(np.eye(2))
         ones = Vector([1.0, 1.0])
         report = metrics(eye, eye, eye, ones, ones, ones, kappa=7.0, norm_m=1.0)
         assert report.kappa == 7.0
@@ -195,7 +195,7 @@ class TestBackwardCertificate:
 
     def test_hypotheses_violated_outcome(self):
         # Q far from orthogonal: beta = 3 >= 1, and alpha kappa >= 1
-        eye = DenseMatrix.identity(3)
+        eye = DenseMatrix(np.eye(3))
         q_bad = DenseMatrix(2.0 * np.eye(3))
         ones = Vector([1.0, 1.0, 1.0])
         cert = backward_certificate(eye, q_bad, eye, ones, ones)
@@ -205,7 +205,7 @@ class TestBackwardCertificate:
     def test_exact_orthogonal_factorization(self):
         q = random_orthogonal(6, 11)
         ones = Vector(np.ones(6))
-        cert = backward_certificate(q, q, DenseMatrix.identity(6), ones, ones)
+        cert = backward_certificate(q, q, DenseMatrix(np.eye(6)), ones, ones)
         assert cert.hypotheses_ok
         assert cert.mu <= 20 * MACHINE_EPS * 6
         assert cert.nu <= 20 * MACHINE_EPS * 6

@@ -153,7 +153,7 @@ class TestScaleProblem:
         assert np.array_equal(p.z_star.array, np.ones(6))
 
     def test_solution_pattern(self):
-        a1 = DenseMatrix.identity(2)
+        a1 = DenseMatrix(np.eye(2))
         b1 = DenseMatrix([[1.0], [0.0]])
         c1 = DenseMatrix([[1.0]])
         p = scale_problem(a1, b1, c1, 10.0)

