@@ -5,10 +5,22 @@ The factorization is LAPACK's ``dgeqrf`` followed by ``dorgqr`` (through
 (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989) whose
 reflectors ``dlarfg`` scales, so any finite input factors without
 overflow or underflow in the reflectors.
+
+A panel at most half as wide as it is tall (2 k <= l) factors on one
+OpenBLAS thread: the level-2 panel kernels of ``dgeqrf``/``dorgqr`` make a
+threaded ``dgemv``/``dger`` call per column, and on such panels each
+hand-off between threads costs more than the other threads save.  Its
+bytes therefore do not depend on the BLAS thread count.  Wider and square
+matrices keep the default thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +44,42 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> None:
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     r *= sign[:, None]
     q *= sign
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or
+    None when numpy bundles none or it lacks them."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the count after it,
+    also when it raises; without a bundled OpenBLAS it does nothing.  The
+    count is process-wide, so BLAS calls from other threads meanwhile run
+    on one thread too."""
+    calls = _openblas_threads()
+    before = calls[0]() if calls else 1
+    if before == 1:
+        yield
+        return
+    calls[1](1)
+    try:
+        yield
+    finally:
+        calls[1](before)
 
 
 def default_rank_tol(x: DenseMatrix) -> float:
@@ -58,14 +106,17 @@ def thin_householder_qr(x: DenseMatrix) -> ThinQR:
     j with |R_jj| <= ``default_rank_tol(x)`` raises
     :class:`RankDeficientError` naming column j.
     Input holding inf or NaN, or a factor that is not finite, raises
-    :class:`NonFiniteError`.
+    :class:`NonFiniteError`.  A panel with 2 k <= l factors on one OpenBLAS
+    thread (see the module docstring).
     """
     if x.rows < x.cols:
         raise DimensionError(f"thin QR needs rows >= cols, got {x.rows}x{x.cols}")
     xa = x.array
     if not np.isfinite(xa).all():
         raise NonFiniteError("QR of a matrix that is not finite")
-    q, r = np.linalg.qr(xa, mode="reduced")
+    pin = _one_blas_thread() if 2 * x.cols <= x.rows else contextlib.nullcontext()
+    with pin:
+        q, r = np.linalg.qr(xa, mode="reduced")
     if not (np.isfinite(q).all() and np.isfinite(r).all()):
         raise NonFiniteError("QR factor is not finite")
     small = np.flatnonzero(np.abs(np.diag(r)) <= default_rank_tol(x))

@@ -87,15 +87,14 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
     the minimum Cholesky pivot (NaN when A is not symmetric), the
     smallest eigenvalue of C and the smallest |R| diagonal of B's
     thin QR.  A and C count as symmetric within 10 * eps * ||.||_F
-    entrywise (``matrix._is_symmetric``), the test ``cholesky`` applies.
+    entrywise (``matrix._is_symmetric``); for A that is ``cholesky``'s own
+    check.
     """
-    if _is_symmetric(blocks.a.array):
+    try:
         chol = cholesky(blocks.a)
-        a_spd = chol.ok
-        min_pivot = chol.min_pivot
-    else:
-        a_spd = False
-        min_pivot = float("nan")
+        a_spd, min_pivot = chol.ok, chol.min_pivot
+    except ValueError:  # cholesky refuses an A that is not symmetric
+        a_spd, min_pivot = False, float("nan")
 
     c_eigs = _lapack(np.linalg.eigvalsh, blocks.c.array)
     c_min_eig = float(c_eigs[0])

@@ -43,16 +43,24 @@ def logspace_diag(s: float, n: int) -> DenseMatrix:
     return DenseMatrix._wrap(np.diag(_log_spectrum(s, n)))
 
 
+def _orthonormal_columns(n: int, k: int, seed: int) -> np.ndarray:
+    """The first k columns of ``random_orthogonal(n, seed)``: the Q factor
+    of the thin QR of the first k columns of the same seeded n x n
+    standard-normal matrix.  The reflectors past column k leave e_j,
+    j < k, untouched, so these agree with the full QR's to rounding."""
+    if n < 1:
+        raise DimensionError(f"size must be positive, got {n}")
+    if n == 1:
+        return np.ones((1, 1))
+    g = standard_normals(seed, n * n).reshape((n, n))
+    return thin_householder_qr(DenseMatrix._wrap(g[:, :k])).q.array
+
+
 def random_orthogonal(n: int, seed: int) -> DenseMatrix:
     """Orthogonal n x n matrix: positive-diagonal Q factor of a seeded
     standard-normal matrix.  The 1 x 1 case has only two orthogonal values
     and is normalized to [[1]] regardless of seed."""
-    if n < 1:
-        raise DimensionError(f"size must be positive, got {n}")
-    if n == 1:
-        return DenseMatrix([[1.0]])
-    g = standard_normals(seed, n * n).reshape((n, n))
-    return thin_householder_qr(DenseMatrix(g)).q
+    return DenseMatrix._wrap(_orthonormal_columns(n, n, seed))
 
 
 def matrix1(m: int, n: int, s: float, seed: int) -> DenseMatrix:
@@ -60,12 +68,13 @@ def matrix1(m: int, n: int, s: float, seed: int) -> DenseMatrix:
 
     Built as P D Q^T from the first n columns of a random orthogonal P
     (m x m), the diagonal D = logspace_diag(s, n) and a random orthogonal
-    Q (n x n).  Sub-seeds are derived from ``seed`` so the two factors are
+    Q (n x n).  Only P's n columns are factored, from the same m * m
+    normals.  Sub-seeds are derived from ``seed`` so the two factors are
     independent streams.
     """
     if m < n or n < 1:
         raise DimensionError(f"matrix1 requires m >= n >= 1, got m={m}, n={n}")
-    p = random_orthogonal(m, mix64(seed, 1)).array[:, :n]
+    p = _orthonormal_columns(m, n, mix64(seed, 1))
     qf = random_orthogonal(n, mix64(seed, 2)).array
     d = _log_spectrum(s, n)  # P D as a column scaling
     return DenseMatrix._wrap((p * d) @ qf.T)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from saddleqr import DenseMatrix, DimensionError, ZeroDiagonalError
+from saddleqr.rng import mix64, standard_normals
 
 
 def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,3 +193,21 @@ def q_by_column_application(x: DenseMatrix) -> DenseMatrix:
         q[:, c] = y
     q[:, np.diag(w) < 0.0] *= -1.0
     return DenseMatrix(q)
+
+
+def _full_positive_q(n: int, seed: int) -> np.ndarray:
+    """Positive-diagonal Q of the full QR of the seeded n x n normals."""
+    if n == 1:
+        return np.ones((1, 1))
+    q, r = np.linalg.qr(standard_normals(seed, n * n).reshape((n, n)))
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+
+def full_qr_matrix1(m: int, n: int, s: float, seed: int) -> np.ndarray:
+    """``matrix1`` as built from the full m x m QR: P is the first n
+    columns of the whole orthogonal factor of the same seeded normals,
+    and P D Q^T is formed with numpy alone."""
+    p = _full_positive_q(m, mix64(seed, 1))[:, :n]
+    qf = _full_positive_q(n, mix64(seed, 2))
+    d = 10.0 ** (-s * np.arange(n) / (n - 1)) if n > 1 else np.array([10.0**-s])
+    return (p * d) @ qf.T

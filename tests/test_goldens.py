@@ -33,7 +33,7 @@ GOLDENS = {
     ),
     "example2_reduced": (
         ["--example", "2", "--m", "200", "--n", "100"], 0,
-        "25c0e87e7c66e8cedbc61cd6df536774cec6677eafe55dd67430e96ed92fd978",
+        "a728ee38e9420f516f30e58df0fc7d81bebeca5c429285c03ccf5c381ea998ac",
     ),
     "example1_huge_t": (
         ["--example", "1", "--t-list", "1e150,1e155,1e160"], 1,

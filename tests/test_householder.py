@@ -1,5 +1,13 @@
+import glob
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import saddleqr
 
 from saddleqr import (
     DenseMatrix,
@@ -12,7 +20,7 @@ from saddleqr import (
     qr_residuals,
     thin_householder_qr,
 )
-from saddleqr.householder import default_rank_tol
+from saddleqr.householder import _openblas_threads, default_rank_tol
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
 from saddleqr.testgen import random_orthogonal
@@ -169,6 +177,78 @@ class TestQrResiduals:
         f = thin_householder_qr(rand_matrix(5, 3, 6))
         with pytest.raises(DimensionError):
             qr_residuals(rand_matrix(5, 4, 7), f)
+
+
+NO_OPENBLAS = not glob.glob(
+    os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")
+)
+needs_openblas = pytest.mark.skipif(
+    NO_OPENBLAS, reason="numpy bundles no OpenBLAS, so there is no thread count to pin"
+)
+
+NARROW_QR_DIGEST = """
+import hashlib
+from saddleqr.householder import thin_householder_qr
+from saddleqr.matrix import DenseMatrix
+from saddleqr.rng import standard_normals
+f = thin_householder_qr(DenseMatrix(standard_normals(600, 600 * 200).reshape(600, 200)))
+print(hashlib.sha256(f.q.array.tobytes() + f.r.array.tobytes()).hexdigest())
+"""
+
+
+@needs_openblas
+class TestNarrowPanelThreads:
+    """A panel with 2 k <= l factors on one OpenBLAS thread; others keep
+    the count they were called with."""
+
+    @pytest.fixture
+    def two_threads(self):
+        get, set_ = _openblas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @staticmethod
+    def _spy_qr(monkeypatch, get, raises=False):
+        seen, real = [], np.linalg.qr
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            if raises:
+                raise RuntimeError("qr failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        return seen
+
+    def test_narrow_panel_pins_and_restores(self, two_threads, monkeypatch):
+        seen = self._spy_qr(monkeypatch, two_threads)
+        thin_householder_qr(rand_matrix(60, 30, 1))
+        assert seen == [1] and two_threads() == 2
+
+    def test_raise_inside_pin_restores(self, two_threads, monkeypatch):
+        seen = self._spy_qr(monkeypatch, two_threads, raises=True)
+        with pytest.raises(RuntimeError):
+            thin_householder_qr(rand_matrix(60, 30, 1))
+        assert seen == [1] and two_threads() == 2
+
+    def test_wider_panel_keeps_thread_count(self, two_threads, monkeypatch):
+        seen = self._spy_qr(monkeypatch, two_threads)
+        thin_householder_qr(rand_matrix(60, 31, 1))
+        thin_householder_qr(rand_matrix(30, 30, 1))
+        assert seen == [2, 2] and two_threads() == 2
+
+    def test_narrow_bytes_do_not_depend_on_thread_count(self):
+        src = Path(saddleqr.__file__).resolve().parent.parent
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", NARROW_QR_DIGEST], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
 
 def test_orthogonality_scales_benignly():

@@ -131,6 +131,24 @@ class TestValidate:
         assert not report.c_psd
         assert report.a_spd and report.b_full_rank
 
+    @pytest.mark.parametrize("a", [np.diag([2.0, 3.0]), np.array([[2.0, 1.0], [0.0, 2.0]])])
+    def test_a_symmetry_checked_once(self, monkeypatch, a):
+        import saddleqr.saddle
+        import saddleqr.triangular
+
+        blocks = SaddleBlocks(a=DenseMatrix(a), b=DenseMatrix([[1.0], [0.0]]), c=DenseMatrix([[1.0]]))
+        checks = []
+        for module in (saddleqr.saddle, saddleqr.triangular):
+            real = module._is_symmetric
+
+            def counting(xa, real=real):
+                checks.append(xa is blocks.a.array)
+                return real(xa)
+
+            monkeypatch.setattr(module, "_is_symmetric", counting)
+        validate(blocks)
+        assert sum(checks) == 1
+
     def test_rank_one_c_is_psd(self):
         from saddleqr.testgen import ones_rank_one
 
