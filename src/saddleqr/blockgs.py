@@ -5,7 +5,9 @@
 factor.  Both factor a square l x l matrix split after column m into one
 l x l factorization M = Q R with R upper triangular and positive
 diagonal.  The panel factors Q1 = Q[:, :m], Q2 = Q[:, m:], R1 = R[:m, :m],
-S = R[:m, m:] and R2 = R[m:, m:] are written straight into Q and R.
+S = R[:m, m:] and R2 = R[m:, m:] are written straight into Q and R.  The
+panels go to the QR kernel as strided views of raw arrays; only ``bcgs``
+and ``bcgs2`` take and return wrapped matrices.
 """
 
 from __future__ import annotations
@@ -13,15 +15,32 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, LinAlgError, RankDeficientError
-from .householder import ThinQR, thin_householder_qr
+from .householder import ThinQR, _thin_qr
 from .matrix import DenseMatrix
 
 
-def _panel_qr(x: np.ndarray, step: str) -> ThinQR:
+def _panel_qr(x: np.ndarray, step: str) -> tuple[np.ndarray, np.ndarray]:
     try:
-        return thin_householder_qr(DenseMatrix._wrap(x))
+        return _thin_qr(x)
     except RankDeficientError as exc:
         raise RankDeficientError(column=exc.column, step=step) from exc
+
+
+def _bcgs(xa: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R) of ``bcgs``, as new writable arrays."""
+    l = xa.shape[0]
+    q, r = np.empty((l, l)), np.zeros((l, l))
+    q[:, :m], r[:m, :m] = _panel_qr(xa[:, :m], "first panel")
+    q1, m2 = q[:, :m], xa[:, m:]
+    s = q1.T @ m2
+    q[:, m:], r[m:, m:] = _panel_qr(m2 - q1 @ s, "second panel")
+    r[:m, m:] = s
+    return q, r
+
+
+def _check_split(x: DenseMatrix, m: int) -> None:
+    if x.rows != x.cols or not 0 < m < x.cols:
+        raise DimensionError(f"bcgs needs a square matrix split inside it, got {x.shape} at {m}")
 
 
 def bcgs(x: DenseMatrix, m: int) -> ThinQR:
@@ -30,32 +49,23 @@ def bcgs(x: DenseMatrix, m: int) -> ThinQR:
 
     Steps: M1 = Q1 R1; S = Q1^T M2; Y = M2 - Q1 S; Y = Q2 R2.
     """
-    if x.rows != x.cols or not 0 < m < x.cols:
-        raise DimensionError(f"bcgs needs a square matrix split inside it, got {x.shape} at {m}")
-    xa, l = x.array, x.rows
-    q, r = np.empty((l, l)), np.zeros((l, l))
-    f1 = _panel_qr(xa[:, :m], "first panel")
-    q[:, :m], r[:m, :m] = f1.q.array, f1.r.array
-    q1, m2 = q[:, :m], xa[:, m:]
-    s = q1.T @ m2
-    f2 = _panel_qr(m2 - q1 @ s, "second panel")
-    q[:, m:], r[:m, m:], r[m:, m:] = f2.q.array, s, f2.r.array
+    _check_split(x, m)
+    q, r = _bcgs(x.array, m)
     return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))
 
 
-def _reorthogonalize(first: ThinQR, m: int) -> ThinQR:
-    """One reorthogonalization pass of the second panel's Q factor of a
-    ``bcgs`` factorization split after column m: S2 = Q1^T Q2;
-    Y2 = Q2 - Q1 S2; Y2 = Q2' R2'; then S = S1 + S2 R2 and R2_final = R2' R2."""
-    qa, ra = first.q.array, first.r.array
+def _reorthogonalize_into(qa: np.ndarray, ra: np.ndarray, m: int,
+                          q: np.ndarray, r: np.ndarray) -> None:
+    """The reorthogonalization pass on the bcgs factors (qa, ra), written
+    into q[:, m:] and r[:, m:]; (q, r) may be (qa, ra) themselves.
+    S2 = Q1^T Q2; Y2 = Q2 - Q1 S2; Y2 = Q2' R2'; then S = S1 + S2 R2 and
+    R2_final = R2' R2."""
     q1, q2, r2 = qa[:, :m], qa[:, m:], ra[m:, m:]
     s2 = q1.T @ q2
-    f3 = _panel_qr(q2 - q1 @ s2, "reorthogonalization panel")
-
-    q, r = qa.copy(), ra.copy()
-    q[:, m:] = f3.q.array
-    r[:m, m:] = ra[:m, m:] + s2 @ r2
-    r[m:, m:] = f3.r.array @ r2
+    q3, r3 = _panel_qr(q2 - q1 @ s2, "reorthogonalization panel")
+    np.add(ra[:m, m:], s2 @ r2, out=r[:m, m:])
+    r[m:, m:] = r3 @ r2
+    q[:, m:] = q3
     diag = np.diag(r)[m:]
     if np.any(diag <= 0.0):
         bad = int(np.argmin(diag))
@@ -63,9 +73,23 @@ def _reorthogonalize(first: ThinQR, m: int) -> ThinQR:
             f"refined second-panel triangle lost its positive diagonal at {bad} "
             f"(value {diag[bad]:.3e})"
         )
+
+
+def _reorthogonalize(first: ThinQR, m: int) -> ThinQR:
+    """One reorthogonalization pass of the second panel's Q factor of a
+    ``bcgs`` factorization split after column m, into new factors;
+    ``first`` is left as it is."""
+    qa, ra = first.q.array, first.r.array
+    q, r = np.empty_like(qa), np.empty_like(ra)
+    q[:, :m], r[:, :m] = qa[:, :m], ra[:, :m]
+    _reorthogonalize_into(qa, ra, m, q, r)
     return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))
 
 
 def bcgs2(x: DenseMatrix, m: int) -> ThinQR:
-    """Block classical Gram-Schmidt with one reorthogonalization pass of the bcgs factorization."""
-    return _reorthogonalize(bcgs(x, m), m)
+    """Block classical Gram-Schmidt with one reorthogonalization pass of the
+    bcgs factorization, run in place on it."""
+    _check_split(x, m)
+    q, r = _bcgs(x.array, m)
+    _reorthogonalize_into(q, r, m, q, r)
+    return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))

@@ -12,6 +12,10 @@ threaded ``dgemv``/``dger`` call per column, and on such panels each
 hand-off between threads costs more than the other threads save.  Its
 bytes therefore do not depend on the BLAS thread count.  Wider and square
 matrices keep the default thread count.
+
+``_thin_qr`` is the one kernel, on a raw and possibly strided array (the
+block Gram-Schmidt panels); ``thin_householder_qr`` wraps it for the
+public boundary.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ def _one_blas_thread():
         calls[1](before)
 
 
-def default_rank_tol(x: DenseMatrix) -> float:
+def default_rank_tol(xa: np.ndarray) -> float:
     """Scale-invariant rank threshold: eps * sqrt(l) * max column norm.
 
     The max column norm is a lower bound on the spectral norm, so this is
@@ -92,9 +96,29 @@ def default_rank_tol(x: DenseMatrix) -> float:
     measured as scale * ||Y e_j|| with Y = X / scale, scale = max|X|, so
     the norms neither overflow nor underflow.
     """
-    scale, y = _scaled(x.array)
+    scale, y = _scaled(xa)
     max_col = scale * float(np.sqrt(np.max(np.sum(y * y, axis=0))))
-    return MACHINE_EPS * float(np.sqrt(x.rows)) * max_col
+    return MACHINE_EPS * float(np.sqrt(xa.shape[0])) * max_col
+
+
+def _thin_qr(xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked thin QR (Q, R) of the raw l x k array ``xa``, which may
+    be a strided view; ``thin_householder_qr`` documents the checks."""
+    l, k = xa.shape
+    if l < k:
+        raise DimensionError(f"thin QR needs rows >= cols, got {l}x{k}")
+    if not np.isfinite(xa).all():
+        raise NonFiniteError("QR of a matrix that is not finite")
+    pin = _one_blas_thread() if 2 * k <= l else contextlib.nullcontext()
+    with pin:
+        q, r = np.linalg.qr(xa, mode="reduced")
+    if not (np.isfinite(q).all() and np.isfinite(r).all()):
+        raise NonFiniteError("QR factor is not finite")
+    small = np.flatnonzero(np.abs(np.diag(r)) <= default_rank_tol(xa))
+    if small.size:
+        raise RankDeficientError(column=int(small[0]))
+    _fix_signs(q, r)
+    return q, r
 
 
 def thin_householder_qr(x: DenseMatrix) -> ThinQR:
@@ -103,24 +127,11 @@ def thin_householder_qr(x: DenseMatrix) -> ThinQR:
     A final sign pass makes every diagonal entry of R positive, which pins
     down the unique positive-diagonal thin QR of a full-column-rank input.
     |R_jj| is the norm of column j after the first j reflectors; the first
-    j with |R_jj| <= ``default_rank_tol(x)`` raises
+    j with |R_jj| <= ``default_rank_tol(x.array)`` raises
     :class:`RankDeficientError` naming column j.
     Input holding inf or NaN, or a factor that is not finite, raises
     :class:`NonFiniteError`.  A panel with 2 k <= l factors on one OpenBLAS
     thread (see the module docstring).
     """
-    if x.rows < x.cols:
-        raise DimensionError(f"thin QR needs rows >= cols, got {x.rows}x{x.cols}")
-    xa = x.array
-    if not np.isfinite(xa).all():
-        raise NonFiniteError("QR of a matrix that is not finite")
-    pin = _one_blas_thread() if 2 * x.cols <= x.rows else contextlib.nullcontext()
-    with pin:
-        q, r = np.linalg.qr(xa, mode="reduced")
-    if not (np.isfinite(q).all() and np.isfinite(r).all()):
-        raise NonFiniteError("QR factor is not finite")
-    small = np.flatnonzero(np.abs(np.diag(r)) <= default_rank_tol(x))
-    if small.size:
-        raise RankDeficientError(column=int(small[0]))
-    _fix_signs(q, r)
+    q, r = _thin_qr(x.array)
     return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))

@@ -36,20 +36,39 @@ def mix64(seed: int, salt: int) -> int:
     return int(_splitmix(seed, np.array([(salt + 1) & _MASK], dtype=np.uint64))[0])
 
 
-def uniforms(seed: int, count: int) -> np.ndarray:
-    """``count`` doubles in (0, 1], from the counter-based stream ``seed``."""
-    z = _splitmix(seed, np.arange(1, count + 1, dtype=np.uint64))
+def _uniforms_at(seed: int, k: np.ndarray) -> np.ndarray:
+    """Doubles in (0, 1] from draws ``k`` (uint64) of stream ``seed``."""
+    z = _splitmix(seed, k)
     # top 53 bits, shifted into (0, 1]
     return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """``count`` doubles in (0, 1], from the counter-based stream ``seed``."""
+    return _uniforms_at(seed, np.arange(1, count + 1, dtype=np.uint64))
+
+
+def _polar(seed: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller radius and angle of pairs ``k`` (1-based, uint64) of the
+    normal stream ``seed``."""
+    radius = np.sqrt(-2.0 * np.log(_uniforms_at(mix64(seed, 0), k)))
+    return radius, 2.0 * np.pi * _uniforms_at(mix64(seed, 1), k)
+
+
 def standard_normals(seed: int, count: int) -> np.ndarray:
     """``count`` standard normal deviates via Box-Muller over two uniform
-    streams derived from ``seed``."""
-    pairs = (count + 1) // 2
-    u1 = uniforms(mix64(seed, 0), pairs)
-    u2 = uniforms(mix64(seed, 1), pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
+    streams derived from ``seed``: with P = ceil(count / 2) pairs, deviate
+    i is r cos(theta) of pair i for i < P and r sin(theta) of pair i - P
+    after it."""
+    radius, angle = _polar(seed, np.arange(1, (count + 1) // 2 + 1, dtype=np.uint64))
     out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
     return out[:count]
+
+
+def normals_at(seed: int, count: int, idx: np.ndarray) -> np.ndarray:
+    """Entries ``idx`` (an integer array of any shape) of
+    ``standard_normals(seed, count)``, bitwise, computed without the rest."""
+    pairs = (count + 1) // 2
+    idx = np.asarray(idx, dtype=np.int64)
+    radius, angle = _polar(seed, (idx % pairs + 1).astype(np.uint64))
+    return radius * np.where(idx < pairs, np.cos(angle), np.sin(angle))

@@ -7,6 +7,7 @@ positive definite, C (n x n) symmetric positive semidefinite and B
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,14 +17,16 @@ from .errors import DimensionError, RankDeficientError
 from .householder import ThinQR, thin_householder_qr
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric
 from .norms import _lapack
-from .triangular import back_substitute, cholesky
+from .triangular import _back_substitute_arr, cholesky
 
 METHODS = ("bcgs", "bcgs2", "householder")
 
 
 @dataclass(frozen=True)
 class SaddleBlocks:
-    """The (A, B, C) block triple."""
+    """The (A, B, C) block triple.  ``matrix`` is M, assembled on first use
+    and shared, read-only, by every later caller; equality and hashing see
+    only the three blocks."""
 
     a: DenseMatrix
     b: DenseMatrix
@@ -52,16 +55,21 @@ class SaddleBlocks:
     def l(self) -> int:
         return self.m + self.n
 
+    @functools.cached_property
+    def matrix(self) -> DenseMatrix:
+        m = self.m
+        out = np.empty((self.l, self.l))
+        out[:m, :m] = self.a.array
+        out[:m, m:] = self.b.array
+        out[m:, :m] = self.b.array.T
+        out[m:, m:] = -self.c.array
+        return DenseMatrix._wrap(out)
+
 
 def assemble(blocks: SaddleBlocks) -> DenseMatrix:
-    """The (m+n) x (m+n) matrix [[A, B], [B^T, -C]]."""
-    m, n = blocks.m, blocks.n
-    out = np.empty((m + n, m + n))
-    out[:m, :m] = blocks.a.array
-    out[:m, m:] = blocks.b.array
-    out[m:, :m] = blocks.b.array.T
-    out[m:, m:] = -blocks.c.array
-    return DenseMatrix._wrap(out)
+    """The (m+n) x (m+n) matrix [[A, B], [B^T, -C]]: the blocks' one
+    shared, read-only M, assembled on the first call."""
+    return blocks.matrix
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,8 @@ class SaddleSolution:
 
 @dataclass(frozen=True)
 class SolveDetail:
-    """Solution together with the factorization that produced it."""
+    """Solution together with the factorization that produced it; ``matrix``
+    is the blocks' shared M, not a copy."""
 
     solution: SaddleSolution
     matrix: DenseMatrix
@@ -158,7 +167,8 @@ def solve_detailed(
         fac = _reorthogonalize(first_pass, blocks.m)
     else:
         fac = bcgs(m, blocks.m) if method == "bcgs" else bcgs2(m, blocks.m)
-    z = back_substitute(fac.r, Vector._wrap(fac.q.array.T @ f.array))
+    # R from ThinQR is upper triangular by contract, so the raw solve skips the check.
+    z = Vector._wrap(_back_substitute_arr(fac.r.array, fac.q.array.T @ f.array))
     sol = SaddleSolution(
         z=z, x=z.slice(0, blocks.m), y=z.slice(blocks.m, blocks.l), method=method
     )

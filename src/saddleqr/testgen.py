@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionError, NonFiniteError
 from .householder import thin_householder_qr
 from .matrix import DenseMatrix, Vector, mat_vec
-from .rng import mix64, standard_normals
+from .rng import mix64, normals_at, standard_normals
 from .saddle import SaddleBlocks, assemble
 
 GENERATOR_KINDS = ("matrix1", "matrix2", "hilbert", "ones_rank_one")
@@ -47,13 +47,17 @@ def _orthonormal_columns(n: int, k: int, seed: int) -> np.ndarray:
     """The first k columns of ``random_orthogonal(n, seed)``: the Q factor
     of the thin QR of the first k columns of the same seeded n x n
     standard-normal matrix.  The reflectors past column k leave e_j,
-    j < k, untouched, so these agree with the full QR's to rounding."""
+    j < k, untouched, so these agree with the full QR's to rounding.  Only
+    the n k normals of those columns are drawn."""
     if n < 1:
         raise DimensionError(f"size must be positive, got {n}")
     if n == 1:
         return np.ones((1, 1))
-    g = standard_normals(seed, n * n).reshape((n, n))
-    return thin_householder_qr(DenseMatrix._wrap(g[:, :k])).q.array
+    if k == n:
+        g = standard_normals(seed, n * n).reshape((n, n))
+    else:  # entry (i, j) of the n x n matrix is normal i n + j of the stream
+        g = normals_at(seed, n * n, np.arange(n)[:, None] * n + np.arange(k))
+    return thin_householder_qr(DenseMatrix._wrap(g)).q.array
 
 
 def random_orthogonal(n: int, seed: int) -> DenseMatrix:
@@ -68,9 +72,9 @@ def matrix1(m: int, n: int, s: float, seed: int) -> DenseMatrix:
 
     Built as P D Q^T from the first n columns of a random orthogonal P
     (m x m), the diagonal D = logspace_diag(s, n) and a random orthogonal
-    Q (n x n).  Only P's n columns are factored, from the same m * m
-    normals.  Sub-seeds are derived from ``seed`` so the two factors are
-    independent streams.
+    Q (n x n).  Only P's n columns are drawn and factored; they are the
+    same normals as in the full m x m draw.  Sub-seeds are derived from
+    ``seed`` so the two factors are independent streams.
     """
     if m < n or n < 1:
         raise DimensionError(f"matrix1 requires m >= n >= 1, got m={m}, n={n}")

@@ -89,21 +89,39 @@ class TestRunBench:
 
     def test_row_of_three_methods_runs_eight_qrs(self, monkeypatch):
         # Generation 4, bcgs 2, the bcgs2 reorthogonalization 1 (its first
-        # pass is the bcgs factorization), householder 1.
-        from saddleqr import blockgs, householder, saddle, testgen
+        # pass is the bcgs factorization), householder 1.  Counted at the
+        # one raw kernel: thin_householder_qr and the block panels call it.
+        from saddleqr import blockgs, householder
 
         calls = []
-        original = householder.thin_householder_qr
+        original = householder._thin_qr
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        for module in (householder, blockgs, saddle, testgen):
-            monkeypatch.setattr(module, "thin_householder_qr", counted)
+        for module in (householder, blockgs):
+            monkeypatch.setattr(module, "_thin_qr", counted)
         run_bench(BenchConfig(example="2", m=20, n=10, t_list=(1.0,),
                               methods=("bcgs", "bcgs2", "householder")))
         assert len(calls) == 8
+
+    def test_row_of_three_methods_assembles_m_once(self, monkeypatch):
+        # scale_problem (for f), run_bench (for kappa and the metrics) and the
+        # three solves share the blocks' one M.
+        from saddleqr import saddle
+
+        prop = saddle.SaddleBlocks.__dict__["matrix"]
+        real, calls = prop.func, []
+
+        def counted(blocks):
+            calls.append(1)
+            return real(blocks)
+
+        monkeypatch.setattr(prop, "func", counted)
+        run_bench(BenchConfig(example="2", m=20, n=10, t_list=(1.0,),
+                              methods=("bcgs", "bcgs2", "householder")))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("example, m, n", [("1", 12, 6), ("2", 200, 100)])
     def test_bcgs2_cells_same_with_and_without_bcgs(self, example, m, n):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from saddleqr import (
     thin_householder_qr,
 )
 from saddleqr.bench import BenchConfig, base_blocks, run_bench
+from saddleqr import blockgs
 from saddleqr.blockgs import _reorthogonalize
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
@@ -108,6 +110,55 @@ class TestBcgs2:
         for field in dataclasses.fields(ours):
             a, b = getattr(ours, field.name), getattr(reference, field.name)
             assert a.array.tobytes() == b.array.tobytes(), field.name
+
+    @pytest.mark.parametrize("m, n", [(5, 1), (3, 3), (30, 30), (40, 10)],
+                             ids=["5x1", "3x3", "m_equals_n", "narrow_second_panel"])
+    def test_in_place_pass_equals_pass_on_copies(self, m, n):
+        # bcgs2 reorthogonalizes its own first pass in place; a shared first
+        # pass goes through the same core on copies.  40x10 has 2n <= l.
+        cfg = BenchConfig(example="2", m=m, n=n, t_list=(0.01, 1.0, 100.0))
+        for t_index, t in enumerate(cfg.t_list):
+            a1, b1, c1, _ = base_blocks(cfg, t_index)
+            x = assemble(scale_problem(a1, b1, c1, t).blocks)
+            ours, reference = bcgs2(x, m), _reorthogonalize(bcgs(x, m), m)
+            assert ours.q.array.tobytes() == reference.q.array.tobytes(), t
+            assert ours.r.array.tobytes() == reference.r.array.tobytes(), t
+
+    def test_pass_on_copies_leaves_first_pass_unchanged(self):
+        x = conditioned(12, 6, 55)
+        first = bcgs(x, 7)
+        before = first.q.array.tobytes(), first.r.array.tobytes()
+        _reorthogonalize(first, 7)
+        assert (first.q.array.tobytes(), first.r.array.tobytes()) == before
+
+    def test_holds_no_copy_of_the_first_pass(self, monkeypatch):
+        # A copy of the first pass's Q and R would be two l x l arrays.
+        l = 300
+        x = DenseMatrix(standard_normals(5, l * l).reshape(l, l))
+        ll = 8 * l * l
+
+        def peak(fn, m):
+            fn(x, m)  # warm-up, untraced
+            tracemalloc.start()
+            try:
+                fn(x, m)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(bcgs2, 200) - peak(bcgs, 200) < ll
+        # The whole-call peaks are set by a panel QR, so measure the pass
+        # alone: from the end of the first pass, with a 10-column panel.
+        real, held = blockgs._bcgs, []
+
+        def first_pass(xa, m):
+            out = real(xa, m)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(blockgs, "_bcgs", first_pass)
+        assert peak(bcgs2, 290) - held[-1] < ll
 
     def test_reorthogonalization_update_identities(self):
         x = conditioned(9, 6, 77)

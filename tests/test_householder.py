@@ -143,14 +143,14 @@ class TestThinQR:
         a[:, 4] *= 10.0  # column 4 has the largest norm
         for scale in (1e-300, 1.0, 1e300):
             expected = MACHINE_EPS * np.sqrt(30) * scale * np.linalg.norm(a[:, 4])
-            got = default_rank_tol(DenseMatrix(scale * a))
+            got = default_rank_tol(scale * a)
             assert got == pytest.approx(expected, rel=1e-14)
-        assert default_rank_tol(DenseMatrix(np.zeros((3, 2)))) == 0.0
+        assert default_rank_tol(np.zeros((3, 2))) == 0.0
 
     def test_default_rank_tol_allows_near_singular(self):
         x = matrix1(8, 4, 14.0, 3)  # kappa ~ 1e14, smallest R_jj ~ 4e-14
         f = thin_householder_qr(x)
-        assert np.all(np.diag(f.r.array) > 10 * default_rank_tol(x))
+        assert np.all(np.diag(f.r.array) > 10 * default_rank_tol(x.array))
 
 
 class TestQrResiduals:

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import saddleqr
@@ -68,4 +70,32 @@ def test_benchmark_hook_targets_resolve():
         "saddle.mat_vec", "stability.mat_vec",
         "bench.spectral_norm", "stability.spectral_norm",
         "bench.condition_number", "stability.condition_number",
+        # Retired by the raw-array solve path: the block panels call the raw
+        # QR kernel, and solve_detailed the raw back-substitution.
+        "blockgs.thin_householder_qr", "saddle.back_substitute",
     }
+
+
+def test_traced_bench_row_completes_with_every_hook(monkeypatch):
+    # A flop hook reads .rows and .cols of its first argument, so a raw array
+    # reaching a hooked name would crash the traced benchmark run.
+    from saddleqr.bench import BenchConfig, run_bench
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    names = ("bench", "blockgs", "cli", "householder", "matrix", "norms", "saddle",
+             "stability", "testgen", "triangular")
+    modules = {name: importlib.import_module(f"saddleqr.{name}") for name in names}
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        tracer.new_cell("row")
+        (row,) = run_bench(BenchConfig(example="2", m=20, n=10, t_list=(1.0,),
+                                       methods=("bcgs", "bcgs2", "householder")))
+    finally:
+        tracer.uninstall()
+    assert not row.has_errors
+    solved = {s.name for s in tracer.spans if s.name.startswith("saddle.solve_detailed.")}
+    assert solved == {f"saddle.solve_detailed.{m}" for m in ("bcgs", "bcgs2", "householder")}

@@ -17,6 +17,7 @@ from saddleqr import (
     validate,
     vector_norm,
 )
+from saddleqr.householder import ThinQR
 from saddleqr.matrix import MACHINE_EPS
 
 from _oracles import cramer_solve_3x3, gauss_solve
@@ -59,6 +60,22 @@ class TestAssemble:
         assert np.array_equal(
             m.array, [[2.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, -1.0]]
         )
+
+    def test_assembled_once_and_shared_read_only(self):
+        blocks, f, _ = small_system(3)
+        m = assemble(blocks)
+        assert assemble(blocks) is m
+        assert not m.array.flags.writeable
+        for method in ("bcgs", "bcgs2", "householder"):
+            assert solve_detailed(blocks, f, method).matrix is m
+
+    def test_equality_and_hash_ignore_the_assembled_matrix(self):
+        a, b, c = BLOCKS_3X3.a, BLOCKS_3X3.b, BLOCKS_3X3.c
+        fresh, used = SaddleBlocks(a=a, b=b, c=c), SaddleBlocks(a=a, b=b, c=c)
+        assemble(used)
+        assert fresh == used
+        assert hash(fresh) == hash(used)
+        assert repr(fresh) == repr(used)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -227,6 +244,18 @@ class TestSolve:
         kappa = condition_number(m)
         rel = vector_norm(Vector(z.array - oracle)) / vector_norm(z)
         assert rel <= 1e4 * MACHINE_EPS * kappa
+
+    def test_shared_first_pass_left_unchanged(self):
+        blocks, f, _ = small_system(4, m=7, n=5)
+        first_detail = solve_detailed(blocks, f, "bcgs")
+        first = ThinQR(first_detail.q, first_detail.r)
+        before = first.q.array.tobytes(), first.r.array.tobytes()
+        shared = solve_detailed(blocks, f, "bcgs2", first_pass=first)
+        assert (first.q.array.tobytes(), first.r.array.tobytes()) == before
+        alone = solve_detailed(blocks, f, "bcgs2")
+        for name in ("q", "r"):
+            assert getattr(shared, name).array.tobytes() == getattr(alone, name).array.tobytes()
+        assert shared.solution.z.array.tobytes() == alone.solution.z.array.tobytes()
 
     def test_solve_detailed_exposes_factorization(self):
         detail = solve_detailed(BLOCKS_3X3, Vector([1.0, 0.0, 0.0]), "bcgs2")

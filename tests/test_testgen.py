@@ -14,6 +14,7 @@ from saddleqr import (
     validate,
 )
 from saddleqr.matrix import MACHINE_EPS
+from saddleqr.rng import normals_at, standard_normals
 from saddleqr.saddle import SaddleBlocks
 from saddleqr.testgen import GeneratorSpec, hilbert, logspace_diag, ones_rank_one, random_orthogonal
 from saddleqr.triangular import cholesky
@@ -88,6 +89,16 @@ class TestMatrix1:
     def test_size_one_normalized(self):
         for seed in range(5):
             assert np.array_equal(matrix1(1, 1, 0.0, seed).array, [[1.0]])
+
+    def test_thin_draw_is_the_full_draw_sliced(self):
+        # matrix1 draws only the m n normals of the columns of P it keeps.
+        for m in (1, 2, 3, 7, 21, 64, 200, 401):
+            for n in sorted({1, max(1, m // 4), max(1, m // 2), m}):
+                for seed in range(3):
+                    full = standard_normals(seed, m * m).reshape(m, m)[:, :n]
+                    thin = normals_at(seed, m * m, np.arange(m)[:, None] * m + np.arange(n))
+                    assert thin.shape == (m, n)
+                    assert thin.tobytes() == np.ascontiguousarray(full).tobytes(), (m, n, seed)
 
     def test_thin_p_matches_full_qr_oracle(self):
         # matrix1 factors only the n columns of P it keeps; the full m x m
