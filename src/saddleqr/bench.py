@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import LinAlgError
-from .householder import ThinQR
 from .matrix import DenseMatrix
 from .norms import _extreme_singular_values, _nonsingular
 from .rng import mix64
@@ -130,20 +129,20 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
             row = BenchRow(t=t, kappa=norm_m / _nonsingular(norm_m, sigma_min))
         except LinAlgError as exc:
             row = BenchRow(t=t, kappa=f"ERR:{exc.code}")
-        first = None  # the bcgs cell's factorization, which the bcgs2 cell reorthogonalizes
+        first = None  # the bcgs cell's detail, whose factors the bcgs2 cell reorthogonalizes
         for method in cfg.ordered_methods:
-            row.cells[method], first = _method_cells(problem, m, norm_m, row.kappa, method, first)
+            row.cells[method], first = _method_cells(problem, norm_m, row.kappa, method, first)
         rows.append(row)
     return rows
 
 
-def _method_cells(problem, m, norm_m, kappa, method, first):
-    """One method's metric cells, and the factorization of a bcgs cell that succeeded."""
+def _method_cells(problem, norm_m, kappa, method, first):
+    """One method's metric cells, and the detail of a bcgs cell that succeeded."""
     try:
         detail = solve_detailed(problem.blocks, problem.f, method, first_pass=first)
         kappa_value = kappa if isinstance(kappa, float) else 1.0
         report = metrics(
-            m,
+            detail.matrix,
             detail.q,
             detail.r,
             problem.f,
@@ -157,7 +156,7 @@ def _method_cells(problem, m, norm_m, kappa, method, first):
     cells: dict[str, float | str] = {name: getattr(report, name) for name in METRIC_NAMES}
     if isinstance(kappa, str):
         cells["stab"] = kappa  # no condition number, no forward-error ratio
-    return cells, ThinQR(detail.q, detail.r) if method == "bcgs" else None
+    return cells, detail if method == "bcgs" else None
 
 
 def _fmt17(v: float) -> str:

@@ -54,16 +54,15 @@ def bcgs(x: DenseMatrix, m: int) -> ThinQR:
     return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))
 
 
-def _reorthogonalize_into(qa: np.ndarray, ra: np.ndarray, m: int,
-                          q: np.ndarray, r: np.ndarray) -> None:
-    """The reorthogonalization pass on the bcgs factors (qa, ra), written
-    into q[:, m:] and r[:, m:]; (q, r) may be (qa, ra) themselves.
-    S2 = Q1^T Q2; Y2 = Q2 - Q1 S2; Y2 = Q2' R2'; then S = S1 + S2 R2 and
-    R2_final = R2' R2."""
-    q1, q2, r2 = qa[:, :m], qa[:, m:], ra[m:, m:]
+def _reorthogonalize(q: np.ndarray, r: np.ndarray, m: int) -> None:
+    """One reorthogonalization pass of the second panel of the writable bcgs
+    factors (q, r) split after column m, in place.
+    S2 = Q1^T Q2; Y2 = Q2 - Q1 S2; Y2 = Q2' R2'; then S = S1 + S2 R2,
+    R2_final = R2' R2 and Q2_final = Q2'."""
+    q1, q2, r2 = q[:, :m], q[:, m:], r[m:, m:]
     s2 = q1.T @ q2
     q3, r3 = _panel_qr(q2 - q1 @ s2, "reorthogonalization panel")
-    np.add(ra[:m, m:], s2 @ r2, out=r[:m, m:])
+    r[:m, m:] += s2 @ r2
     r[m:, m:] = r3 @ r2
     q[:, m:] = q3
     diag = np.diag(r)[m:]
@@ -75,21 +74,10 @@ def _reorthogonalize_into(qa: np.ndarray, ra: np.ndarray, m: int,
         )
 
 
-def _reorthogonalize(first: ThinQR, m: int) -> ThinQR:
-    """One reorthogonalization pass of the second panel's Q factor of a
-    ``bcgs`` factorization split after column m, into new factors;
-    ``first`` is left as it is."""
-    qa, ra = first.q.array, first.r.array
-    q, r = np.empty_like(qa), np.empty_like(ra)
-    q[:, :m], r[:, :m] = qa[:, :m], ra[:, :m]
-    _reorthogonalize_into(qa, ra, m, q, r)
-    return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))
-
-
 def bcgs2(x: DenseMatrix, m: int) -> ThinQR:
     """Block classical Gram-Schmidt with one reorthogonalization pass of the
     bcgs factorization, run in place on it."""
     _check_split(x, m)
     q, r = _bcgs(x.array, m)
-    _reorthogonalize_into(q, r, m, q, r)
+    _reorthogonalize(q, r, m)
     return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))

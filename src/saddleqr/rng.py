@@ -43,11 +43,6 @@ def _uniforms_at(seed: int, k: np.ndarray) -> np.ndarray:
     return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
-def uniforms(seed: int, count: int) -> np.ndarray:
-    """``count`` doubles in (0, 1], from the counter-based stream ``seed``."""
-    return _uniforms_at(seed, np.arange(1, count + 1, dtype=np.uint64))
-
-
 def _polar(seed: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Box-Muller radius and angle of pairs ``k`` (1-based, uint64) of the
     normal stream ``seed``."""

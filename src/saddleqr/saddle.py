@@ -149,11 +149,11 @@ class SolveDetail:
 
 
 def solve_detailed(
-    blocks: SaddleBlocks, f: Vector, method: str, *, first_pass: ThinQR | None = None
+    blocks: SaddleBlocks, f: Vector, method: str, *, first_pass: SolveDetail | None = None
 ) -> SolveDetail:
     """Factor M with the chosen path, then solve R z = Q^T f.  Given ``first_pass``, the
-    factorization (q, r) of a bcgs solve of the same blocks, bcgs2 runs only its
-    reorthogonalization pass; the other methods ignore it."""
+    detail of a bcgs solve of these same blocks, bcgs2 reorthogonalizes a copy of its
+    factors and the other methods ignore it; any other detail raises ``ValueError``."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if len(f) != blocks.l:
@@ -161,10 +161,16 @@ def solve_detailed(
             f"right-hand side length {len(f)} does not match system size {blocks.l}"
         )
     m = assemble(blocks)
+    if first_pass is not None and (
+        first_pass.solution.method != "bcgs" or first_pass.matrix is not m
+    ):
+        raise ValueError("first_pass must be the detail of a bcgs solve of these blocks")
     if method == "householder":
         fac = thin_householder_qr(m)
     elif method == "bcgs2" and first_pass is not None:
-        fac = _reorthogonalize(first_pass, blocks.m)
+        q, r = np.array(first_pass.q.array), np.array(first_pass.r.array)
+        _reorthogonalize(q, r, blocks.m)
+        fac = ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))
     else:
         fac = bcgs(m, blocks.m) if method == "bcgs" else bcgs2(m, blocks.m)
     # R from ThinQR is upper triangular by contract, so the raw solve skips the check.

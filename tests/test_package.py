@@ -1,12 +1,14 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import saddleqr
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # Test oracles that live in tests/_oracles.py, not in the shipped package.
 ORACLES = ("jacobi_eigenvalues", "exact_singular_values", "exact_spectral_norm",
@@ -43,6 +45,14 @@ def test_error_family_is_public():
 
 def test_test_oracles_not_exported():
     assert not set(ORACLES) & (set(saddleqr.__all__) | set(dir(saddleqr)))
+
+
+def test_readme_states_the_source_line_count():
+    # The line count is the north-star size of the package; README's Layout
+    # section states it, and this keeps the statement true.
+    stated = re.search(r"`src/saddleqr/` holds ([\d,]+) lines", (ROOT / "README.md").read_text())
+    counted = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "saddleqr").glob("*.py"))
+    assert int(stated.group(1).replace(",", "")) == counted
 
 
 def _tracer_targets():

@@ -17,7 +17,6 @@ from saddleqr import (
     validate,
     vector_norm,
 )
-from saddleqr.householder import ThinQR
 from saddleqr.matrix import MACHINE_EPS
 
 from _oracles import cramer_solve_3x3, gauss_solve
@@ -247,15 +246,28 @@ class TestSolve:
 
     def test_shared_first_pass_left_unchanged(self):
         blocks, f, _ = small_system(4, m=7, n=5)
-        first_detail = solve_detailed(blocks, f, "bcgs")
-        first = ThinQR(first_detail.q, first_detail.r)
-        before = first.q.array.tobytes(), first.r.array.tobytes()
+        first = solve_detailed(blocks, f, "bcgs")
+
+        def held():
+            return [a.array.tobytes() for a in (first.q, first.r, first.solution.z)]
+
+        before = held()
         shared = solve_detailed(blocks, f, "bcgs2", first_pass=first)
-        assert (first.q.array.tobytes(), first.r.array.tobytes()) == before
+        assert held() == before
         alone = solve_detailed(blocks, f, "bcgs2")
         for name in ("q", "r"):
             assert getattr(shared, name).array.tobytes() == getattr(alone, name).array.tobytes()
         assert shared.solution.z.array.tobytes() == alone.solution.z.array.tobytes()
+
+    @pytest.mark.parametrize("method", ["bcgs", "bcgs2", "householder"])
+    def test_first_pass_must_be_a_bcgs_solve_of_these_blocks(self, method):
+        blocks, f, _ = small_system(4, m=7, n=5)
+        other, g, _ = small_system(5, m=7, n=5)
+        wrong = [solve_detailed(other, g, "bcgs"),  # another system
+                 solve_detailed(blocks, f, "bcgs2"), solve_detailed(blocks, f, "householder")]
+        for first in wrong:
+            with pytest.raises(ValueError, match="first_pass"):
+                solve_detailed(blocks, f, method, first_pass=first)
 
     def test_solve_detailed_exposes_factorization(self):
         detail = solve_detailed(BLOCKS_3X3, Vector([1.0, 0.0, 0.0]), "bcgs2")

@@ -12,7 +12,7 @@ from saddleqr import (
     vector_norm,
 )
 from saddleqr.matrix import MACHINE_EPS
-from saddleqr.rng import mix64, standard_normals, uniforms
+from saddleqr.rng import _uniforms_at, mix64, standard_normals
 from saddleqr.testgen import hilbert
 from saddleqr.triangular import _back_substitute_arr, back_substitute, cholesky
 
@@ -157,7 +157,7 @@ class TestCholesky:
             s = g @ g.T / n + np.eye(n)
             s = 0.5 * (s + s.T)
             lam = np.linalg.eigvalsh(s)
-            u = uniforms(mix64(79, i), 1)[0]
+            u = _uniforms_at(mix64(79, i), np.array([1], dtype=np.uint64))[0]
             a = s - (lam[0] + 0.4 * (u - 0.3) * (lam[-1] - lam[0])) * np.eye(n)
             low, failed_pivot, min_pivot = loop_cholesky(a)
             res = cholesky(DenseMatrix(a))
