@@ -1,17 +1,21 @@
 """Thin Householder QR with positive-diagonal normalization.
 
-The factorization is LAPACK's ``dgeqrf`` followed by ``dorgqr`` (through
-``numpy.linalg.qr``): a blocked right-looking compact-WY Householder QR
-(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989) whose
-reflectors ``dlarfg`` scales, so any finite input factors without
-overflow or underflow in the reflectors.
+The factorization is LAPACK's ``dgeqrf`` followed by ``dorgqr``: a blocked
+right-looking compact-WY Householder QR (Schreiber & Van Loan, SIAM J.
+Sci. Stat. Comput. 10, 1989) whose reflectors ``dlarfg`` scales, so any
+finite input factors without overflow or underflow in the reflectors.
+Both routines are called directly, through ``ctypes``, in numpy's bundled
+OpenBLAS (64-bit integers), on one Fortran-order copy of the input that
+becomes Q.  Where numpy bundles no such library the same two routines run
+through ``numpy.linalg.qr``, which copies the panel several times more.
 
-A panel at most half as wide as it is tall (2 k <= l) factors on one
-OpenBLAS thread: the level-2 panel kernels of ``dgeqrf``/``dorgqr`` make a
-threaded ``dgemv``/``dger`` call per column, and on such panels each
-hand-off between threads costs more than the other threads save.  Its
-bytes therefore do not depend on the BLAS thread count.  Wider and square
-matrices keep the default thread count.
+A panel that is narrower than it is tall (k < l) and needs at most
+``_ONE_THREAD_FLOPS`` flops (4 l k^2 - 4 k^3 / 3 for both routines)
+factors on one OpenBLAS thread: the level-2 panel kernels of
+``dgeqrf``/``dorgqr`` make a threaded ``dgemv``/``dger`` call per column,
+and at these sizes each hand-off between threads costs more than the
+other threads save.  Its bytes therefore do not depend on the BLAS thread
+count.  Square matrices and larger panels keep the caller's count.
 
 ``_thin_qr`` is the one kernel, on a raw and possibly strided array (the
 block Gram-Schmidt panels); ``thin_householder_qr`` wraps it for the
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, RankDeficientError
+from .errors import DimensionError, LinAlgError, NonFiniteError, RankDeficientError
 from .matrix import MACHINE_EPS, DenseMatrix, _scaled
 
 
@@ -50,22 +54,40 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> None:
     q *= sign
 
 
+# The symbols of the bundled OpenBLAS used here, with their C signatures.
+# LAPACK takes every argument by reference.
+_SIGNATURES = {
+    "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
+    "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
+    "scipy_dgeqrf_64_": ([ctypes.c_void_p] * 8, None),
+    "scipy_dorgqr_64_": ([ctypes.c_void_p] * 9, None),
+}
+
+# A panel with k < l factors on one OpenBLAS thread up to this many flops of
+# dgeqrf + dorgqr: the low end of the band where one and two threads tie
+# (README's Determinism section has the per-shape table).
+_ONE_THREAD_FLOPS = 2e9
+
+
 @functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or
-    None when numpy bundles none or it lacks them."""
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, with ``_SIGNATURES`` declared on whichever of
+    those symbols it exports, or None when numpy bundles none."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "libscipy_openblas64_*"))
     if not libs:
         return None
     lib = ctypes.CDLL(libs[0])
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if get is None or set_ is None:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, restype
+    return lib
+
+
+def _pins_one_thread(l: int, k: int) -> bool:
+    """Whether an l x k panel factors on one OpenBLAS thread."""
+    return k < l and 4 * l * k * k - 4 * k**3 / 3 <= _ONE_THREAD_FLOPS
 
 
 @contextlib.contextmanager
@@ -74,16 +96,49 @@ def _one_blas_thread():
     also when it raises; without a bundled OpenBLAS it does nothing.  The
     count is process-wide, so BLAS calls from other threads meanwhile run
     on one thread too."""
-    calls = _openblas_threads()
-    before = calls[0]() if calls else 1
+    lib = _openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    before = get() if get and set_ else 1
     if before == 1:
         yield
         return
-    calls[1](1)
+    set_(1)
     try:
         yield
     finally:
-        calls[1](before)
+        set_(before)
+
+
+def _lapack(routine, *args) -> None:
+    """Run the LAPACK ``routine`` on its leading ``args`` with the workspace
+    it asks for; a negative INFO, an illegal argument, raises."""
+    size, info = ctypes.c_double(), ctypes.c_int64()
+    routine(*args, ctypes.byref(size), ctypes.byref(ctypes.c_int64(-1)), ctypes.byref(info))
+    if info.value == 0:
+        work = np.empty(max(1, int(size.value)))
+        routine(*args, work.ctypes, ctypes.byref(ctypes.c_int64(work.size)), ctypes.byref(info))
+    if info.value < 0:
+        raise LinAlgError(f"{routine.__name__}: argument {-info.value} is illegal")
+
+
+def _householder(xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unchecked thin (Q, R) of ``dgeqrf`` + ``dorgqr`` on ``xa``."""
+    lib = _openblas()
+    geqrf = getattr(lib, "scipy_dgeqrf_64_", None)
+    orgqr = getattr(lib, "scipy_dorgqr_64_", None)
+    if geqrf is None or orgqr is None:
+        return np.linalg.qr(xa, mode="reduced")
+    l, k = xa.shape
+    # Always a copy, also of an F-ordered xa: the caller's array (M itself is
+    # read-only) must not become Q.
+    a = np.array(xa, dtype=np.float64, order="F")
+    tau = np.empty(k)
+    rows, cols = ctypes.byref(ctypes.c_int64(l)), ctypes.byref(ctypes.c_int64(k))
+    _lapack(geqrf, rows, cols, a.ctypes, rows, tau.ctypes)
+    r = np.triu(a[:k])
+    _lapack(orgqr, rows, cols, cols, a.ctypes, rows, tau.ctypes)
+    return a, r
 
 
 def default_rank_tol(xa: np.ndarray) -> float:
@@ -109,9 +164,9 @@ def _thin_qr(xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"thin QR needs rows >= cols, got {l}x{k}")
     if not np.isfinite(xa).all():
         raise NonFiniteError("QR of a matrix that is not finite")
-    pin = _one_blas_thread() if 2 * k <= l else contextlib.nullcontext()
+    pin = _one_blas_thread() if _pins_one_thread(l, k) else contextlib.nullcontext()
     with pin:
-        q, r = np.linalg.qr(xa, mode="reduced")
+        q, r = _householder(xa)
     if not (np.isfinite(q).all() and np.isfinite(r).all()):
         raise NonFiniteError("QR factor is not finite")
     small = np.flatnonzero(np.abs(np.diag(r)) <= default_rank_tol(xa))
@@ -130,8 +185,8 @@ def thin_householder_qr(x: DenseMatrix) -> ThinQR:
     j with |R_jj| <= ``default_rank_tol(x.array)`` raises
     :class:`RankDeficientError` naming column j.
     Input holding inf or NaN, or a factor that is not finite, raises
-    :class:`NonFiniteError`.  A panel with 2 k <= l factors on one OpenBLAS
-    thread (see the module docstring).
+    :class:`NonFiniteError`.  A panel with k < l of at most 2e9 flops
+    factors on one OpenBLAS thread (see the module docstring).
     """
     q, r = _thin_qr(x.array)
     return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))

@@ -9,7 +9,6 @@ skips and says why.
 """
 
 import ctypes
-import glob
 import hashlib
 import os
 import subprocess
@@ -20,6 +19,7 @@ import numpy as np
 import pytest
 
 import saddleqr
+from saddleqr.householder import _openblas
 
 NUMPY_VERSION = "2.4.6"
 OPENBLAS_CONFIG = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
@@ -49,11 +49,7 @@ GOLDENS = {
 def _openblas_config() -> str | None:
     """The run-time configuration string of numpy's bundled OpenBLAS, or
     None when numpy bundles none."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas64_*"))
-    if not libs:
-        return None
-    get_config = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_config64_", None)
+    get_config = getattr(_openblas(), "scipy_openblas_get_config64_", None)
     if get_config is None:
         return None
     get_config.argtypes = []

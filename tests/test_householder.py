@@ -1,4 +1,4 @@
-import glob
+import ctypes
 import os
 import subprocess
 import sys
@@ -12,6 +12,7 @@ import saddleqr
 from saddleqr import (
     DenseMatrix,
     DimensionError,
+    LinAlgError,
     NonFiniteError,
     RankDeficientError,
     condition_number,
@@ -20,7 +21,8 @@ from saddleqr import (
     qr_residuals,
     thin_householder_qr,
 )
-from saddleqr.householder import _openblas_threads, default_rank_tol
+from saddleqr import householder
+from saddleqr.householder import _openblas, _pins_one_thread, _thin_qr, default_rank_tol
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
 from saddleqr.testgen import random_orthogonal
@@ -179,9 +181,7 @@ class TestQrResiduals:
             qr_residuals(rand_matrix(5, 4, 7), f)
 
 
-NO_OPENBLAS = not glob.glob(
-    os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")
-)
+NO_OPENBLAS = _openblas() is None
 needs_openblas = pytest.mark.skipif(
     NO_OPENBLAS, reason="numpy bundles no OpenBLAS, so there is no thread count to pin"
 )
@@ -191,53 +191,76 @@ import hashlib
 from saddleqr.householder import thin_householder_qr
 from saddleqr.matrix import DenseMatrix
 from saddleqr.rng import standard_normals
-f = thin_householder_qr(DenseMatrix(standard_normals(600, 600 * 200).reshape(600, 200)))
-print(hashlib.sha256(f.q.array.tobytes() + f.r.array.tobytes()).hexdigest())
+for l, k in ((600, 200), (600, 400)):
+    f = thin_householder_qr(DenseMatrix(standard_normals(l, l * k).reshape(l, k)))
+    print(hashlib.sha256(f.q.array.tobytes() + f.r.array.tobytes()).hexdigest())
 """
+
+
+class _SpyOpenBLAS:
+    """The bundled OpenBLAS with ``dgeqrf`` replaced by a spy that records
+    the thread count of each call (the workspace query, then the
+    factorization), and raises instead when asked to."""
+
+    def __init__(self, raises=False):
+        self.lib, self.seen, self.raises = _openblas(), [], raises
+
+    def __getattr__(self, name):
+        real = getattr(self.lib, name)
+        if name != "scipy_dgeqrf_64_":
+            return real
+
+        def spy(*args):
+            self.seen.append(self.lib.scipy_openblas_get_num_threads64_())
+            if self.raises:
+                raise RuntimeError("dgeqrf failed")
+            return real(*args)
+
+        spy.__name__ = name
+        return spy
 
 
 @needs_openblas
 class TestNarrowPanelThreads:
-    """A panel with 2 k <= l factors on one OpenBLAS thread; others keep
-    the count they were called with."""
+    """A panel with k < l of at most 2e9 flops factors on one OpenBLAS
+    thread; square and larger ones keep the count they were called with."""
 
     @pytest.fixture
     def two_threads(self):
-        get, set_ = _openblas_threads()
-        before = get()
-        set_(2)
-        yield get
-        set_(before)
+        lib = _openblas()
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        yield lib.scipy_openblas_get_num_threads64_
+        lib.scipy_openblas_set_num_threads64_(before)
 
     @staticmethod
-    def _spy_qr(monkeypatch, get, raises=False):
-        seen, real = [], np.linalg.qr
-
-        def spy(*args, **kwargs):
-            seen.append(get())
-            if raises:
-                raise RuntimeError("qr failed")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", spy)
-        return seen
+    def _spy(monkeypatch, raises=False):
+        spy = _SpyOpenBLAS(raises)
+        monkeypatch.setattr(householder, "_openblas", lambda: spy)
+        return spy.seen
 
     def test_narrow_panel_pins_and_restores(self, two_threads, monkeypatch):
-        seen = self._spy_qr(monkeypatch, two_threads)
+        seen = self._spy(monkeypatch)
         thin_householder_qr(rand_matrix(60, 30, 1))
-        assert seen == [1] and two_threads() == 2
+        assert seen == [1, 1] and two_threads() == 2
 
     def test_raise_inside_pin_restores(self, two_threads, monkeypatch):
-        seen = self._spy_qr(monkeypatch, two_threads, raises=True)
+        seen = self._spy(monkeypatch, raises=True)
         with pytest.raises(RuntimeError):
             thin_householder_qr(rand_matrix(60, 30, 1))
         assert seen == [1] and two_threads() == 2
 
-    def test_wider_panel_keeps_thread_count(self, two_threads, monkeypatch):
-        seen = self._spy_qr(monkeypatch, two_threads)
+    def test_square_keeps_thread_count(self, two_threads, monkeypatch):
+        seen = self._spy(monkeypatch)
         thin_householder_qr(rand_matrix(60, 31, 1))
         thin_householder_qr(rand_matrix(30, 30, 1))
-        assert seen == [2, 2] and two_threads() == 2
+        assert seen == [1, 1, 2, 2] and two_threads() == 2
+
+    @pytest.mark.parametrize("l, k, pins", [(1000, 600, True), (1500, 500, True),
+                                            (3100, 100, True), (1000, 1000, False),
+                                            (2000, 1000, False), (1500, 1000, False)])
+    def test_rule_by_panel_flops(self, l, k, pins):
+        assert _pins_one_thread(l, k) is pins
 
     def test_narrow_bytes_do_not_depend_on_thread_count(self):
         src = Path(saddleqr.__file__).resolve().parent.parent
@@ -247,8 +270,63 @@ class TestNarrowPanelThreads:
             env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
             proc = subprocess.run([sys.executable, "-c", NARROW_QR_DIGEST], env=env,
                                   capture_output=True, text=True, timeout=120, check=True)
-            digests.add(proc.stdout.strip())
+            digests.add(proc.stdout)
         assert len(digests) == 1
+
+
+def _strided_300x200():
+    return rand_matrix(300, 300, 12).array[:, :200]
+
+
+def _fortran_60x30():
+    return np.asfortranarray(rand_matrix(60, 30, 13).array)  # writable
+
+
+class TestKernelPaths:
+    """The direct LAPACK kernel against the numpy.linalg.qr fallback, which
+    runs when numpy bundles no OpenBLAS or it lacks dgeqrf/dorgqr."""
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        return lambda: monkeypatch.setattr(householder, "_openblas", lambda: None)
+
+    @pytest.mark.parametrize("make", [
+        lambda: rand_matrix(1, 1, 1).array, lambda: rand_matrix(5, 1, 2).array,
+        lambda: rand_matrix(60, 30, 3).array, lambda: rand_matrix(60, 60, 4).array,
+        _strided_300x200, _fortran_60x30,
+    ], ids=["1x1", "5x1", "60x30", "60x60", "strided300x200", "fortran60x30"])
+    def test_paths_agree_bytewise_and_leave_input_alone(self, make, fallback):
+        x = make()
+        before = x.copy()
+        # Both paths at one thread: the fallback has no thread count to pin.
+        with householder._one_blas_thread():
+            q, r = _thin_qr(x)
+            fallback()
+            q0, r0 = _thin_qr(x)
+        assert q.tobytes() == q0.tobytes() and r.tobytes() == r0.tobytes()
+        assert np.array_equal(x, before) and not np.shares_memory(q, x)
+
+    @pytest.mark.parametrize("use_fallback", [False, True], ids=["lapack", "fallback"])
+    def test_same_typed_errors_on_both_paths(self, use_fallback, fallback):
+        if use_fallback:
+            fallback()
+        bad = rand_matrix(6, 3, 8).array.copy()
+        bad[4, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            _thin_qr(bad)
+        dependent = rand_matrix(80, 50, 9).array.copy()
+        dependent[:, 40] = dependent[:, 3]
+        with pytest.raises(RankDeficientError) as exc:
+            _thin_qr(dependent)
+        assert exc.value.column == 40
+
+    @needs_openblas
+    def test_illegal_argument_raises(self):
+        lib, a, tau = _openblas(), np.zeros((5, 3), order="F"), np.empty(3)
+        rows, cols = ctypes.byref(ctypes.c_int64(5)), ctypes.byref(ctypes.c_int64(3))
+        lda = ctypes.byref(ctypes.c_int64(1))  # below the 5 rows
+        with pytest.raises(LinAlgError, match="argument 4"):
+            householder._lapack(lib.scipy_dgeqrf_64_, rows, cols, a.ctypes, lda, tau.ctypes)
 
 
 def test_orthogonality_scales_benignly():
