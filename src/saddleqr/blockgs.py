@@ -4,10 +4,10 @@
 ``bcgs2`` adds one full reorthogonalization pass of the second panel's Q
 factor.  Both factor a square l x l matrix split after column m into one
 l x l factorization M = Q R with R upper triangular and positive
-diagonal.  The panel factors Q1 = Q[:, :m], Q2 = Q[:, m:], R1 = R[:m, :m],
-S = R[:m, m:] and R2 = R[m:, m:] are written straight into Q and R.  The
-panels go to the QR kernel as strided views of raw arrays; only ``bcgs``
-and ``bcgs2`` take and return wrapped matrices.
+diagonal.  Q is F-ordered, and each panel is factored in its own column
+slice of it: M1 is copied into Q1 = Q[:, :m], and Y = M2 - Q1 S is written
+into Q2 = Q[:, m:].  R1 = R[:m, :m], S = R[:m, m:] and R2 = R[m:, m:] are
+written into R.  Only ``bcgs`` and ``bcgs2`` take and return wrapped matrices.
 """
 
 from __future__ import annotations
@@ -15,26 +15,32 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, LinAlgError, RankDeficientError
-from .householder import ThinQR, _thin_qr
+from .householder import ThinQR, _qr_in_place
 from .matrix import DenseMatrix
 
 
-def _panel_qr(x: np.ndarray, step: str) -> tuple[np.ndarray, np.ndarray]:
+def _panel_qr(x: np.ndarray, step: str) -> np.ndarray:
     try:
-        return _thin_qr(x)
+        return _qr_in_place(x)
     except RankDeficientError as exc:
         raise RankDeficientError(column=exc.column, step=step) from exc
 
 
+def _project_out(q: np.ndarray, m: int, m2: np.ndarray, step: str) -> tuple[np.ndarray, np.ndarray]:
+    """Write Y = M2 - Q1 S, S = Q1^T M2, into Q2 = q[:, m:] of the F-order q,
+    with Q1 = q[:, :m], and factor it there; return (S, R of Y)."""
+    s = q[:, :m].T @ m2
+    # Not matmul(out=): into an F-order slice it runs another BLAS kernel.
+    np.subtract(m2, q[:, :m] @ s, out=q[:, m:])
+    return s, _panel_qr(q[:, m:], step)
+
+
 def _bcgs(xa: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, R) of ``bcgs``, as new writable arrays."""
-    l = xa.shape[0]
-    q, r = np.empty((l, l)), np.zeros((l, l))
-    q[:, :m], r[:m, :m] = _panel_qr(xa[:, :m], "first panel")
-    q1, m2 = q[:, :m], xa[:, m:]
-    s = q1.T @ m2
-    q[:, m:], r[m:, m:] = _panel_qr(m2 - q1 @ s, "second panel")
-    r[:m, m:] = s
+    """(Q, R) of ``bcgs``, as new writable arrays, Q in F order."""
+    q, r = np.empty(xa.shape, order="F"), np.zeros(xa.shape)
+    q[:, :m] = xa[:, :m]
+    r[:m, :m] = _panel_qr(q[:, :m], "first panel")
+    r[:m, m:], r[m:, m:] = _project_out(q, m, xa[:, m:], "second panel")
     return q, r
 
 
@@ -56,15 +62,12 @@ def bcgs(x: DenseMatrix, m: int) -> ThinQR:
 
 def _reorthogonalize(q: np.ndarray, r: np.ndarray, m: int) -> None:
     """One reorthogonalization pass of the second panel of the writable bcgs
-    factors (q, r) split after column m, in place.
+    factors (q, r) split after column m, in place; q must be F-ordered.
     S2 = Q1^T Q2; Y2 = Q2 - Q1 S2; Y2 = Q2' R2'; then S = S1 + S2 R2,
     R2_final = R2' R2 and Q2_final = Q2'."""
-    q1, q2, r2 = q[:, :m], q[:, m:], r[m:, m:]
-    s2 = q1.T @ q2
-    q3, r3 = _panel_qr(q2 - q1 @ s2, "reorthogonalization panel")
-    r[:m, m:] += s2 @ r2
-    r[m:, m:] = r3 @ r2
-    q[:, m:] = q3
+    s2, r3 = _project_out(q, m, q[:, m:], "reorthogonalization panel")
+    r[:m, m:] += s2 @ r[m:, m:]
+    r[m:, m:] = r3 @ r[m:, m:]
     diag = np.diag(r)[m:]
     if np.any(diag <= 0.0):
         bad = int(np.argmin(diag))

@@ -5,9 +5,8 @@ right-looking compact-WY Householder QR (Schreiber & Van Loan, SIAM J.
 Sci. Stat. Comput. 10, 1989) whose reflectors ``dlarfg`` scales, so any
 finite input factors without overflow or underflow in the reflectors.
 Both routines are called directly, through ``ctypes``, in numpy's bundled
-OpenBLAS (64-bit integers), on one Fortran-order copy of the input that
-becomes Q.  Where numpy bundles no such library the same two routines run
-through ``numpy.linalg.qr``, which copies the panel several times more.
+OpenBLAS (64-bit integers), on a Fortran-order panel that becomes Q.
+Where numpy bundles no such library they run through ``numpy.linalg.qr``.
 
 A panel that is narrower than it is tall (k < l) and needs at most
 ``_ONE_THREAD_FLOPS`` flops (4 l k^2 - 4 k^3 / 3 for both routines)
@@ -17,9 +16,9 @@ and at these sizes each hand-off between threads costs more than the
 other threads save.  Its bytes therefore do not depend on the BLAS thread
 count.  Square matrices and larger panels keep the caller's count.
 
-``_thin_qr`` is the one kernel, on a raw and possibly strided array (the
-block Gram-Schmidt panels); ``thin_householder_qr`` wraps it for the
-public boundary.
+``_qr_in_place`` is the one kernel: it factors an F-order panel where it
+lies (the block Gram-Schmidt panels are column slices of their Q); ``_thin_qr``
+runs it on an F copy, and ``thin_householder_qr`` wraps that.
 """
 
 from __future__ import annotations
@@ -122,25 +121,6 @@ def _lapack(routine, *args) -> None:
         raise LinAlgError(f"{routine.__name__}: argument {-info.value} is illegal")
 
 
-def _householder(xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unchecked thin (Q, R) of ``dgeqrf`` + ``dorgqr`` on ``xa``."""
-    lib = _openblas()
-    geqrf = getattr(lib, "scipy_dgeqrf_64_", None)
-    orgqr = getattr(lib, "scipy_dorgqr_64_", None)
-    if geqrf is None or orgqr is None:
-        return np.linalg.qr(xa, mode="reduced")
-    l, k = xa.shape
-    # Always a copy, also of an F-ordered xa: the caller's array (M itself is
-    # read-only) must not become Q.
-    a = np.array(xa, dtype=np.float64, order="F")
-    tau = np.empty(k)
-    rows, cols = ctypes.byref(ctypes.c_int64(l)), ctypes.byref(ctypes.c_int64(k))
-    _lapack(geqrf, rows, cols, a.ctypes, rows, tau.ctypes)
-    r = np.triu(a[:k])
-    _lapack(orgqr, rows, cols, cols, a.ctypes, rows, tau.ctypes)
-    return a, r
-
-
 def default_rank_tol(xa: np.ndarray) -> float:
     """Scale-invariant rank threshold: eps * sqrt(l) * max column norm.
 
@@ -152,28 +132,51 @@ def default_rank_tol(xa: np.ndarray) -> float:
     the norms neither overflow nor underflow.
     """
     scale, y = _scaled(xa)
-    max_col = scale * float(np.sqrt(np.max(np.sum(y * y, axis=0))))
+    if not scale:
+        return 0.0
+    np.square(y, out=y)  # y = X / scale is a fresh array: square it in place
+    max_col = scale * float(np.sqrt(np.max(np.sum(y, axis=0))))
     return MACHINE_EPS * float(np.sqrt(xa.shape[0])) * max_col
 
 
-def _thin_qr(xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The checked thin QR (Q, R) of the raw l x k array ``xa``, which may
-    be a strided view; ``thin_householder_qr`` documents the checks."""
-    l, k = xa.shape
+def _qr_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite the writable, F-contiguous float64 l x k ``a``, such as a column slice of an
+    F-order array, with the Q of its checked thin QR and return R (``thin_householder_qr``
+    has the checks).  Any other layout, which LAPACK would misread, raises ``ValueError``."""
+    l, k = a.shape
     if l < k:
         raise DimensionError(f"thin QR needs rows >= cols, got {l}x{k}")
-    if not np.isfinite(xa).all():
+    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("in-place QR needs a writable, F-contiguous float64 panel")
+    if not np.isfinite(a).all():
         raise NonFiniteError("QR of a matrix that is not finite")
+    tol = default_rank_tol(a)  # of the panel, before LAPACK overwrites it
+    lib = _openblas()
+    geqrf, orgqr = getattr(lib, "scipy_dgeqrf_64_", None), getattr(lib, "scipy_dorgqr_64_", None)
     pin = _one_blas_thread() if _pins_one_thread(l, k) else contextlib.nullcontext()
     with pin:
-        q, r = _householder(xa)
-    if not (np.isfinite(q).all() and np.isfinite(r).all()):
+        if geqrf is None or orgqr is None:
+            q, r = np.linalg.qr(a, mode="reduced")
+            a[...] = q
+        else:
+            tau = np.empty(k)
+            rows, cols = ctypes.byref(ctypes.c_int64(l)), ctypes.byref(ctypes.c_int64(k))
+            _lapack(geqrf, rows, cols, a.ctypes, rows, tau.ctypes)
+            r = np.triu(a[:k])
+            _lapack(orgqr, rows, cols, cols, a.ctypes, rows, tau.ctypes)
+    if not (np.isfinite(a).all() and np.isfinite(r).all()):
         raise NonFiniteError("QR factor is not finite")
-    small = np.flatnonzero(np.abs(np.diag(r)) <= default_rank_tol(xa))
+    small = np.flatnonzero(np.abs(np.diag(r)) <= tol)
     if small.size:
         raise RankDeficientError(column=int(small[0]))
-    _fix_signs(q, r)
-    return q, r
+    _fix_signs(a, r)
+    return r
+
+
+def _thin_qr(xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R) of ``_qr_in_place`` on an F-order copy of the raw ``xa``."""
+    q = np.array(xa, dtype=np.float64, order="F")
+    return q, _qr_in_place(q)
 
 
 def thin_householder_qr(x: DenseMatrix) -> ThinQR:

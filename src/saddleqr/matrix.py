@@ -54,9 +54,22 @@ def _is_symmetric(xa: np.ndarray) -> bool:
     return float(np.max(np.abs(xa - xa.T))) <= 10.0 * MACHINE_EPS * _norm2_arr(xa.ravel())
 
 
+def _to_row_major(a: np.ndarray) -> np.ndarray:
+    """The square F-ordered ``a`` as a C-ordered array in its own buffer, by swaps of 64 x 64
+    block pairs (64 KB, cache-sized); ``a`` itself, which now reads A^T, is made read-only."""
+    b = a.T  # the buffer read row-major: A^T until the swaps make it A
+    for i in range(0, len(b), 64):
+        for j in range(i, len(b), 64):
+            u, v = b[i:i + 64, j:j + 64], b[j:j + 64, i:i + 64]
+            v[...], u[...] = u.T, v.T.copy()
+    a.setflags(write=False)
+    return b
+
+
 class _Immutable:
     """Read-only C-contiguous float64 array with ``_ndim`` dimensions, the
-    shared base of DenseMatrix and Vector (``_kind`` names it in errors)."""
+    shared base of DenseMatrix and Vector (``_kind`` names it in errors).
+    ``_wrap`` turns an owned square F-ordered result row-major in its buffer."""
 
     __slots__ = ("_a",)
 
@@ -73,10 +86,11 @@ class _Immutable:
 
     @classmethod
     def _wrap(cls, a: np.ndarray):
-        # Internal fast path: takes ownership of a freshly computed array.
+        # Internal fast path: consumes a freshly computed array (see _to_row_major).
         obj = cls.__new__(cls)
-        if not a.flags["C_CONTIGUOUS"]:
-            a = np.ascontiguousarray(a)
+        if not a.flags.c_contiguous:
+            owned = a.flags.f_contiguous and a.flags.writeable and a.base is None
+            a = _to_row_major(a) if owned and a.shape[0] == a.shape[-1] else np.ascontiguousarray(a)
         a.setflags(write=False)
         obj._a = a
         return obj

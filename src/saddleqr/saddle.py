@@ -168,7 +168,7 @@ def solve_detailed(
     if method == "householder":
         fac = thin_householder_qr(m)
     elif method == "bcgs2" and first_pass is not None:
-        q, r = np.array(first_pass.q.array), np.array(first_pass.r.array)
+        q, r = np.array(first_pass.q.array, order="F"), np.array(first_pass.r.array)
         _reorthogonalize(q, r, blocks.m)
         fac = ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from saddleqr import DenseMatrix, DimensionError, ZeroDiagonalError
+from saddleqr.householder import _thin_qr
 from saddleqr.rng import mix64, standard_normals
 
 
@@ -211,3 +212,27 @@ def full_qr_matrix1(m: int, n: int, s: float, seed: int) -> np.ndarray:
     qf = _full_positive_q(n, mix64(seed, 2))
     d = 10.0 ** (-s * np.arange(n) / (n - 1)) if n > 1 else np.array([10.0**-s])
     return (p * d) @ qf.T
+
+
+def copy_path_bcgs(xa: np.ndarray, m: int,
+                   reorthogonalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R) of ``bcgs``, or of ``bcgs2`` with ``reorthogonalize``, as the
+    package computed them before its panels were factored in place: each
+    panel factored on a copy by ``_thin_qr`` and stored back into a
+    row-major l x l Q.  Unlike the other oracles it shares the panel QR
+    kernel with the package: it pins the layout, not the QR."""
+    l = xa.shape[0]
+    q, r = np.empty((l, l)), np.zeros((l, l))
+    q[:, :m], r[:m, :m] = _thin_qr(xa[:, :m])
+    q1, m2 = q[:, :m], xa[:, m:]
+    s = q1.T @ m2
+    q[:, m:], r[m:, m:] = _thin_qr(m2 - q1 @ s)
+    r[:m, m:] = s
+    if reorthogonalize:
+        q2, r2 = q[:, m:], r[m:, m:]
+        s2 = q1.T @ q2
+        q3, r3 = _thin_qr(q2 - q1 @ s2)
+        r[:m, m:] += s2 @ r2
+        r[m:, m:] = r3 @ r2
+        q[:, m:] = q3
+    return q, r

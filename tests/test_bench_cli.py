@@ -90,18 +90,19 @@ class TestRunBench:
     def test_row_of_three_methods_runs_eight_qrs(self, monkeypatch):
         # Generation 4, bcgs 2, the bcgs2 reorthogonalization 1 (its first
         # pass is the bcgs factorization), householder 1.  Counted at the
-        # one raw kernel: thin_householder_qr and the block panels call it.
+        # one in-place kernel: thin_householder_qr (through _thin_qr) and the
+        # block panels call it.
         from saddleqr import blockgs, householder
 
         calls = []
-        original = householder._thin_qr
+        original = householder._qr_in_place
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
         for module in (householder, blockgs):
-            monkeypatch.setattr(module, "_thin_qr", counted)
+            monkeypatch.setattr(module, "_qr_in_place", counted)
         run_bench(BenchConfig(example="2", m=20, n=10, t_list=(1.0,),
                               methods=("bcgs", "bcgs2", "householder")))
         assert len(calls) == 8

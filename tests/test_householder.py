@@ -22,7 +22,9 @@ from saddleqr import (
     thin_householder_qr,
 )
 from saddleqr import householder
-from saddleqr.householder import _openblas, _pins_one_thread, _thin_qr, default_rank_tol
+from saddleqr.householder import (
+    _openblas, _pins_one_thread, _qr_in_place, _thin_qr, default_rank_tol,
+)
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
 from saddleqr.testgen import random_orthogonal
@@ -327,6 +329,54 @@ class TestKernelPaths:
         lda = ctypes.byref(ctypes.c_int64(1))  # below the 5 rows
         with pytest.raises(LinAlgError, match="argument 4"):
             householder._lapack(lib.scipy_dgeqrf_64_, rows, cols, a.ctypes, lda, tau.ctypes)
+
+
+def _read_only_f():
+    a = np.asfortranarray(rand_matrix(6, 3, 16).array)
+    a.setflags(write=False)
+    return a
+
+
+class TestInPlaceKernel:
+    """``_qr_in_place`` overwrites a writable F-contiguous panel with Q."""
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        return lambda: monkeypatch.setattr(householder, "_openblas", lambda: None)
+
+    @pytest.mark.parametrize("make", [
+        lambda: rand_matrix(6, 3, 14).array.copy(),  # C-ordered
+        lambda: np.asfortranarray(rand_matrix(12, 3, 15).array)[::2],  # not contiguous
+        _read_only_f,
+    ], ids=["c_order", "strided", "read_only"])
+    def test_refuses_other_layouts_untouched(self, make):
+        a = make()
+        before = a.tobytes()
+        with pytest.raises(ValueError, match="F-contiguous"):
+            _qr_in_place(a)
+        assert a.tobytes() == before
+
+    @pytest.mark.parametrize("use_fallback", [False, True], ids=["lapack", "fallback"])
+    def test_column_slice_of_a_wider_array(self, use_fallback, fallback):
+        w = np.asfortranarray(rand_matrix(40, 12, 17).array)
+        before = w.copy(order="F")
+        with householder._one_blas_thread():
+            q, r = _thin_qr(w[:, 3:8])
+            if use_fallback:
+                fallback()
+            r_in_place = _qr_in_place(w[:, 3:8])
+        assert w[:, 3:8].tobytes() == q.tobytes() and r_in_place.tobytes() == r.tobytes()
+        assert np.array_equal(w[:, :3], before[:, :3]) and np.array_equal(w[:, 8:], before[:, 8:])
+
+    def test_rank_tolerance_is_of_the_input(self):
+        # The tolerance is taken before LAPACK overwrites the panel with Q,
+        # whose columns have norm 1: at scale 1e3 a repeated column leaves an
+        # R_22 of rounding size, above a tolerance taken from Q.
+        a = np.asfortranarray(1e3 * rand_matrix(30, 4, 18).array)
+        a[:, 2] = a[:, 0]
+        with pytest.raises(RankDeficientError) as exc:
+            _qr_in_place(a)
+        assert exc.value.column == 2
 
 
 def test_orthogonality_scales_benignly():

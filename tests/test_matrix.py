@@ -50,6 +50,34 @@ class TestConstruction:
         assert m.shape == (2, 3)
 
 
+class TestWrap:
+    """``_wrap`` takes ownership of a fresh array and stores it row-major."""
+
+    @pytest.mark.parametrize("l", [1, 63, 64, 65, 130])
+    def test_owned_square_f_array_turns_row_major_in_place(self, l):
+        a = np.asfortranarray(rand_matrix(l, l, l).array)
+        expected = np.ascontiguousarray(a)
+        wrapped = DenseMatrix._wrap(a).array
+        assert wrapped.tobytes() == expected.tobytes()
+        assert wrapped.flags.c_contiguous and not wrapped.flags.writeable
+        assert np.shares_memory(wrapped, a)
+        with pytest.raises(ValueError, match="read-only"):  # a now reads A^T
+            a[0, 0] = 1.0
+
+    @pytest.mark.parametrize("make", [
+        lambda big: big[:, 5:45],  # a square F-contiguous view of a larger array
+        lambda big: big[:, :30],  # not square
+    ], ids=["square_view", "non_square"])
+    def test_other_f_arrays_are_copied(self, make):
+        big = np.asfortranarray(rand_matrix(40, 50, 3).array)
+        before = big.tobytes(order="A")
+        a = make(big)
+        assert a.flags.f_contiguous
+        wrapped = DenseMatrix._wrap(a).array
+        assert wrapped.tobytes() == np.ascontiguousarray(a).tobytes()
+        assert not np.shares_memory(wrapped, big) and big.tobytes(order="A") == before
+
+
 class TestMatmul:
     def test_identity(self):
         x = rand_matrix(2, 2, 1)
