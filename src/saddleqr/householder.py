@@ -4,9 +4,9 @@ The factorization is LAPACK's ``dgeqrf`` followed by ``dorgqr``: a blocked
 right-looking compact-WY Householder QR (Schreiber & Van Loan, SIAM J.
 Sci. Stat. Comput. 10, 1989) whose reflectors ``dlarfg`` scales, so any
 finite input factors without overflow or underflow in the reflectors.
-Both routines are called directly, through ``ctypes``, in numpy's bundled
-OpenBLAS (64-bit integers), on a Fortran-order panel that becomes Q.
-Where numpy bundles no such library they run through ``numpy.linalg.qr``.
+Both routines are called through ``numpy.linalg.lapack_lite``, which
+links them from the LAPACK numpy is built with, on a Fortran-order panel
+that becomes Q; every numpy build runs this one path.
 
 A panel that is narrower than it is tall (k < l) and needs at most
 ``_ONE_THREAD_FLOPS`` flops (4 l k^2 - 4 k^3 / 3 for both routines)
@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import DimensionError, LinAlgError, NonFiniteError, RankDeficientError
 from .matrix import MACHINE_EPS, DenseMatrix, _scaled
@@ -53,13 +54,10 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> None:
     q *= sign
 
 
-# The symbols of the bundled OpenBLAS used here, with their C signatures.
-# LAPACK takes every argument by reference.
+# The thread-count symbols of the bundled OpenBLAS, with their C signatures.
 _SIGNATURES = {
     "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
     "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
-    "scipy_dgeqrf_64_": ([ctypes.c_void_p] * 8, None),
-    "scipy_dorgqr_64_": ([ctypes.c_void_p] * 9, None),
 }
 
 # A panel with k < l factors on one OpenBLAS thread up to this many flops of
@@ -70,17 +68,15 @@ _ONE_THREAD_FLOPS = 2e9
 
 @functools.cache
 def _openblas() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS, with ``_SIGNATURES`` declared on whichever of
-    those symbols it exports, or None when numpy bundles none."""
+    """numpy's bundled OpenBLAS with ``_SIGNATURES`` declared, or None when
+    numpy bundles none."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "libscipy_openblas64_*"))
     if not libs:
         return None
     lib = ctypes.CDLL(libs[0])
     for name, (argtypes, restype) in _SIGNATURES.items():
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            fn.argtypes, fn.restype = argtypes, restype
+        getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, restype
     return lib
 
 
@@ -96,29 +92,27 @@ def _one_blas_thread():
     count is process-wide, so BLAS calls from other threads meanwhile run
     on one thread too."""
     lib = _openblas()
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    before = get() if get and set_ else 1
+    before = lib.scipy_openblas_get_num_threads64_() if lib else 1
     if before == 1:
         yield
         return
-    set_(1)
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        set_(before)
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _lapack(routine, *args) -> None:
-    """Run the LAPACK ``routine`` on its leading ``args`` with the workspace
-    it asks for; a negative INFO, an illegal argument, raises."""
-    size, info = ctypes.c_double(), ctypes.c_int64()
-    routine(*args, ctypes.byref(size), ctypes.byref(ctypes.c_int64(-1)), ctypes.byref(info))
-    if info.value == 0:
-        work = np.empty(max(1, int(size.value)))
-        routine(*args, work.ctypes, ctypes.byref(ctypes.c_int64(work.size)), ctypes.byref(info))
-    if info.value < 0:
-        raise LinAlgError(f"{routine.__name__}: argument {-info.value} is illegal")
+    """Run the ``lapack_lite`` ``routine`` on its leading ``args`` with the
+    workspace it asks for; a negative INFO, an illegal argument, raises."""
+    size = np.empty(1)
+    info = routine(*args, size, -1, 0)["info"]
+    if info == 0:
+        work = np.empty(max(1, int(size[0])))
+        info = routine(*args, work, work.size, 0)["info"]
+    if info < 0:
+        raise LinAlgError(f"{routine.__name__}: argument {-info} is illegal")
 
 
 def default_rank_tol(xa: np.ndarray) -> float:
@@ -148,22 +142,14 @@ def _qr_in_place(a: np.ndarray) -> np.ndarray:
         raise DimensionError(f"thin QR needs rows >= cols, got {l}x{k}")
     if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
         raise ValueError("in-place QR needs a writable, F-contiguous float64 panel")
-    if not np.isfinite(a).all():
-        raise NonFiniteError("QR of a matrix that is not finite")
-    tol = default_rank_tol(a)  # of the panel, before LAPACK overwrites it
-    lib = _openblas()
-    geqrf, orgqr = getattr(lib, "scipy_dgeqrf_64_", None), getattr(lib, "scipy_dorgqr_64_", None)
+    tol = default_rank_tol(a)  # of the panel, before LAPACK overwrites it; raises on inf/NaN
     pin = _one_blas_thread() if _pins_one_thread(l, k) else contextlib.nullcontext()
     with pin:
-        if geqrf is None or orgqr is None:
-            q, r = np.linalg.qr(a, mode="reduced")
-            a[...] = q
-        else:
-            tau = np.empty(k)
-            rows, cols = ctypes.byref(ctypes.c_int64(l)), ctypes.byref(ctypes.c_int64(k))
-            _lapack(geqrf, rows, cols, a.ctypes, rows, tau.ctypes)
-            r = np.triu(a[:k])
-            _lapack(orgqr, rows, cols, cols, a.ctypes, rows, tau.ctypes)
+        # a.T is the C-contiguous view lapack_lite takes; LAPACK reads it as a, lda = l.
+        tau, at = np.empty(k), a.T
+        _lapack(lapack_lite.dgeqrf, l, k, at, l, tau)
+        r = np.triu(a[:k])
+        _lapack(lapack_lite.dorgqr, l, k, k, at, l, tau)
     if not (np.isfinite(a).all() and np.isfinite(r).all()):
         raise NonFiniteError("QR factor is not finite")
     small = np.flatnonzero(np.abs(np.diag(r)) <= tol)

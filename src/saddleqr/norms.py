@@ -15,7 +15,7 @@ from .matrix import MACHINE_EPS, DenseMatrix, _scaled
 _SINGULAR_GATE_FACTOR = 1e-3 * MACHINE_EPS
 
 
-def _lapack(routine, a: np.ndarray) -> np.ndarray:
+def _converged(routine, a: np.ndarray) -> np.ndarray:
     """``routine(a)``, a LAPACK convergence failure raised as NonConvergedError."""
     try:
         return routine(a)
@@ -25,14 +25,15 @@ def _lapack(routine, a: np.ndarray) -> np.ndarray:
 
 def _extreme_singular_values(xa: np.ndarray) -> tuple[float, float]:
     """(sigma_max, sigma_min) of X from Y = X / max|X|: |eigvalsh(Y)| when
-    Y is exactly symmetric (Golub & Van Loan, Matrix Computations, 8.1),
+    X is exactly symmetric (Golub & Van Loan, Matrix Computations, 8.1),
     else ``svd(Y)``.  A sigma_max past the float range raises
     :class:`NonFiniteError`."""
+    symmetric = np.array_equal(xa, xa.T)
     scale, y = _scaled(xa)
-    if np.array_equal(y, y.T):
-        sv = np.abs(_lapack(np.linalg.eigvalsh, y))
+    if symmetric:
+        sv = np.abs(_converged(np.linalg.eigvalsh, y))
     else:
-        sv = _lapack(lambda a: np.linalg.svd(a, compute_uv=False), y)
+        sv = _converged(lambda a: np.linalg.svd(a, compute_uv=False), y)
     sigma_max = scale * float(np.max(sv))
     if not np.isfinite(sigma_max):
         raise NonFiniteError("spectral norm is not finite")
@@ -47,12 +48,15 @@ def _nonsingular(sigma_max: float, sigma_min: float) -> float:
 
 
 def _two_norm(xa: np.ndarray) -> float:
-    """:func:`spectral_norm` of a raw array."""
-    if np.array_equal(xa, xa.T):
-        return _extreme_singular_values(xa)[0]
+    """:func:`spectral_norm` of a raw array: one scaling, one symmetry scan
+    and one eigensolve."""
+    symmetric = np.array_equal(xa, xa.T)
     scale, y = _scaled(xa)
-    gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
-    value = scale * float(np.sqrt(max(_lapack(np.linalg.eigvalsh, gram)[-1], 0.0)))
+    if symmetric:
+        value = scale * float(np.max(np.abs(_converged(np.linalg.eigvalsh, y))))
+    else:
+        gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
+        value = scale * float(np.sqrt(max(_converged(np.linalg.eigvalsh, gram)[-1], 0.0)))
     if not np.isfinite(value):
         raise NonFiniteError("spectral norm is not finite")
     return value

@@ -136,8 +136,8 @@ def lemma1_bounds(qt: DenseMatrix) -> Lemma1Bounds:
     beta = _gram_defect(qa)
     if beta >= 1.0:
         raise HypothesisError(f"Lemma 1 hypothesis violated: defect {beta:.3e} >= 1")
-    norm_q = _two_norm(qa)
-    norm_q_inv = 1.0 / _nonsingular(*_extreme_singular_values(qa))
+    norm_q, sigma_min = _extreme_singular_values(qa)
+    norm_q_inv = 1.0 / _nonsingular(norm_q, sigma_min)
     right = _gram_defect(qa.T)
     return Lemma1Bounds(beta=beta, norm_q=norm_q, norm_q_inverse=norm_q_inv, right_defect=right)
 

@@ -1,4 +1,3 @@
-import ctypes
 import os
 import subprocess
 import sys
@@ -6,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 
 import saddleqr
 
@@ -199,27 +199,21 @@ for l, k in ((600, 200), (600, 400)):
 """
 
 
-class _SpyOpenBLAS:
-    """The bundled OpenBLAS with ``dgeqrf`` replaced by a spy that records
-    the thread count of each call (the workspace query, then the
-    factorization), and raises instead when asked to."""
+def _spy_dgeqrf(monkeypatch, raises=False):
+    """Replace ``lapack_lite.dgeqrf`` with a spy that records the OpenBLAS
+    thread count of each call (the workspace query, then the factorization),
+    and raises instead when asked to; returns the record."""
+    real, threads, seen = lapack_lite.dgeqrf, _openblas().scipy_openblas_get_num_threads64_, []
 
-    def __init__(self, raises=False):
-        self.lib, self.seen, self.raises = _openblas(), [], raises
+    def spy(*args):
+        seen.append(threads())
+        if raises:
+            raise RuntimeError("dgeqrf failed")
+        return real(*args)
 
-    def __getattr__(self, name):
-        real = getattr(self.lib, name)
-        if name != "scipy_dgeqrf_64_":
-            return real
-
-        def spy(*args):
-            self.seen.append(self.lib.scipy_openblas_get_num_threads64_())
-            if self.raises:
-                raise RuntimeError("dgeqrf failed")
-            return real(*args)
-
-        spy.__name__ = name
-        return spy
+    spy.__name__ = real.__name__
+    monkeypatch.setattr(lapack_lite, "dgeqrf", spy)
+    return seen
 
 
 @needs_openblas
@@ -235,25 +229,19 @@ class TestNarrowPanelThreads:
         yield lib.scipy_openblas_get_num_threads64_
         lib.scipy_openblas_set_num_threads64_(before)
 
-    @staticmethod
-    def _spy(monkeypatch, raises=False):
-        spy = _SpyOpenBLAS(raises)
-        monkeypatch.setattr(householder, "_openblas", lambda: spy)
-        return spy.seen
-
     def test_narrow_panel_pins_and_restores(self, two_threads, monkeypatch):
-        seen = self._spy(monkeypatch)
+        seen = _spy_dgeqrf(monkeypatch)
         thin_householder_qr(rand_matrix(60, 30, 1))
         assert seen == [1, 1] and two_threads() == 2
 
     def test_raise_inside_pin_restores(self, two_threads, monkeypatch):
-        seen = self._spy(monkeypatch, raises=True)
+        seen = _spy_dgeqrf(monkeypatch, raises=True)
         with pytest.raises(RuntimeError):
             thin_householder_qr(rand_matrix(60, 30, 1))
         assert seen == [1] and two_threads() == 2
 
     def test_square_keeps_thread_count(self, two_threads, monkeypatch):
-        seen = self._spy(monkeypatch)
+        seen = _spy_dgeqrf(monkeypatch)
         thin_householder_qr(rand_matrix(60, 31, 1))
         thin_householder_qr(rand_matrix(30, 30, 1))
         assert seen == [1, 1, 2, 2] and two_threads() == 2
@@ -284,34 +272,37 @@ def _fortran_60x30():
     return np.asfortranarray(rand_matrix(60, 30, 13).array)  # writable
 
 
-class TestKernelPaths:
-    """The direct LAPACK kernel against the numpy.linalg.qr fallback, which
-    runs when numpy bundles no OpenBLAS or it lacks dgeqrf/dorgqr."""
+@pytest.fixture
+def no_openblas(monkeypatch):
+    """Run the rest of a test as on a numpy build with no bundled OpenBLAS:
+    the one lapack_lite path, with no thread count to pin."""
+    return lambda: monkeypatch.setattr(householder, "_openblas", lambda: None)
 
-    @pytest.fixture
-    def fallback(self, monkeypatch):
-        return lambda: monkeypatch.setattr(householder, "_openblas", lambda: None)
+
+class TestKernelPaths:
+    """The one lapack_lite kernel with the bundled OpenBLAS handle against
+    the same kernel without it, as on a numpy build that bundles none."""
 
     @pytest.mark.parametrize("make", [
         lambda: rand_matrix(1, 1, 1).array, lambda: rand_matrix(5, 1, 2).array,
         lambda: rand_matrix(60, 30, 3).array, lambda: rand_matrix(60, 60, 4).array,
         _strided_300x200, _fortran_60x30,
     ], ids=["1x1", "5x1", "60x30", "60x60", "strided300x200", "fortran60x30"])
-    def test_paths_agree_bytewise_and_leave_input_alone(self, make, fallback):
+    def test_paths_agree_bytewise_and_leave_input_alone(self, make, no_openblas):
         x = make()
         before = x.copy()
-        # Both paths at one thread: the fallback has no thread count to pin.
+        # Both runs at one thread: without the handle there is no count to pin.
         with householder._one_blas_thread():
             q, r = _thin_qr(x)
-            fallback()
+            no_openblas()
             q0, r0 = _thin_qr(x)
         assert q.tobytes() == q0.tobytes() and r.tobytes() == r0.tobytes()
         assert np.array_equal(x, before) and not np.shares_memory(q, x)
 
-    @pytest.mark.parametrize("use_fallback", [False, True], ids=["lapack", "fallback"])
-    def test_same_typed_errors_on_both_paths(self, use_fallback, fallback):
-        if use_fallback:
-            fallback()
+    @pytest.mark.parametrize("drop", [False, True], ids=["lapack", "no_openblas"])
+    def test_same_typed_errors_on_both_paths(self, drop, no_openblas):
+        if drop:
+            no_openblas()
         bad = rand_matrix(6, 3, 8).array.copy()
         bad[4, 1] = np.nan
         with pytest.raises(NonFiniteError):
@@ -322,16 +313,15 @@ class TestKernelPaths:
             _thin_qr(dependent)
         assert exc.value.column == 40
 
-    @needs_openblas
     def test_illegal_argument_raises(self):
-        lib, a, tau = _openblas(), np.zeros((5, 3), order="F"), np.empty(3)
-        rows, cols = ctypes.byref(ctypes.c_int64(5)), ctypes.byref(ctypes.c_int64(3))
-        lda = ctypes.byref(ctypes.c_int64(1))  # below the 5 rows
+        a, tau = np.zeros((3, 5)), np.empty(3)  # the C view of an F-order 5 x 3 panel
         with pytest.raises(LinAlgError, match="argument 4"):
-            householder._lapack(lib.scipy_dgeqrf_64_, rows, cols, a.ctypes, lda, tau.ctypes)
+            householder._lapack(lapack_lite.dgeqrf, 5, 3, a, 1, tau)  # lda = 1 < 5 rows
 
 
 def _read_only_f():
+    # lapack_lite does not check that an array is writable, so this refusal is
+    # the only guard against LAPACK writing into a read-only buffer.
     a = np.asfortranarray(rand_matrix(6, 3, 16).array)
     a.setflags(write=False)
     return a
@@ -339,10 +329,6 @@ def _read_only_f():
 
 class TestInPlaceKernel:
     """``_qr_in_place`` overwrites a writable F-contiguous panel with Q."""
-
-    @pytest.fixture
-    def fallback(self, monkeypatch):
-        return lambda: monkeypatch.setattr(householder, "_openblas", lambda: None)
 
     @pytest.mark.parametrize("make", [
         lambda: rand_matrix(6, 3, 14).array.copy(),  # C-ordered
@@ -356,14 +342,14 @@ class TestInPlaceKernel:
             _qr_in_place(a)
         assert a.tobytes() == before
 
-    @pytest.mark.parametrize("use_fallback", [False, True], ids=["lapack", "fallback"])
-    def test_column_slice_of_a_wider_array(self, use_fallback, fallback):
+    @pytest.mark.parametrize("drop", [False, True], ids=["lapack", "no_openblas"])
+    def test_column_slice_of_a_wider_array(self, drop, no_openblas):
         w = np.asfortranarray(rand_matrix(40, 12, 17).array)
         before = w.copy(order="F")
         with householder._one_blas_thread():
             q, r = _thin_qr(w[:, 3:8])
-            if use_fallback:
-                fallback()
+            if drop:
+                no_openblas()
             r_in_place = _qr_in_place(w[:, 3:8])
         assert w[:, 3:8].tobytes() == q.tobytes() and r_in_place.tobytes() == r.tobytes()
         assert np.array_equal(w[:, :3], before[:, :3]) and np.array_equal(w[:, 8:], before[:, 8:])

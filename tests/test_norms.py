@@ -160,6 +160,16 @@ class TestSingularValueBranches:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert spectral_norm(x) == pytest.approx(ref[0], rel=1e-15)
 
+    def test_symmetric_two_norm_scans_and_solves_once(self, monkeypatch):
+        h, calls = hilbert(6), []
+        for module, name in ((np, "array_equal"), (np.linalg, "eigvalsh"), (np.linalg, "svd")):
+            def spy(*args, real=getattr(module, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        spectral_norm(h)
+        assert calls == ["array_equal", "eigvalsh"]
+
 
 def _check_against_gesdd(example, m, n, seed, t, methods=("bcgs", "bcgs2", "householder")):
     """||M||, kappa(M), ||M^-1|| and the orth/dec metrics of one bench row

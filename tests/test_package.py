@@ -55,6 +55,24 @@ def test_readme_states_the_source_line_count():
     assert int(stated.group(1).replace(",", "")) == counted
 
 
+def test_one_qr_path_through_lapack_lite():
+    # Every thin QR runs dgeqrf/dorgqr through numpy.linalg.lapack_lite, on
+    # every numpy build: no ctypes LAPACK binding and no numpy.linalg.qr
+    # path beside it.
+    from numpy.linalg import lapack_lite
+
+    missing = [name for name in ("dgeqrf", "dorgqr") if not hasattr(lapack_lite, name)]
+    assert not missing, f"the thin QR needs numpy.linalg.lapack_lite.{missing}, absent here"
+    for path in (ROOT / "src" / "saddleqr").glob("*.py"):
+        text = path.read_text()
+        assert "scipy_dgeqrf_64_" not in text and "scipy_dorgqr_64_" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                assert not ast.unparse(node.func).endswith("linalg.qr"), path.name
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                assert "qr" not in {alias.name for alias in node.names}, path.name
+
+
 def _tracer_targets():
     """Every ``Hook`` target and ``CELL_T_TARGET`` named in the benchmark's tracer."""
     targets = []

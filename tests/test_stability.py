@@ -113,6 +113,20 @@ class TestLemma1:
         with pytest.raises(HypothesisError, match="Lemma 1"):
             lemma1_bounds(DenseMatrix(2.0 * np.eye(3)))
 
+    def test_decomposes_qt_once(self, monkeypatch):
+        # One eigensolve for each defect, and one decomposition of Qt itself
+        # for both ||Qt|| and ||Qt^{-1}||.
+        qa = random_orthogonal(6, 9).array + 1e-4 * standard_normals(9, 36).reshape(6, 6)
+        y, operands = qa / np.max(np.abs(qa)), []
+        for name in ("eigvalsh", "svd"):
+            def spy(a, *args, real=getattr(np.linalg, name), **kwargs):
+                operands.append(a)
+                return real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        lemma1_bounds(DenseMatrix(qa))
+        assert len(operands) == 3
+        assert sum(a.shape == y.shape and np.array_equal(a, y) for a in operands) == 1
+
     @pytest.mark.parametrize("eta", [1e-8, 1e-4, 1e-2])
     def test_perturbed_orthogonal_sweep(self, eta):
         # slack for beta, ||Qt|| and ||Qt^{-1}|| coming from separate LAPACK
