@@ -8,13 +8,13 @@ Both routines are called through ``numpy.linalg.lapack_lite``, which
 links them from the LAPACK numpy is built with, on a Fortran-order panel
 that becomes Q; every numpy build runs this one path.
 
-A panel that is narrower than it is tall (k < l) and needs at most
-``_ONE_THREAD_FLOPS`` flops (4 l k^2 - 4 k^3 / 3 for both routines)
-factors on one OpenBLAS thread: the level-2 panel kernels of
-``dgeqrf``/``dorgqr`` make a threaded ``dgemv``/``dger`` call per column,
-and at these sizes each hand-off between threads costs more than the
-other threads save.  Its bytes therefore do not depend on the BLAS thread
-count.  Square matrices and larger panels keep the caller's count.
+A QR that needs at most ``_ONE_THREAD_FLOPS`` flops (4 l k^2 - 4 k^3 / 3
+for both routines), square or not, factors on one OpenBLAS thread: the
+level-2 panel kernels of ``dgeqrf``/``dorgqr`` make a threaded
+``dgemv``/``dger`` call per column, and at these sizes each hand-off
+between threads costs more than the other threads save.  Its bytes
+therefore do not depend on the BLAS thread count.  Larger QRs keep the
+caller's count.
 
 ``_qr_in_place`` is the one kernel: it factors an F-order panel where it
 lies (the block Gram-Schmidt panels are column slices of their Q); ``_thin_qr``
@@ -60,10 +60,11 @@ _SIGNATURES = {
     "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
 }
 
-# A panel with k < l factors on one OpenBLAS thread up to this many flops of
-# dgeqrf + dorgqr: the low end of the band where one and two threads tie
+# A QR factors on one OpenBLAS thread up to this many flops of dgeqrf +
+# dorgqr: above the presets' largest thin panel (1500 x 500, 1.33e9) and
+# below the squares from l = 800 (1.37e9), which lose on one thread
 # (README's Determinism section has the per-shape table).
-_ONE_THREAD_FLOPS = 2e9
+_ONE_THREAD_FLOPS = 1.35e9
 
 
 @functools.cache
@@ -81,8 +82,8 @@ def _openblas() -> ctypes.CDLL | None:
 
 
 def _pins_one_thread(l: int, k: int) -> bool:
-    """Whether an l x k panel factors on one OpenBLAS thread."""
-    return k < l and 4 * l * k * k - 4 * k**3 / 3 <= _ONE_THREAD_FLOPS
+    """Whether an l x k QR factors on one OpenBLAS thread."""
+    return 4 * l * k * k - 4 * k**3 / 3 <= _ONE_THREAD_FLOPS
 
 
 @contextlib.contextmanager
@@ -174,8 +175,8 @@ def thin_householder_qr(x: DenseMatrix) -> ThinQR:
     j with |R_jj| <= ``default_rank_tol(x.array)`` raises
     :class:`RankDeficientError` naming column j.
     Input holding inf or NaN, or a factor that is not finite, raises
-    :class:`NonFiniteError`.  A panel with k < l of at most 2e9 flops
-    factors on one OpenBLAS thread (see the module docstring).
+    :class:`NonFiniteError`.  A QR of at most 1.35e9 flops, square or
+    not, factors on one OpenBLAS thread (see the module docstring).
     """
     q, r = _thin_qr(x.array)
     return ThinQR(q=DenseMatrix._wrap(q), r=DenseMatrix._wrap(r))

@@ -23,6 +23,13 @@ def _converged(routine, a: np.ndarray) -> np.ndarray:
         raise NonConvergedError(f"LAPACK did not converge: {exc}") from exc
 
 
+def _finite_norm(value: float) -> float:
+    """``value``, or :class:`NonFiniteError` if it is past the float range."""
+    if not np.isfinite(value):
+        raise NonFiniteError("spectral norm is not finite")
+    return value
+
+
 def _extreme_singular_values(xa: np.ndarray) -> tuple[float, float]:
     """(sigma_max, sigma_min) of X from Y = X / max|X|: |eigvalsh(Y)| when
     X is exactly symmetric (Golub & Van Loan, Matrix Computations, 8.1),
@@ -34,10 +41,7 @@ def _extreme_singular_values(xa: np.ndarray) -> tuple[float, float]:
         sv = np.abs(_converged(np.linalg.eigvalsh, y))
     else:
         sv = _converged(lambda a: np.linalg.svd(a, compute_uv=False), y)
-    sigma_max = scale * float(np.max(sv))
-    if not np.isfinite(sigma_max):
-        raise NonFiniteError("spectral norm is not finite")
-    return sigma_max, scale * float(np.min(sv))
+    return _finite_norm(scale * float(np.max(sv))), scale * float(np.min(sv))
 
 
 def _nonsingular(sigma_max: float, sigma_min: float) -> float:
@@ -47,19 +51,22 @@ def _nonsingular(sigma_max: float, sigma_min: float) -> float:
     return sigma_min
 
 
-def _two_norm(xa: np.ndarray) -> float:
-    """:func:`spectral_norm` of a raw array: one scaling, one symmetry scan
-    and one eigensolve."""
-    symmetric = np.array_equal(xa, xa.T)
+def _gram_norm(xa: np.ndarray) -> float:
+    """Two-norm of any raw array, scale * sqrt(lambda_max) of the Gram
+    matrix of Y = X / scale on the smaller side of X, with no symmetry scan:
+    for operands such as M - Q R, which are not symmetric by construction."""
     scale, y = _scaled(xa)
-    if symmetric:
-        value = scale * float(np.max(np.abs(_converged(np.linalg.eigvalsh, y))))
-    else:
-        gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
-        value = scale * float(np.sqrt(max(_converged(np.linalg.eigvalsh, gram)[-1], 0.0)))
-    if not np.isfinite(value):
-        raise NonFiniteError("spectral norm is not finite")
-    return value
+    gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
+    return _finite_norm(scale * float(np.sqrt(max(_converged(np.linalg.eigvalsh, gram)[-1], 0.0))))
+
+
+def _two_norm(xa: np.ndarray) -> float:
+    """:func:`spectral_norm` of a raw array: one symmetry scan, one scaling
+    and one eigensolve."""
+    if not np.array_equal(xa, xa.T):
+        return _gram_norm(xa)
+    scale, y = _scaled(xa)
+    return _finite_norm(scale * float(np.max(np.abs(_converged(np.linalg.eigvalsh, y)))))
 
 
 def spectral_norm(x: DenseMatrix) -> float:

@@ -66,4 +66,7 @@ def normals_at(seed: int, count: int, idx: np.ndarray) -> np.ndarray:
     pairs = (count + 1) // 2
     idx = np.asarray(idx, dtype=np.int64)
     radius, angle = _polar(seed, (idx % pairs + 1).astype(np.uint64))
-    return radius * np.where(idx < pairs, np.cos(angle), np.sin(angle))
+    first = idx < pairs  # r cos(theta) here, r sin(theta) elsewhere: one trig call per entry
+    np.cos(angle, where=first, out=angle)
+    np.sin(angle, where=~first, out=angle)
+    return radius * angle

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DegenerateSolutionError, DimensionError, HypothesisError, NonFiniteError
 from .householder import ThinQR
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _norm2_arr, vector_norm
-from .norms import _extreme_singular_values, _nonsingular, _two_norm
+from .norms import _extreme_singular_values, _gram_norm, _nonsingular, _two_norm
 
 
 def _gram_defect(qa: np.ndarray) -> float:
@@ -24,7 +24,7 @@ def _factor_defects(
     xa: np.ndarray, qa: np.ndarray, ra: np.ndarray, norm_x: float
 ) -> tuple[float, float]:
     """(||I - Q^T Q||, ||X - Q R|| / ||X||) of a factorization X = Q R."""
-    return _gram_defect(qa), _two_norm(xa - qa @ ra) / norm_x
+    return _gram_defect(qa), _gram_norm(xa - qa @ ra) / norm_x
 
 
 def _check_system(m: DenseMatrix, q: DenseMatrix, r: DenseMatrix, *vectors: Vector) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 
 from saddleqr import DenseMatrix, DimensionError, ZeroDiagonalError
 from saddleqr.householder import _thin_qr
-from saddleqr.rng import mix64, standard_normals
+from saddleqr.rng import _polar, mix64, standard_normals
 
 
 def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,3 +236,13 @@ def copy_path_bcgs(xa: np.ndarray, m: int,
         r[m:, m:] = r3 @ r2
         q[:, m:] = q3
     return q, r
+
+
+def two_trig_normals_at(seed: int, count: int, idx: np.ndarray) -> np.ndarray:
+    """``rng.normals_at`` as first written: cos and sin of every angle, then
+    the one each entry needs.  It shares the Box-Muller pairs with the
+    package and pins only the trig selection."""
+    pairs = (count + 1) // 2
+    idx = np.asarray(idx, dtype=np.int64)
+    radius, angle = _polar(seed, (idx % pairs + 1).astype(np.uint64))
+    return radius * np.where(idx < pairs, np.cos(angle), np.sin(angle))

@@ -193,7 +193,7 @@ import hashlib
 from saddleqr.householder import thin_householder_qr
 from saddleqr.matrix import DenseMatrix
 from saddleqr.rng import standard_normals
-for l, k in ((600, 200), (600, 400)):
+for l, k in ((600, 200), (600, 400), (300, 300)):
     f = thin_householder_qr(DenseMatrix(standard_normals(l, l * k).reshape(l, k)))
     print(hashlib.sha256(f.q.array.tobytes() + f.r.array.tobytes()).hexdigest())
 """
@@ -218,8 +218,8 @@ def _spy_dgeqrf(monkeypatch, raises=False):
 
 @needs_openblas
 class TestNarrowPanelThreads:
-    """A panel with k < l of at most 2e9 flops factors on one OpenBLAS
-    thread; square and larger ones keep the count they were called with."""
+    """A QR of at most 1.35e9 flops, square or not, factors on one OpenBLAS
+    thread; larger ones keep the count they were called with."""
 
     @pytest.fixture
     def two_threads(self):
@@ -240,19 +240,23 @@ class TestNarrowPanelThreads:
             thin_householder_qr(rand_matrix(60, 30, 1))
         assert seen == [1] and two_threads() == 2
 
-    def test_square_keeps_thread_count(self, two_threads, monkeypatch):
+    def test_square_pins_and_restores(self, two_threads, monkeypatch):
         seen = _spy_dgeqrf(monkeypatch)
-        thin_householder_qr(rand_matrix(60, 31, 1))
         thin_householder_qr(rand_matrix(30, 30, 1))
+        thin_householder_qr(rand_matrix(800, 800, 1))  # 1.37e9 flops: over the bound
         assert seen == [1, 1, 2, 2] and two_threads() == 2
 
     @pytest.mark.parametrize("l, k, pins", [(1000, 600, True), (1500, 500, True),
-                                            (3100, 100, True), (1000, 1000, False),
-                                            (2000, 1000, False), (1500, 1000, False)])
+                                            (3100, 100, True), (1700, 500, False),
+                                            (2000, 1000, False), (1500, 1000, False),
+                                            (300, 300, True), (600, 600, True),
+                                            (796, 796, True), (800, 800, False),
+                                            (900, 900, False), (1000, 1000, False)])
     def test_rule_by_panel_flops(self, l, k, pins):
         assert _pins_one_thread(l, k) is pins
 
     def test_narrow_bytes_do_not_depend_on_thread_count(self):
+        # Two narrow panels and one square, all under the bound.
         src = Path(saddleqr.__file__).resolve().parent.parent
         digests = set()
         for threads in ("1", "2"):

@@ -59,6 +59,20 @@ class TestMetrics:
         report = metrics(m, detail.q, detail.r, problem.f, detail.solution.z, problem.z_star)
         assert report.res >= 1e3
 
+    def test_only_the_gram_defect_is_scanned_for_symmetry(self, monkeypatch):
+        # I - Q^T Q may be exactly symmetric; M - Q R is not by construction
+        # and goes straight to its Gram matrix: one scan, two eigensolves.
+        problem, detail = example_style_run(12, 6, 1.0, "bcgs2", example="1")
+        calls = []
+        for module, name in ((np, "array_equal"), (np.linalg, "eigvalsh"), (np.linalg, "svd")):
+            def spy(*args, real=getattr(module, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        metrics(detail.matrix, detail.q, detail.r, problem.f, detail.solution.z, problem.z_star,
+                kappa=1.0, norm_m=1.0)
+        assert calls == ["array_equal", "eigvalsh", "eigvalsh"]
+
     def test_precomputed_kappa_reused(self):
         eye = DenseMatrix(np.eye(2))
         ones = Vector([1.0, 1.0])

@@ -19,7 +19,9 @@ from saddleqr.saddle import SaddleBlocks
 from saddleqr.testgen import GeneratorSpec, hilbert, logspace_diag, ones_rank_one, random_orthogonal
 from saddleqr.triangular import cholesky
 
-from _oracles import exact_singular_values, full_qr_matrix1, jacobi_eigenvalues
+from _oracles import (
+    exact_singular_values, full_qr_matrix1, jacobi_eigenvalues, two_trig_normals_at,
+)
 
 
 class TestLogspaceDiag:
@@ -99,6 +101,16 @@ class TestMatrix1:
                     thin = normals_at(seed, m * m, np.arange(m)[:, None] * m + np.arange(n))
                     assert thin.shape == (m, n)
                     assert thin.tobytes() == np.ascontiguousarray(full).tobytes(), (m, n, seed)
+
+    @pytest.mark.parametrize("m, n", [(12, 6), (200, 100), (400, 200), (1000, 500), (3000, 100),
+                                      (7, 7), (21, 5)])
+    def test_one_trig_call_per_entry_matches_both_trig_bitwise(self, m, n):
+        # The P draws of the presets (example 1, reduced and benchmark
+        # example 2, examples 2 and 3), plus an odd count and a square.
+        idx = np.arange(m)[:, None] * m + np.arange(n)
+        for seed in (0, 5):
+            got = normals_at(seed, m * m, idx)
+            assert got.tobytes() == two_trig_normals_at(seed, m * m, idx).tobytes(), (m, n, seed)
 
     def test_thin_p_matches_full_qr_oracle(self):
         # matrix1 factors only the n columns of P it keeps; the full m x m
