@@ -19,6 +19,10 @@ caller's count.
 ``_qr_in_place`` is the one kernel: it factors an F-order panel where it
 lies (the block Gram-Schmidt panels are column slices of their Q); ``_thin_qr``
 runs it on an F copy, and ``thin_householder_qr`` wraps that.
+
+``_openblas()`` is the package's one handle on numpy's bundled OpenBLAS:
+it sets the thread count here, and ``triangular`` solves through its
+``dtrsv``.
 """
 
 from __future__ import annotations
@@ -54,10 +58,13 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> None:
     q *= sign
 
 
-# The thread-count symbols of the bundled OpenBLAS, with their C signatures.
+# The symbols of the bundled OpenBLAS in use, with their C signatures: the
+# thread count, and ``triangular``'s dtrsv (four CBLAS enums, then ILP64 sizes).
 _SIGNATURES = {
     "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
     "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
+    "scipy_cblas_dtrsv64_": ([ctypes.c_int] * 4 + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                              ctypes.c_void_p, ctypes.c_int64], None),
 }
 
 # A QR factors on one OpenBLAS thread up to this many flops of dgeqrf +

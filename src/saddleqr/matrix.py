@@ -11,10 +11,13 @@ Determinism comes in two tiers.  The public ``matmul`` and ``mat_vec``,
 and the two-norm, accumulate in a fixed serial order -- ascending inner
 index -- so they are bitwise identical to the naive triple loop on every
 run and at every thread count.  The package's internal products (QR,
-block Gram-Schmidt, solves, norms, metrics, generators) use LAPACK and
-numpy ``@`` on the underlying arrays: their results are byte-reproducible
-from run to run at a fixed BLAS thread count, but not across thread
-counts.
+block Gram-Schmidt, solves, norms, metrics, generators) use LAPACK, BLAS
+and numpy ``@`` on the underlying arrays: their results are
+byte-reproducible from run to run at a fixed BLAS thread count, but not
+across thread counts.  Two kernels run on one thread at any count, so
+their bytes do not depend on it: the small QRs that ``householder`` pins,
+and the triangular solve, OpenBLAS ``dtrsv``, which has no threaded
+variant.
 """
 
 from __future__ import annotations

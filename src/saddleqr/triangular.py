@@ -6,10 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import householder
 from .errors import DimensionError, ZeroDiagonalError
 from .matrix import DenseMatrix, Vector, _is_symmetric, _seq_sum
 
 _TINY = float(np.finfo(np.float64).tiny)
+# CBLAS enum values: RowMajor, Upper, NoTrans, NonUnit.
+_ROW_UPPER_NOTRANS_NONUNIT = (101, 121, 111, 131)
 
 
 def _check_square(r: DenseMatrix, what: str) -> None:
@@ -17,10 +20,9 @@ def _check_square(r: DenseMatrix, what: str) -> None:
         raise DimensionError(f"{what} must be square, got {r.rows}x{r.cols}")
 
 
-def _back_substitute_arr(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
-    small = np.flatnonzero(np.abs(np.diag(ra)) < _TINY)
-    if small.size:
-        raise ZeroDiagonalError(int(small[-1]))  # the row a bottom-up solve meets first
+def _column_sweep(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """z of R z = g, R = ``ra`` upper triangular with a nonzero diagonal, by a
+    sweep over the columns from the last: bitwise equal to the row oracle."""
     n = ra.shape[0]
     z = np.empty(n)
     z[-1] = g[-1] / ra[-1, -1]
@@ -32,11 +34,33 @@ def _back_substitute_arr(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
     return z
 
 
+def _back_substitute_arr(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """z of R z = g for the upper-triangular ``ra``, as a new array: BLAS
+    ``dtrsv`` of numpy's bundled OpenBLAS on a copy of g, or ``_column_sweep``
+    without that library.  Neither ``ra`` nor ``g`` is written."""
+    n = len(ra)
+    if ra.shape != (n, n) or g.shape != (n,):  # dtrsv would read and write past them
+        raise DimensionError(f"cannot solve a {ra.shape} system for a {g.shape} right-hand side")
+    small = np.flatnonzero(np.abs(np.diag(ra)) < _TINY)
+    if small.size:
+        raise ZeroDiagonalError(int(small[-1]))  # the row a bottom-up solve meets first
+    lib = householder._openblas()
+    if lib is None:
+        return _column_sweep(ra, g)
+    ra = np.ascontiguousarray(ra, dtype=np.float64)
+    z = np.array(g, dtype=np.float64)
+    lib.scipy_cblas_dtrsv64_(*_ROW_UPPER_NOTRANS_NONUNIT, n, ra.ctypes.data, n, z.ctypes.data, 1)
+    return z
+
+
 def back_substitute(r: DenseMatrix, g: Vector) -> Vector:
     """Solve the upper-triangular system R z = g.
 
-    The inner accumulation runs over columns in descending order, fixed for
-    bit-reproducibility.  A zero (or subnormal) diagonal entry raises
+    The solve is BLAS ``dtrsv`` of numpy's bundled OpenBLAS, which is
+    backward stable and has no threaded variant, so z does not depend on
+    the BLAS thread count.  On a numpy build without that library a sweep
+    over the columns from the last runs instead, bitwise equal to the
+    row-by-row loop.  A zero (or subnormal) diagonal entry raises
     :class:`ZeroDiagonalError` naming the bottom-most such row.
     """
     _check_square(r, "back_substitute matrix")

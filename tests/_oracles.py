@@ -54,7 +54,7 @@ def row_back_substitute(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
     / r_ii with s_i the serial sum of r_ij z_j over j = l-1 down to i+1
     (started from its first term, not from 0.0).  The first row met with
     |r_ii| below the smallest normal float raises ZeroDiagonalError.  The
-    bitwise reference for ``triangular.back_substitute``."""
+    bitwise reference for ``triangular._column_sweep``."""
     n = ra.shape[0]
     z = np.zeros(n)
     for i in range(n - 1, -1, -1):

@@ -29,11 +29,11 @@ METHODS = ["--methods", "bcgs,bcgs2,householder"]
 GOLDENS = {
     "example1": (
         ["--example", "1"], 1,
-        "8c6c81b64376a198017b8859310ab3a2ff43766a58f9a2a55e5a1b12ac3598b2",
+        "1a34ef8f70735c37b321d505f7368ce64f81f37e2fc257586726e5c8ce821ef0",
     ),
     "example2_reduced": (
         ["--example", "2", "--m", "200", "--n", "100"], 0,
-        "a728ee38e9420f516f30e58df0fc7d81bebeca5c429285c03ccf5c381ea998ac",
+        "3b1db48751abae67eb4c550448417baf70ee8514b1badafb33eaa0d8ce5f37d8",
     ),
     "example1_huge_t": (
         ["--example", "1", "--t-list", "1e150,1e155,1e160"], 1,

@@ -276,13 +276,6 @@ def _fortran_60x30():
     return np.asfortranarray(rand_matrix(60, 30, 13).array)  # writable
 
 
-@pytest.fixture
-def no_openblas(monkeypatch):
-    """Run the rest of a test as on a numpy build with no bundled OpenBLAS:
-    the one lapack_lite path, with no thread count to pin."""
-    return lambda: monkeypatch.setattr(householder, "_openblas", lambda: None)
-
-
 class TestKernelPaths:
     """The one lapack_lite kernel with the bundled OpenBLAS handle against
     the same kernel without it, as on a numpy build that bundles none."""

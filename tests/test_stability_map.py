@@ -3,9 +3,13 @@ saddle-point families, not only at the gate's fixed rows."""
 
 import itertools
 
-from saddleqr.bench import BenchConfig, run_bench
+from saddleqr.bench import BenchConfig, base_blocks, run_bench
 from saddleqr.errors import LinAlgError
-from saddleqr.matrix import MACHINE_EPS
+from saddleqr.matrix import MACHINE_EPS, mat_vec, vector_norm
+from saddleqr.norms import spectral_norm
+from saddleqr.saddle import solve_detailed
+from saddleqr.stability import backward_certificate
+from saddleqr.testgen import scale_problem
 
 SHAPES = {"1": (12, 6), "2": (60, 30), "3": (90, 6)}
 T_LIST = (1e-4, 1e-2, 1.0, 1e2, 1e4)
@@ -14,14 +18,42 @@ BANDS = {"orth": 1e3, "dec": 1e3, "res": 1e2, "stab": 1e2}
 TYPED = {f"ERR:{cls.code}" for cls in LinAlgError.__subclasses__()}
 
 
-def grid_rows():
+def grid_configs():
     # sB = 16 takes rows past u * kappa(M) = 1, beyond the mild assumption.
     for example, s_ac, s_b, seed in itertools.product(SHAPES, (6.0, 14.0), (6.0, 16.0), (0, 1)):
         m, n = SHAPES[example]
-        cfg = BenchConfig(example=example, m=m, n=n, s_a=s_ac, s_b=s_b, s_c=s_ac,
-                          t_list=T_LIST, seed=seed, methods=("bcgs", "bcgs2"))
+        yield (example, s_ac, s_b, seed), BenchConfig(
+            example=example, m=m, n=n, s_a=s_ac, s_b=s_b, s_c=s_ac, t_list=T_LIST, seed=seed,
+            methods=("bcgs", "bcgs2"))
+
+
+def grid_rows():
+    for key, cfg in grid_configs():
         for row in run_bench(cfg):
-            yield (example, s_ac, s_b, seed, row.t), row
+            yield (*key, row.t), row
+
+
+def grid_certificates():
+    """(row key, method, certificate, ||M z - f||, ||M|| ||z||, ||f||) of every grid cell
+    whose solve and certificate succeed, solved as the bench solves them."""
+    for key, cfg in grid_configs():
+        for t_index, t in enumerate(cfg.t_list):
+            a1, b1, c1, provenance = base_blocks(cfg, t_index)
+            try:
+                problem = scale_problem(a1, b1, c1, t, provenance)
+            except LinAlgError:
+                continue
+            m, f, first = problem.blocks.matrix, problem.f, None
+            for method in cfg.methods:
+                try:
+                    detail = solve_detailed(problem.blocks, f, method, first_pass=first)
+                    cert = backward_certificate(m, detail.q, detail.r, f, detail.solution.z)
+                except LinAlgError:
+                    continue
+                z = detail.solution.z
+                first = detail if method == "bcgs" else None
+                yield ((*key, t), method, cert, vector_norm(mat_vec(m, z) - f),
+                       spectral_norm(m) * vector_norm(z), vector_norm(f))
 
 
 def test_bcgs2_in_band_or_typed_error_and_bcgs_out_of_band_on_clean_rows():
@@ -36,3 +68,20 @@ def test_bcgs2_in_band_or_typed_error_and_bcgs_out_of_band_on_clean_rows():
     # Most rows are clean, and bcgs2 stays in band on clean rows past u * kappa(M) = 1.
     assert len(rows) == 120 and len(clean) >= 90
     assert any(row.kappa * MACHINE_EPS / 2 >= 1.0 for row in clean.values())
+
+
+def test_theorem1_certificate_holds_on_every_certifiable_cell():
+    # ||M z - f|| <= mu ||M|| ||z|| + nu ||f|| with no slack term, for both methods.  A cell
+    # whose factors break the hypotheses (beta < 1, alpha kappa < 1) has kappa(M) >= 1e14,
+    # as in criterion 7.  nu = beta + delta (1 + beta) carries bcgs's orthogonality loss
+    # beta, so the certificate holds for bcgs too and tells the methods apart by nu alone.
+    nus = {"bcgs": {}, "bcgs2": {}}
+    for key, method, cert, resid, norm_mz, norm_f in grid_certificates():
+        if not cert.hypotheses_ok:
+            assert cert.kappa >= 1e14, (key, method, cert.kappa)
+            continue
+        assert resid <= cert.mu * norm_mz + cert.nu * norm_f, (key, method, resid)
+        nus[method][key] = cert.nu
+    assert min(len(per_row) for per_row in nus.values()) >= 80
+    assert all(nu >= 10.0 * nus["bcgs2"][key]  # at least 45 times larger when recorded
+               for key, nu in nus["bcgs"].items() if key in nus["bcgs2"])
