@@ -9,14 +9,15 @@ One round solves it with ``bcgs``, with ``bcgs2`` on that bcgs pass (as a
 library's own kernels:
 
 * copies -- the fresh F-order Q and zero R (bcgs), the F copy of M
-  (householder), the copies of the first pass's factors (bcgs2);
+  (householder), the plain copies of the first pass's F-order Q and
+  row-major R (bcgs2);
 * panel QRs -- ``householder._qr_in_place`` on each panel;
 * projection -- S = Q1^T M2 and Y = M2 - Q1 S into Q2;
 * reorthogonalization -- ``blockgs._reorthogonalize``;
-* wrap -- Q and R turned into row-major ``DenseMatrix``;
-* Q^T f, then the back-substitution with both triangular kernels:
-  ``dtrsv`` through ``triangular._back_substitute_arr`` and the column
-  sweep ``triangular._column_sweep``, run in alternating order.
+* Q^T f on the F-order Q, then the back-substitution with both
+  triangular kernels: ``dtrsv`` through ``triangular._back_substitute_arr``
+  and the column sweep ``triangular._column_sweep``, run in alternating
+  order.
 
 The methods rotate their order from round to round, so slow drift of the
 machine spreads over every stage alike; the medians of one run compare
@@ -38,13 +39,12 @@ import numpy as np
 from saddleqr import blockgs, saddle
 from saddleqr.bench import BenchConfig, base_blocks
 from saddleqr.householder import _qr_in_place
-from saddleqr.matrix import DenseMatrix
 from saddleqr.testgen import scale_problem
 from saddleqr.triangular import _back_substitute_arr, _column_sweep
 
 METHODS = ("bcgs", "bcgs2", "householder")
-STAGES = ("copies", "panel QRs", "projection", "reorthogonalization", "wrap", "Q^T f",
-          "dtrsv", "column sweep")
+STAGES = ("copies", "panel QRs", "projection", "reorthogonalization", "Q^T f", "dtrsv",
+          "column sweep")
 KERNELS = {"dtrsv": _back_substitute_arr, "column sweep": _column_sweep}
 
 
@@ -71,7 +71,7 @@ def _factors(method, xa, m, first, clock):
         return q, r
     if method == "bcgs2":
         with clock("copies"):
-            q, r = np.array(first[0].array, order="F"), np.array(first[1].array)
+            q, r = np.array(first[0], order="F"), np.array(first[1])
     else:
         with clock("copies"):
             q, r = np.empty(xa.shape, order="F"), np.zeros(xa.shape)
@@ -98,21 +98,19 @@ def solve_round(problem, order, flip, check):
     for method in order:
         clock = out[method] = Stopwatch()
         q, r = _factors(method, xa, m, first, clock)
-        with clock("wrap"):
-            q, r = DenseMatrix._wrap(q), DenseMatrix._wrap(r)
         with clock("Q^T f"):
-            g = q.array.T @ f
+            g = q.T @ f
         zs = {}
         for kernel in sorted(KERNELS, reverse=flip):
             with clock(kernel):
-                zs[kernel] = KERNELS[kernel](r.array, g)
+                zs[kernel] = KERNELS[kernel](r, g)
         if method == "bcgs":
             first = (q, r)
         if not check:
             continue
         ref = refs[method] = saddle.solve_detailed(blocks, problem.f, method,
                                                    first_pass=refs.get("bcgs"))
-        if r.array.tobytes() != ref.r.array.tobytes() or (
+        if r.tobytes() != ref.r.array.tobytes() or (
                 zs["dtrsv"].tobytes() != ref.solution.z.array.tobytes()):
             raise AssertionError(f"{method}: the staged solve left the library's bytes")
     return out

@@ -1,11 +1,13 @@
 """Dense matrix and vector types with deterministic arithmetic kernels.
 
-``DenseMatrix`` and ``Vector`` share one immutable base: row-major 64-bit
-float storage, checked for shape and finiteness at construction and
-read-only afterwards.  This module is also the one home of the package's
-serial sum and two-norm (``_seq_sum``, ``_norm2_arr``; a Frobenius norm is
-the two-norm of the raveled array), of its max-|X| scaling (``_scaled``)
-and of its symmetry check (``_is_symmetric``).
+``DenseMatrix`` and ``Vector`` share one immutable base: contiguous 64-bit
+float storage, read-only.  The public constructors copy their values
+row-major and check shape and finiteness; results computed inside the
+package keep the layout they are computed in (a QR's Q is F-order, its R
+row-major).  This module is also the one home of the package's serial
+sum and two-norm (``_seq_sum``, ``_norm2_arr``; a Frobenius norm is the
+two-norm of the raveled array), of its max-|X| scaling (``_scaled``) and
+of its symmetry check (``_is_symmetric``).
 
 Determinism comes in two tiers.  The public ``matmul`` and ``mat_vec``,
 and the two-norm, accumulate in a fixed serial order -- ascending inner
@@ -57,22 +59,11 @@ def _is_symmetric(xa: np.ndarray) -> bool:
     return float(np.max(np.abs(xa - xa.T))) <= 10.0 * MACHINE_EPS * _norm2_arr(xa.ravel())
 
 
-def _to_row_major(a: np.ndarray) -> np.ndarray:
-    """The square F-ordered ``a`` as a C-ordered array in its own buffer, by swaps of 64 x 64
-    block pairs (64 KB, cache-sized); ``a`` itself, which now reads A^T, is made read-only."""
-    b = a.T  # the buffer read row-major: A^T until the swaps make it A
-    for i in range(0, len(b), 64):
-        for j in range(i, len(b), 64):
-            u, v = b[i:i + 64, j:j + 64], b[j:j + 64, i:i + 64]
-            v[...], u[...] = u.T, v.T.copy()
-    a.setflags(write=False)
-    return b
-
-
 class _Immutable:
-    """Read-only C-contiguous float64 array with ``_ndim`` dimensions, the
+    """Read-only contiguous float64 array with ``_ndim`` dimensions, the
     shared base of DenseMatrix and Vector (``_kind`` names it in errors).
-    ``_wrap`` turns an owned square F-ordered result row-major in its buffer."""
+    The constructor copies its values row-major; ``_wrap`` keeps a computed
+    C- or F-contiguous array in its layout and copies any other row-major."""
 
     __slots__ = ("_a",)
 
@@ -89,11 +80,10 @@ class _Immutable:
 
     @classmethod
     def _wrap(cls, a: np.ndarray):
-        # Internal fast path: consumes a freshly computed array (see _to_row_major).
+        # Internal fast path: owns a freshly computed array; no checks, no copy of a contiguous one.
         obj = cls.__new__(cls)
-        if not a.flags.c_contiguous:
-            owned = a.flags.f_contiguous and a.flags.writeable and a.base is None
-            a = _to_row_major(a) if owned and a.shape[0] == a.shape[-1] else np.ascontiguousarray(a)
+        if not (a.flags.c_contiguous or a.flags.f_contiguous):
+            a = np.ascontiguousarray(a)
         a.setflags(write=False)
         obj._a = a
         return obj
@@ -122,7 +112,8 @@ class _Immutable:
 
 
 class DenseMatrix(_Immutable):
-    """Immutable row-major dense real matrix."""
+    """Immutable dense real matrix, row-major when constructed; a computed
+    result keeps its own layout."""
 
     __slots__ = ()
     _ndim = 2

@@ -81,7 +81,7 @@ def read_matrix(path) -> DenseMatrix:
     if len(entries) != rows * cols:
         fail(lineno, f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}")
     a = np.array(entries).reshape((cols, rows)).T  # column-major on disk
-    return DenseMatrix(np.ascontiguousarray(a))
+    return DenseMatrix(a)  # the constructor copies it row-major
 
 
 def read_vector(path) -> Vector:

@@ -88,7 +88,8 @@ def matrix2(n: int, s: float, seed: int) -> DenseMatrix:
     """Symmetric positive definite n x n matrix with log-spaced eigenvalues,
     kappa about 10^s: P D P^T from one random orthogonal P, then
     symmetrized as (X + X^T)/2."""
-    p = random_orthogonal(n, seed).array
+    # P read row-major: OpenBLAS's threaded dgemm rounds by operand layout at some n.
+    p = np.ascontiguousarray(random_orthogonal(n, seed).array)
     d = _log_spectrum(s, n)
     x = (p * d) @ p.T
     return DenseMatrix._wrap(0.5 * (x + x.T))

@@ -246,8 +246,9 @@ IN_PLACE_CASES = [
 
 
 class TestInPlacePanels:
-    """The panels are factored in their slices of one F-order Q, against the
-    row-major copy path that factored each on a copy and stored it into Q."""
+    """The panels are factored in their slices of one F-order Q, which the
+    wrapper keeps, against the row-major copy path that factored each on a
+    copy and stored it into Q."""
 
     @staticmethod
     def _pairs(m, n, method):
@@ -262,7 +263,7 @@ class TestInPlacePanels:
         for ours, (q, r), _ in self._pairs(m, n, method):
             assert ours.q.array.tobytes() == q.tobytes()
             assert ours.r.array.tobytes() == r.tobytes()
-            assert ours.q.array.flags.c_contiguous  # tobytes() alone reads any layout
+            assert ours.q.array.flags.f_contiguous  # tobytes() alone reads any layout
 
     @pytest.mark.parametrize("m, n, method", sorted(LAYOUT_DIFFERS))
     def test_known_differences_are_rounding(self, m, n, method):
@@ -282,7 +283,7 @@ class TestInPlacePanels:
         for detail, again in ((first, False), (saddle.solve_detailed(p.blocks, p.f, "bcgs2"), True),
                               (shared, True)):
             q, r = copy_path_bcgs(xa, 400, again)
-            z = _back_substitute_arr(r, q.T @ f)
+            z = _back_substitute_arr(r, np.asfortranarray(q).T @ f)  # Q^T f as on our F-order Q
             assert detail.solution.z.array.tobytes() == z.tobytes()
 
 

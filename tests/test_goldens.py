@@ -29,11 +29,11 @@ METHODS = ["--methods", "bcgs,bcgs2,householder"]
 GOLDENS = {
     "example1": (
         ["--example", "1"], 1,
-        "1a34ef8f70735c37b321d505f7368ce64f81f37e2fc257586726e5c8ce821ef0",
+        "d5e3c507fb81f48312ba3e89312010db77a62758a1a4d59351f5f22ce4640063",
     ),
     "example2_reduced": (
         ["--example", "2", "--m", "200", "--n", "100"], 0,
-        "3b1db48751abae67eb4c550448417baf70ee8514b1badafb33eaa0d8ce5f37d8",
+        "1b48dbb7a54fd74d7d4c604f06d41768bf5bb6d2ced0c7aec96a07008d5f0b9b",
     ),
     "example1_huge_t": (
         ["--example", "1", "--t-list", "1e150,1e155,1e160"], 1,

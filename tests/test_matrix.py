@@ -51,31 +51,46 @@ class TestConstruction:
 
 
 class TestWrap:
-    """``_wrap`` takes ownership of a fresh array and stores it row-major."""
+    """``_wrap`` keeps a computed C- or F-contiguous array in its layout and makes it
+    read-only; any other array is copied row-major.  No caller's values are written."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (64, 64), (40, 30)])
+    def test_contiguous_array_is_kept_in_its_layout(self, rows, cols, order):
+        a = np.array(rand_matrix(rows, cols, rows + cols).array, order=order)
+        wrapped = DenseMatrix._wrap(a).array
+        assert wrapped.flags[f"{order}_CONTIGUOUS"] and not wrapped.flags.writeable
+        assert np.shares_memory(wrapped, a)
 
     @pytest.mark.parametrize("l", [1, 63, 64, 65, 130])
-    def test_owned_square_f_array_turns_row_major_in_place(self, l):
-        a = np.asfortranarray(rand_matrix(l, l, l).array)
-        expected = np.ascontiguousarray(a)
+    def test_owned_f_square_still_reads_a(self, l):
+        # Kept as it is, so the caller's array reads A (a transpose in its buffer left A^T).
+        expected = rand_matrix(l, l, l).array
+        a = np.asfortranarray(expected)
         wrapped = DenseMatrix._wrap(a).array
-        assert wrapped.tobytes() == expected.tobytes()
-        assert wrapped.flags.c_contiguous and not wrapped.flags.writeable
-        assert np.shares_memory(wrapped, a)
-        with pytest.raises(ValueError, match="read-only"):  # a now reads A^T
-            a[0, 0] = 1.0
+        assert wrapped.flags.f_contiguous and not wrapped.flags.writeable
+        assert np.shares_memory(wrapped, a) and np.array_equal(a, expected)
 
     @pytest.mark.parametrize("make", [
         lambda big: big[:, 5:45],  # a square F-contiguous view of a larger array
         lambda big: big[:, :30],  # not square
     ], ids=["square_view", "non_square"])
-    def test_other_f_arrays_are_copied(self, make):
+    def test_contiguous_view_leaves_its_base_untouched(self, make):
         big = np.asfortranarray(rand_matrix(40, 50, 3).array)
         before = big.tobytes(order="A")
         a = make(big)
-        assert a.flags.f_contiguous
         wrapped = DenseMatrix._wrap(a).array
-        assert wrapped.tobytes() == np.ascontiguousarray(a).tobytes()
-        assert not np.shares_memory(wrapped, big) and big.tobytes(order="A") == before
+        assert np.array_equal(wrapped, a) and not wrapped.flags.writeable
+        assert big.flags.writeable and big.tobytes(order="A") == before
+
+    def test_non_contiguous_view_is_copied_row_major(self):
+        big = np.asfortranarray(rand_matrix(40, 50, 4).array)
+        before = big.tobytes(order="A")
+        a = big[::2, 5:45]
+        wrapped = DenseMatrix._wrap(a).array
+        assert wrapped.flags.c_contiguous and not wrapped.flags.writeable
+        assert np.array_equal(wrapped, a) and not np.shares_memory(wrapped, big)
+        assert big.flags.writeable and big.tobytes(order="A") == before
 
 
 class TestMatmul:
