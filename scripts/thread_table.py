@@ -1,6 +1,7 @@
-"""Print README's one/two-thread table of the thin-QR kernel.
+"""Print README's one/two-thread tables: of the thin-QR kernel, and of a bench row.
 
     PYTHONPATH=src python3 scripts/thread_table.py [--calls 15] [SHAPE ...]
+    PYTHONPATH=src python3 scripts/thread_table.py --rows [--calls 15] [L ...]
 
 Each SHAPE is ``LxK`` (default: the README table's shapes).  For every
 shape the script times LAPACK ``dgeqrf`` + ``dorgqr`` on an F-order copy of
@@ -8,9 +9,20 @@ seeded normals, at one and at two OpenBLAS threads, alternating which count
 runs first on each call, and prints the medians as a markdown table with
 the flop count 4 l k^2 - 4 k^3 / 3 and whether ``householder`` pins the
 shape to one thread.  The pin itself is bypassed, so both counts run at
-every shape.  It needs numpy's bundled OpenBLAS; run it on an otherwise
-idle machine, and set ``householder._ONE_THREAD_FLOPS`` from where the
+every shape.  Set ``householder._ONE_THREAD_FLOPS`` from where the
 one-thread column stops winning.
+
+With ``--rows``, each L is an order l = m + n (default: the README row
+table's), and the script times ``run_bench`` on one-row example-2 tables
+(m = round(2 l / 3), n = l - m, t = 1, all three methods, a new seed per
+row), pooled (one OpenBLAS thread, metric eigensolves paired on two
+workers) and sequential (the caller's thread count), alternating which
+mode runs first; each timed row follows an untimed one of its mode.  It
+prints the medians and whether ``bench._pools`` pools the order; set
+``bench._POOL_MIN_ORDER`` from where the pooled column starts winning.
+
+Both modes need numpy's bundled OpenBLAS; run them on an otherwise idle
+machine.
 """
 
 import argparse
@@ -21,13 +33,14 @@ import time
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from saddleqr import householder
+from saddleqr import bench, householder
 from saddleqr.rng import standard_normals
 
 SHAPES = ("300x200", "600x400", "3100x100", "1000x600", "1500x500", "1700x500", "2000x500",
           "1200x700", "1400x700", "1200x800", "1600x800", "1500x1000", "2000x1000", "200x200",
           "300x300", "400x400", "500x500", "600x600", "700x700", "800x800", "900x900",
           "1000x1000")
+ORDERS = (18, 30, 60, 99, 150, 201, 300, 450, 600, 796)
 
 
 def _factor_seconds(x: np.ndarray) -> float:
@@ -59,18 +72,56 @@ def measure(l: int, k: int, calls: int) -> tuple[float, float]:
     return statistics.median(times[1]), statistics.median(times[2])
 
 
+def _row_seconds(l: int, seed: int, pooled: bool) -> float:
+    """Seconds of one one-row example-2 ``run_bench`` table of order l."""
+    m = round(2 * l / 3)
+    cfg = bench.BenchConfig(example="2", m=m, n=l - m, t_list=(1.0,), seed=seed,
+                            methods=("bcgs", "bcgs2", "householder"))
+    saved = bench._POOL_MIN_ORDER
+    bench._POOL_MIN_ORDER = 0 if pooled else l + 1
+    try:
+        start = time.perf_counter()
+        bench.run_bench(cfg)
+        return time.perf_counter() - start
+    finally:
+        bench._POOL_MIN_ORDER = saved
+
+
+def rows_table(orders, calls: int) -> None:
+    print("| l   | pooled     | sequential | p/s   | pooled by the rule |")
+    print("|-----|------------|------------|-------|--------------------|")
+    for l in orders:
+        times = {True: [], False: []}
+        for call in range(calls):
+            for pooled in ((True, False) if call % 2 else (False, True)):
+                # An untimed row first, so the timed one starts as inside a table of its own
+                # mode: after a two-thread call OpenBLAS's idle helper thread spins a while.
+                _row_seconds(l, 2 * call, pooled)
+                times[pooled].append(_row_seconds(l, 2 * call + 1, pooled))
+        pooled, sequential = statistics.median(times[True]), statistics.median(times[False])
+        rule = "yes" if bench._pools(l) else "no"
+        print(f"| {l:<3} | {pooled * 1e3:7.1f} ms | {sequential * 1e3:7.1f} ms "
+              f"| {pooled / sequential:.2f}  | {rule:<18} |", flush=True)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--calls", type=int, default=15, help="timed calls per thread count")
-    p.add_argument("shapes", nargs="*", default=SHAPES, help="LxK panel shapes, l >= k")
+    p.add_argument("--calls", type=int, default=15, help="timed calls per thread count or mode")
+    p.add_argument("--rows", action="store_true", help="time bench rows, pooled and sequential")
+    p.add_argument("sizes", nargs="*",
+                   help="LxK panel shapes, l >= k (default: the QR table's); with --rows, "
+                        "orders l (default: the row table's)")
     args = p.parse_args(argv)
     if householder._openblas() is None:
         print("thread_table: numpy bundles no OpenBLAS, so there is no thread count to set",
               file=sys.stderr)
         return 2
+    if args.rows:
+        rows_table([int(v) for v in args.sizes] or ORDERS, args.calls)
+        return 0
     print("| panel      | flops  | one thread | two threads | 1/2   | pinned |")
     print("|------------|--------|------------|-------------|-------|--------|")
-    for shape in args.shapes:
+    for shape in args.sizes or SHAPES:
         l, k = (int(v) for v in shape.split("x"))
         one, two = measure(l, k, args.calls)
         flops = f"{4 * l * k * k - 4 * k**3 / 3:.1e}".replace("e+0", "e").replace("e+", "e")

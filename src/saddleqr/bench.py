@@ -1,6 +1,16 @@
 """Benchmark harness: build scaled problem families, solve them with the
 requested QR paths, and tabulate the stability metrics.
 
+A row's metrics cost seven symmetric eigensolves of order l = m + n with
+three methods: sigma(M), and ||I - Q^T Q|| and ||M - Q R|| per method.  A
+table with ``_POOL_MIN_ORDER`` <= l <= 796 runs on one OpenBLAS thread
+from start to end, and pairs these eigensolves on two worker threads once
+the row's solves are done; each such task calls the GIL-releasing
+``norms._eigvalsh``.  Its bytes therefore do not depend on the BLAS thread
+count.  Smaller tables (example 1) and larger ones (the paper-scale
+presets) keep the caller's count and score each method right after its
+solve.  Either way the cells come from the code ``stability.metrics`` runs.
+
 CSV output is machine-first (cells as columns, 17 significant digits, so
 every numeric cell round-trips exactly); markdown output is eyeball-first
 (metrics as rows, one column per scale parameter t).
@@ -8,16 +18,18 @@ every numeric cell round-trips exactly); markdown output is eyeball-first
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import LinAlgError
+from .householder import _one_blas_thread, _pins_one_thread
 from .matrix import DenseMatrix
 from .norms import _extreme_singular_values, _nonsingular
 from .rng import mix64
 from .saddle import METHODS, assemble, solve_detailed
-from .stability import metrics
+from .stability import _decomposition_defect, _gram_defect, _report, _solution_norm
 from .testgen import GeneratorSpec, hilbert, matrix1, matrix2, ones_rank_one, scale_problem
 
 EXAMPLES = ("1", "2", "3", "custom")
@@ -26,6 +38,10 @@ METRIC_NAMES = ("orth", "dec", "res", "stab")
 
 # Above this kappa is itself precision-limited and gets a "~".
 KAPPA_FLAG_LIMIT = 1e14
+
+# Tables of order l = m + n from here up to l = 796 pair their metric
+# eigensolves (README's Determinism section has the per-l table).
+_POOL_MIN_ORDER = 200
 
 
 @dataclass(frozen=True)
@@ -112,51 +128,132 @@ def base_blocks(
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
-    """Evaluate every (t, method) cell; failures mark cells, never abort."""
-    rows = []
-    for t_index, t in enumerate(cfg.t_list):
-        a1, b1, c1, provenance = base_blocks(cfg, t_index)
+    """Evaluate every (t, method) cell; failures mark cells, never abort.  A
+    table of order l = m + n from ``_POOL_MIN_ORDER`` up to the squares that
+    ``householder`` pins runs on one OpenBLAS thread, with each row's metric
+    eigensolves paired on two worker threads; the count is restored after
+    it, also when a cell raises."""
+    if not _pools(cfg.m + cfg.n):
+        return [_row(cfg, t_index) for t_index in range(len(cfg.t_list))]
+    # One pin outside the pool: a pin inside a task would restore the count
+    # while the other worker still runs.
+    with _one_blas_thread():
+        return [_row(cfg, t_index, _metric_pool()) for t_index in range(len(cfg.t_list))]
+
+
+@functools.cache
+def _metric_pool():
+    """The two worker threads of the pooled tables, started on first use."""
+    from concurrent.futures import ThreadPoolExecutor  # a 7-13 ms import, paid only here
+
+    return ThreadPoolExecutor(max_workers=2)
+
+
+def _pools(l: int) -> bool:
+    """Whether a table of order l pairs its rows' metric eigensolves."""
+    return _POOL_MIN_ORDER <= l and _pins_one_thread(l, l)
+
+
+class _Done:
+    """A call made at once, read back as a pool task's future is."""
+
+    def __init__(self, fn, *args):
         try:
-            problem = scale_problem(a1, b1, c1, t, provenance)
-            m = assemble(problem.blocks)
-            norm_m, sigma_min = _extreme_singular_values(m.array)
-        except LinAlgError as exc:  # no problem or no ||M||, so no metric of the row
-            err = f"ERR:{exc.code}"
-            cells = {method: dict.fromkeys(METRIC_NAMES, err) for method in cfg.ordered_methods}
-            rows.append(BenchRow(t=t, kappa=err, cells=cells))
-            continue
-        try:  # a singular M has a norm but no kappa, so only kappa and stab fail
-            row = BenchRow(t=t, kappa=norm_m / _nonsingular(norm_m, sigma_min))
+            self._value, self._error = fn(*args), None
         except LinAlgError as exc:
-            row = BenchRow(t=t, kappa=f"ERR:{exc.code}")
-        first = None  # the bcgs cell's detail, whose factors the bcgs2 cell reorthogonalizes
-        for method in cfg.ordered_methods:
-            row.cells[method], first = _method_cells(problem, norm_m, row.kappa, method, first)
-        rows.append(row)
-    return rows
+            self._value, self._error = None, exc
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
-def _method_cells(problem, norm_m, kappa, method, first):
-    """One method's metric cells, and the detail of a bcgs cell that succeeded."""
+def _row(cfg: BenchConfig, t_index: int, pool=None) -> BenchRow:
+    """One row.  Generation, assembly and the solves run on this thread in
+    method order.  Without a pool, sigma(M) comes first and each solve's
+    defects right after it.  With one, sigma(M) and every solved method's
+    two defects are pool tasks, submitted after the last solve so that no
+    solve shares the cores with them.  Pool tasks call no name the benchmark
+    tracer hooks.  The cells are built here, in method order."""
+    t = cfg.t_list[t_index]
+    a1, b1, c1, provenance = base_blocks(cfg, t_index)
     try:
-        detail = solve_detailed(problem.blocks, problem.f, method, first_pass=first)
-        kappa_value = kappa if isinstance(kappa, float) else 1.0
-        report = metrics(
-            detail.matrix,
-            detail.q,
-            detail.r,
-            problem.f,
-            detail.solution.z,
-            problem.z_star,
-            kappa=kappa_value,
-            norm_m=norm_m,
-        )
+        problem = scale_problem(a1, b1, c1, t, provenance)
+        ma = assemble(problem.blocks).array
+        sigma = None if pool is not None else _extreme_singular_values(ma)
+    except LinAlgError as exc:  # no problem or no ||M||, so no metric of the row
+        return _failed_row(cfg, t, exc)
+    solves, first = [], None  # first: the bcgs detail, whose factors bcgs2 reorthogonalizes
+    for method in cfg.ordered_methods:
+        try:
+            detail = solve_detailed(problem.blocks, problem.f, method, first_pass=first)
+            solved = detail, _solution_norm(detail.solution.z)
+        except LinAlgError as exc:
+            detail, solved = None, exc
+        first = detail if method == "bcgs" else None
+        solves.append((method, solved if pool is not None else _defects(_Done, ma, solved)))
+    if pool is not None:
+        tasks = []
+
+        def submit(fn, *args):
+            tasks.append(pool.submit(fn, *args))
+            return tasks[-1]
+
+        sigma = submit(_extreme_singular_values, ma)
+        solves = [(method, _defects(submit, ma, solved)) for method, solved in solves]
+        # Wait for every task, so that none outlives its row or the pin, then
+        # raise what is no cell's failure, as one thread would.
+        for error in [task.exception() for task in tasks]:
+            if error is not None and not isinstance(error, LinAlgError):
+                raise error
+        try:
+            sigma = sigma.result()
+        except LinAlgError as exc:
+            return _failed_row(cfg, t, exc)
+    norm_m, sigma_min = sigma
+    try:  # a singular M has a norm but no kappa, so only kappa and stab fail
+        row = BenchRow(t=t, kappa=norm_m / _nonsingular(norm_m, sigma_min))
     except LinAlgError as exc:
-        return dict.fromkeys(METRIC_NAMES, f"ERR:{exc.code}"), None
+        row = BenchRow(t=t, kappa=f"ERR:{exc.code}")
+    for method, scored in solves:
+        row.cells[method] = _cells(problem, ma, scored, norm_m, row.kappa)
+    return row
+
+
+def _failed_row(cfg: BenchConfig, t: float, exc: LinAlgError) -> BenchRow:
+    err = f"ERR:{exc.code}"
+    return BenchRow(t=t, kappa=err, cells={m: dict.fromkeys(METRIC_NAMES, err)
+                                           for m in cfg.ordered_methods})
+
+
+def _defects(run, ma, solved):
+    """(z, ||z||, ||I - Q^T Q||, ||M - Q R||) of a solve, the two defects as
+    calls of ``run`` (``_Done`` or a pool's ``submit``) that keep Q and R only
+    while they run; the error of a failed solve passes through."""
+    if isinstance(solved, LinAlgError):
+        return solved
+    detail, norm_z = solved
+    qa, ra = detail.q.array, detail.r.array
+    return (detail.solution.z, norm_z, run(_gram_defect, qa),
+            run(_decomposition_defect, ma, qa, ra))
+
+
+def _cells(problem, ma, scored, norm_m, kappa) -> dict[str, float | str]:
+    """One method's metric cells, or its error in all four."""
+    try:
+        if isinstance(scored, LinAlgError):
+            raise scored
+        z, norm_z, orth, dec = scored
+        report = _report(ma, problem.f, z, problem.z_star, norm_z=norm_z, norm_m=norm_m,
+                         kappa=kappa if isinstance(kappa, float) else 1.0,
+                         orth=orth.result(), dec=dec.result() / norm_m)
+    except LinAlgError as exc:
+        return dict.fromkeys(METRIC_NAMES, f"ERR:{exc.code}")
     cells: dict[str, float | str] = {name: getattr(report, name) for name in METRIC_NAMES}
     if isinstance(kappa, str):
         cells["stab"] = kappa  # no condition number, no forward-error ratio
-    return cells, detail if method == "bcgs" else None
+    return cells
 
 
 def _fmt17(v: float) -> str:

@@ -21,8 +21,8 @@ lies (the block Gram-Schmidt panels are column slices of their Q); ``_thin_qr``
 runs it on an F copy, and ``thin_householder_qr`` wraps that.
 
 ``_openblas()`` is the package's one handle on numpy's bundled OpenBLAS:
-it sets the thread count here, and ``triangular`` solves through its
-``dtrsv``.
+it sets the thread count here, ``triangular`` solves through its ``dtrsv``
+and ``norms`` takes eigenvalues through its ``dsyevd``.
 """
 
 from __future__ import annotations
@@ -59,12 +59,15 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> None:
 
 
 # The symbols of the bundled OpenBLAS in use, with their C signatures: the
-# thread count, and ``triangular``'s dtrsv (four CBLAS enums, then ILP64 sizes).
+# thread count, ``triangular``'s dtrsv (four CBLAS enums, then ILP64 sizes) and
+# ``norms``' LAPACKE dsyevd (layout, JOBZ, UPLO, n, a, lda, w; returns INFO).
 _SIGNATURES = {
     "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
     "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
     "scipy_cblas_dtrsv64_": ([ctypes.c_int] * 4 + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                               ctypes.c_void_p, ctypes.c_int64], None),
+    "scipy_LAPACKE_dsyevd64_": ([ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                                 ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p], ctypes.c_int64),
 }
 
 # A QR factors on one OpenBLAS thread up to this many flops of dgeqrf +

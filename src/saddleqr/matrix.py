@@ -38,13 +38,14 @@ def _seq_sum(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1])
 
 
-def _scaled(xa: np.ndarray) -> tuple[float, np.ndarray]:
-    """(s, X / s) with s = max|X|, clear of overflow and underflow.  The
-    zero array gives (0, X); inf or NaN raises :class:`NonFiniteError`."""
+def _scaled(xa: np.ndarray, out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """(s, X / s) with s = max|X|, clear of overflow and underflow, in a
+    fresh array or in ``out`` (which may be ``xa`` itself).  The zero array
+    gives (0, X); inf or NaN raises :class:`NonFiniteError`."""
     scale = float(np.max(np.abs(xa)))
     if not np.isfinite(scale):
         raise NonFiniteError("norm of a matrix that is not finite")
-    return scale, (xa / scale if scale else xa)
+    return scale, np.divide(xa, scale or 1.0, out=out)
 
 
 def _norm2_arr(x: np.ndarray) -> float:

@@ -1,13 +1,24 @@
 """Spectral norm, inverse norm and condition number by direct LAPACK calls
-(``numpy.linalg.eigvalsh`` and ``svd``).  Nothing iterates in Python: each
-call returns a value accurate to rounding or raises a typed LinAlgError."""
+(``dsyevd`` and ``numpy.linalg.svd``).  Nothing iterates in Python: each
+call returns a value accurate to rounding or raises a typed LinAlgError.
+
+``_eigvalsh`` is the package's one symmetric eigensolver.  It calls LAPACKE
+``dsyevd`` of numpy's bundled OpenBLAS through ctypes, which releases the
+GIL for the call, so two threads can run two eigensolves at once (``bench``
+pairs a row's metric eigensolves that way).  Its bytes equal
+``numpy.linalg.eigvalsh``'s, the same LAPACK routine, which is its path
+without the bundled library."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergedError, NonFiniteError, SingularMatrixError
+from . import householder
+from .errors import (DimensionError, LinAlgError, NonConvergedError, NonFiniteError,
+                     SingularMatrixError)
 from .matrix import MACHINE_EPS, DenseMatrix, _scaled
+
+_COLUMN_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 # M is singular to working precision when sigma_min <= this factor times
 # sigma_max, or sigma_min is not a normal float.  Far below rounding noise,
@@ -21,6 +32,29 @@ def _converged(routine, a: np.ndarray) -> np.ndarray:
         return routine(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergedError(f"LAPACK did not converge: {exc}") from exc
+
+
+def _eigvalsh(y: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix in the writable,
+    contiguous float64 ``y``, which it overwrites.  dsyevd reads the lower
+    triangle of y's column-major storage: y's own lower triangle when y is
+    F-ordered, as ``numpy.linalg.eigvalsh`` reads it, and its upper triangle
+    when y is C-ordered, the same numbers for an exactly symmetric y.
+    INFO > 0 raises :class:`NonConvergedError`, INFO < 0 :class:`LinAlgError`."""
+    if y.dtype != np.float64 or not (y.flags.writeable and
+                                     (y.flags.c_contiguous or y.flags.f_contiguous)):
+        raise ValueError("the eigensolver needs a writable, contiguous float64 array")
+    lib = householder._openblas()
+    if lib is None:
+        return _converged(np.linalg.eigvalsh, y)
+    n, w = y.shape[0], np.empty(y.shape[0])
+    info = lib.scipy_LAPACKE_dsyevd64_(_COLUMN_MAJOR, b"N", b"L", n, y.ctypes.data, max(1, n),
+                                       w.ctypes.data)
+    if info > 0:
+        raise NonConvergedError(f"LAPACK did not converge: dsyevd INFO = {info}")
+    if info < 0:
+        raise LinAlgError(f"dsyevd: argument {-info} is illegal")
+    return w
 
 
 def _finite_norm(value: float) -> float:
@@ -38,7 +72,7 @@ def _extreme_singular_values(xa: np.ndarray) -> tuple[float, float]:
     symmetric = np.array_equal(xa, xa.T)
     scale, y = _scaled(xa)
     if symmetric:
-        sv = np.abs(_converged(np.linalg.eigvalsh, y))
+        sv = np.abs(_eigvalsh(y))
     else:
         sv = _converged(lambda a: np.linalg.svd(a, compute_uv=False), y)
     return _finite_norm(scale * float(np.max(sv))), scale * float(np.min(sv))
@@ -51,22 +85,23 @@ def _nonsingular(sigma_max: float, sigma_min: float) -> float:
     return sigma_min
 
 
-def _gram_norm(xa: np.ndarray) -> float:
+def _gram_norm(xa: np.ndarray, overwrite: bool = False) -> float:
     """Two-norm of any raw array, scale * sqrt(lambda_max) of the Gram
     matrix of Y = X / scale on the smaller side of X, with no symmetry scan:
-    for operands such as M - Q R, which are not symmetric by construction."""
-    scale, y = _scaled(xa)
+    for operands such as M - Q R, which are not symmetric by construction.
+    With ``overwrite`` X is scaled in place."""
+    scale, y = _scaled(xa, xa if overwrite else None)
     gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
-    return _finite_norm(scale * float(np.sqrt(max(_converged(np.linalg.eigvalsh, gram)[-1], 0.0))))
+    return _finite_norm(scale * float(np.sqrt(max(_eigvalsh(gram)[-1], 0.0))))
 
 
-def _two_norm(xa: np.ndarray) -> float:
+def _two_norm(xa: np.ndarray, overwrite: bool = False) -> float:
     """:func:`spectral_norm` of a raw array: one symmetry scan, one scaling
-    and one eigensolve."""
+    and one eigensolve, all in X itself with ``overwrite``."""
     if not np.array_equal(xa, xa.T):
-        return _gram_norm(xa)
-    scale, y = _scaled(xa)
-    return _finite_norm(scale * float(np.max(np.abs(_converged(np.linalg.eigvalsh, y)))))
+        return _gram_norm(xa, overwrite)
+    scale, y = _scaled(xa, xa if overwrite else None)
+    return _finite_norm(scale * float(np.max(np.abs(_eigvalsh(y)))))
 
 
 def spectral_norm(x: DenseMatrix) -> float:

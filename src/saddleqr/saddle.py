@@ -16,7 +16,7 @@ from .blockgs import _reorthogonalize, bcgs, bcgs2
 from .errors import DimensionError, RankDeficientError
 from .householder import ThinQR, thin_householder_qr
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric
-from .norms import _converged
+from .norms import _eigvalsh
 from .triangular import _back_substitute_arr, cholesky
 
 METHODS = ("bcgs", "bcgs2", "householder")
@@ -104,7 +104,9 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
     except ValueError:  # cholesky refuses an A that is not symmetric
         a_spd, min_pivot = False, float("nan")
 
-    c_eigs = _converged(np.linalg.eigvalsh, blocks.c.array)
+    # An F-order copy, since C is read-only: dsyevd then reads C's own lower
+    # triangle, as numpy's eigvalsh does, also when C is not symmetric.
+    c_eigs = _eigvalsh(np.array(blocks.c.array, order="F"))
     c_min_eig = float(c_eigs[0])
     norm_c = float(max(-c_eigs[0], c_eigs[-1]))
     c_psd = _is_symmetric(blocks.c.array) and c_min_eig >= -100.0 * MACHINE_EPS * norm_c

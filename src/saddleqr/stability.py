@@ -16,15 +16,25 @@ from .norms import _extreme_singular_values, _gram_norm, _nonsingular, _two_norm
 
 
 def _gram_defect(qa: np.ndarray) -> float:
-    """||I - Q^T Q||."""
-    return _two_norm(np.eye(qa.shape[1]) - qa.T @ qa)
+    """||I - Q^T Q||, formed, scaled and scanned in the one array of Q^T Q."""
+    g = qa.T @ qa
+    np.subtract(0.0, g, out=g)  # then 1 + (0 - g_ii): the bytes of I - Q^T Q
+    g.flat[:: g.shape[0] + 1] += 1.0
+    return _two_norm(g, overwrite=True)
+
+
+def _decomposition_defect(xa: np.ndarray, qa: np.ndarray, ra: np.ndarray) -> float:
+    """||X - Q R||, formed and scaled in the one array of Q R."""
+    d = qa @ ra
+    np.subtract(xa, d, out=d)
+    return _gram_norm(d, overwrite=True)
 
 
 def _factor_defects(
     xa: np.ndarray, qa: np.ndarray, ra: np.ndarray, norm_x: float
 ) -> tuple[float, float]:
     """(||I - Q^T Q||, ||X - Q R|| / ||X||) of a factorization X = Q R."""
-    return _gram_defect(qa), _gram_norm(xa - qa @ ra) / norm_x
+    return _gram_defect(qa), _decomposition_defect(xa, qa, ra) / norm_x
 
 
 def _check_system(m: DenseMatrix, q: DenseMatrix, r: DenseMatrix, *vectors: Vector) -> None:
@@ -99,16 +109,32 @@ def metrics(
     several methods are scored against the same matrix.
     """
     _check_system(m, q, r, f, z_computed, z_star)
-    norm_z = vector_norm(z_computed)
-    if norm_z == 0.0:
-        raise DegenerateSolutionError("degenerate solution for metric normalization")
+    norm_z = _solution_norm(z_computed)
     if norm_m is None or kappa is None:  # one singular-value call on M for both
         sigma_max, sigma_min = _extreme_singular_values(m.array)
         norm_m = sigma_max if norm_m is None else norm_m
         kappa = sigma_max / _nonsingular(sigma_max, sigma_min) if kappa is None else kappa
 
     orth, dec = _factor_defects(m.array, q.array, r.array, norm_m)
-    res = _norm2_arr(m.array @ z_computed.array - f.array) / (MACHINE_EPS * norm_m * norm_z)
+    return _report(m.array, f, z_computed, z_star, norm_z=norm_z, norm_m=norm_m, kappa=kappa,
+                   orth=orth, dec=dec)
+
+
+def _solution_norm(z: Vector) -> float:
+    """||z||, the denominator of res and stab; 0 raises :class:`DegenerateSolutionError`."""
+    norm_z = vector_norm(z)
+    if norm_z == 0.0:
+        raise DegenerateSolutionError("degenerate solution for metric normalization")
+    return norm_z
+
+
+def _report(
+    ma: np.ndarray, f: Vector, z_computed: Vector, z_star: Vector, *,
+    norm_z: float, norm_m: float, kappa: float, orth: float, dec: float,
+) -> StabilityReport:
+    """The :func:`metrics` report of a solve, given ||z||, ||M||, kappa(M) and
+    the factor defects ||I - Q^T Q|| and ||M - Q R|| / ||M||."""
+    res = _norm2_arr(ma @ z_computed.array - f.array) / (MACHINE_EPS * norm_m * norm_z)
     stab = vector_norm(z_computed - z_star) / (MACHINE_EPS * kappa * norm_z)
     return StabilityReport(
         kappa=kappa, orth=orth / MACHINE_EPS, dec=dec / MACHINE_EPS, res=res, stab=stab

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import saddleqr
-from saddleqr import DenseMatrix, Vector
+from saddleqr import DenseMatrix, NonConvergedError, Vector, householder, norms
 from saddleqr.mmio import read_matrix, read_vector, write_matrix, write_vector
 from saddleqr.testgen import hilbert
 from saddleqr.bench import (
@@ -203,10 +203,10 @@ class TestRunBench:
         assert parsed[0]["kappa_M"] == 3e15
 
     def test_lapack_failure_gives_nonconverged_cells(self, monkeypatch, tmp_path, capsys):
-        def fails(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def fails(y):
+            raise NonConvergedError("LAPACK did not converge: dsyevd INFO = 1")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        monkeypatch.setattr(norms, "_eigvalsh", fails)
         out = tmp_path / "nc.csv"
         code = main(["bench", "--example", "1", "--t-list", "1", "--out", str(out)])
         assert code == 1
@@ -223,6 +223,109 @@ class TestRunBench:
         path.write_text(render_csv(cfg, [row]))
         _, parsed = read_bench_csv(path)
         assert parsed[0]["res_bcgs2"] == "ERR:singular"
+
+
+POOLED = dict(example="2", m=20, n=10, t_list=(0.01, 1.0), methods=("bcgs", "bcgs2", "householder"))
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Pool the metric eigensolves of tables from l = 30 up (POOLED's order)."""
+    from saddleqr import bench
+
+    monkeypatch.setattr(bench, "_POOL_MIN_ORDER", 30)
+
+
+class TestPooledRows:
+    def test_same_cells_as_the_sequential_path_at_one_thread(self, monkeypatch):
+        # The pooled table runs on one OpenBLAS thread; so does the sequential
+        # one here, and both score with the same code.
+        from saddleqr import bench
+        from saddleqr.householder import _one_blas_thread
+
+        cfg = BenchConfig(**POOLED)
+        with _one_blas_thread():
+            sequential = render_csv(cfg, run_bench(cfg))
+        monkeypatch.setattr(bench, "_POOL_MIN_ORDER", 30)
+        assert render_csv(cfg, run_bench(cfg)) == sequential
+
+    def test_failing_sigma_task_marks_the_whole_row(self, pooled, monkeypatch):
+        from saddleqr import bench
+
+        def fails(xa):
+            raise NonConvergedError("LAPACK did not converge: dsyevd INFO = 1")
+
+        monkeypatch.setattr(bench, "_extreme_singular_values", fails)
+        for row in run_bench(BenchConfig(**POOLED)):
+            assert row.kappa == "ERR:nonconverged"
+            for cells in row.cells.values():
+                assert set(cells.values()) == {"ERR:nonconverged"}
+
+    def test_failing_defect_task_marks_only_its_method(self, pooled, monkeypatch):
+        from saddleqr import bench
+
+        cfg = BenchConfig(**POOLED)
+        clean = run_bench(cfg)
+        owner, solve = {}, bench.solve_detailed
+
+        def recorded(blocks, f, method, **kwargs):
+            detail = solve(blocks, f, method, **kwargs)
+            owner[id(detail.q.array)] = method
+            return detail
+
+        def gram_defect(qa, real=bench._gram_defect):
+            if owner[id(qa)] == "bcgs2":
+                raise NonConvergedError("LAPACK did not converge: dsyevd INFO = 1")
+            return real(qa)
+
+        monkeypatch.setattr(bench, "solve_detailed", recorded)
+        monkeypatch.setattr(bench, "_gram_defect", gram_defect)
+        for row, ref in zip(run_bench(cfg), clean):
+            assert row.kappa == ref.kappa
+            assert set(row.cells["bcgs2"].values()) == {"ERR:nonconverged"}
+            for method in ("bcgs", "householder"):
+                assert row.cells[method] == ref.cells[method]
+
+    @pytest.mark.skipif(householder._openblas() is None, reason="needs numpy's bundled OpenBLAS")
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "task_raises"])
+    def test_thread_count_is_one_inside_and_restored_after(self, pooled, monkeypatch, raises):
+        from saddleqr import bench
+
+        lib, seen = householder._openblas(), []
+        before = lib.scipy_openblas_get_num_threads64_()
+
+        def gram_defect(qa, real=bench._gram_defect):
+            seen.append(lib.scipy_openblas_get_num_threads64_())
+            if raises:
+                raise RuntimeError("not a LinAlgError, so it leaves run_bench")
+            return real(qa)
+
+        monkeypatch.setattr(bench, "_gram_defect", gram_defect)
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            if raises:
+                with pytest.raises(RuntimeError):
+                    run_bench(BenchConfig(**POOLED))
+            else:
+                run_bench(BenchConfig(**POOLED))
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+        # Every task of the rows run, the first row's when a task raises, is
+        # done when run_bench returns, and none ran on two threads.
+        assert seen == [1] * (3 if raises else 6)
+
+    def test_size_rule(self, monkeypatch):
+        # Example 1 (l = 18) and the paper-scale presets (l = 1500, 3100) run
+        # as before: no pin around the table and no pool.
+        from saddleqr import bench
+
+        low = bench._POOL_MIN_ORDER
+        orders = (18, low - 1, low, 300, 796, 797, 1500, 3100)
+        assert [bench._pools(l) for l in orders] == [False, False, True, True, True, False,
+                                                      False, False]
+        monkeypatch.setattr(bench, "_one_blas_thread", None)  # calling it would raise
+        assert not run_bench(BenchConfig(example="1", m=12, n=6, t_list=(1.0,)))[0].has_errors
 
 
 @pytest.fixture()
@@ -268,11 +371,11 @@ class TestCliGen:
         assert "singular-to-working-precision" in capsys.readouterr().out
 
     def test_lapack_failure_in_kappa_still_writes(self, tmp_path, capsys, monkeypatch):
-        def fails(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def fails(y):
+            raise NonConvergedError("LAPACK did not converge: dsyevd INFO = 1")
 
-        # hilbert(3) is symmetric, so its kappa comes from eigvalsh.
-        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        # hilbert(3) is symmetric, so its kappa comes from the eigensolver.
+        monkeypatch.setattr(norms, "_eigvalsh", fails)
         out = tmp_path / "h3.mtx"
         assert main(["gen", "--kind", "hilbert", "--m", "3", "--out", str(out)]) == 0
         assert np.array_equal(read_matrix(out).array, hilbert(3).array)

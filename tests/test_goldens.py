@@ -69,12 +69,14 @@ def _skip_reason() -> str | None:
 SKIP_REASON = _skip_reason()
 
 
-@pytest.mark.skipif(SKIP_REASON is not None, reason=str(SKIP_REASON))
-@pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_golden_csv_digest(name, tmp_path):
-    args, code, digest = GOLDENS[name]
+def _bench_digest(name, tmp_path, threads):
+    """sha256 of golden ``name``'s CSV, with OPENBLAS_NUM_THREADS set to
+    ``threads`` or, for None, unset."""
+    args, code, _ = GOLDENS[name]
     src = Path(saddleqr.__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     out = tmp_path / f"{name}.csv"
     proc = subprocess.run(
@@ -82,4 +84,17 @@ def test_golden_csv_digest(name, tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == code, proc.stderr
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.skipif(SKIP_REASON is not None, reason=str(SKIP_REASON))
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_golden_csv_digest(name, tmp_path):
+    assert _bench_digest(name, tmp_path, "1") == GOLDENS[name][2]
+
+
+@pytest.mark.skipif(SKIP_REASON is not None, reason=str(SKIP_REASON))
+def test_pooled_table_has_the_one_thread_bytes_at_the_default_count(tmp_path):
+    # l = 300 is a pooled table: it runs on one OpenBLAS thread whatever the
+    # variable says, so the one-thread golden holds with it unset.
+    assert _bench_digest("example2_reduced", tmp_path, None) == GOLDENS["example2_reduced"][2]

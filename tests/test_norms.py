@@ -6,10 +6,13 @@ import pytest
 from saddleqr import (
     DenseMatrix,
     DimensionError,
+    LinAlgError,
+    NonConvergedError,
     SingularMatrixError,
     condition_number,
     inverse_norm,
     matrix1,
+    norms,
     spectral_norm,
 )
 from saddleqr.rng import standard_normals
@@ -152,23 +155,71 @@ class TestSingularValueBranches:
         xa[0, 1] = np.nextafter(xa[0, 1], 2.0)
         x = DenseMatrix(xa)
         ref = np.linalg.svd(xa, compute_uv=False)
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", self._fails)
+        eigvalsh = norms._eigvalsh
+        monkeypatch.setattr(norms, "_eigvalsh", self._fails)
         assert condition_number(x) == ref[0] / ref[-1]
         assert inverse_norm(x) == 1.0 / ref[-1]
         # The two-norm of a non-symmetric matrix comes from its Gram matrix.
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(norms, "_eigvalsh", eigvalsh)
         assert spectral_norm(x) == pytest.approx(ref[0], rel=1e-15)
 
     def test_symmetric_two_norm_scans_and_solves_once(self, monkeypatch):
         h, calls = hilbert(6), []
-        for module, name in ((np, "array_equal"), (np.linalg, "eigvalsh"), (np.linalg, "svd")):
+        for module, name in ((np, "array_equal"), (norms, "_eigvalsh"), (np.linalg, "svd")):
             def spy(*args, real=getattr(module, name), name=name, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
         spectral_norm(h)
-        assert calls == ["array_equal", "eigvalsh"]
+        assert calls == ["array_equal", "_eigvalsh"]
+
+
+class TestEigensolver:
+    @staticmethod
+    def _symmetric(n):
+        x = standard_normals(n, n * n).reshape(n, n)
+        return x + x.T
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["dsyevd", "no_openblas"])
+    def test_bytes_equal_eigvalsh(self, drop, no_openblas):
+        if drop:
+            no_openblas()
+        for n in (1, 2, 17, 64, 150):
+            a = self._symmetric(n)
+            ref = np.linalg.eigvalsh(a).tobytes()
+            for order in "CF":
+                assert norms._eigvalsh(np.array(a, order=order)).tobytes() == ref, (n, order)
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["dsyevd", "no_openblas"])
+    def test_f_order_reads_its_own_lower_triangle(self, drop, no_openblas):
+        # validate's C need not be symmetric: it passes an F-order copy.
+        if drop:
+            no_openblas()
+        x = standard_normals(3, 36).reshape(6, 6)
+        ref = np.linalg.eigvalsh(x).tobytes()
+        assert norms._eigvalsh(np.array(x, order="F")).tobytes() == ref
+
+    @pytest.mark.parametrize("info, error", [(3, NonConvergedError), (-5, LinAlgError)])
+    def test_info_raises(self, monkeypatch, info, error):
+        from saddleqr import householder
+
+        class Returns:
+            def scipy_LAPACKE_dsyevd64_(self, *args):
+                return info
+
+        monkeypatch.setattr(householder, "_openblas", Returns)
+        with pytest.raises(error) as caught:
+            norms._eigvalsh(self._symmetric(4))
+        if info > 0:
+            assert str(caught.value).startswith("LAPACK did not converge")
+        else:
+            assert type(caught.value) is LinAlgError and "argument 5" in str(caught.value)
+
+    def test_refuses_what_it_cannot_overwrite_in_place(self):
+        a = self._symmetric(4)
+        for bad in (a[:, :3].T[:3], a.astype(np.float32), DenseMatrix(a).array):
+            with pytest.raises(ValueError):
+                norms._eigvalsh(bad)
 
 
 def _check_against_gesdd(example, m, n, seed, t, methods=("bcgs", "bcgs2", "householder")):

@@ -101,12 +101,15 @@ def test_benchmark_hook_targets_resolve():
         # Retired by the raw-array solve path: the block panels call the raw
         # QR kernel, and solve_detailed the raw back-substitution.
         "blockgs.thin_householder_qr", "saddle.back_substitute",
+        # Retired by the pooled metric phase: run_bench scores its cells with
+        # stability's shared report code, not through metrics.
+        "bench.metrics",
     }
 
 
-def test_traced_bench_row_completes_with_every_hook(monkeypatch):
-    # A flop hook reads .rows and .cols of its first argument, so a raw array
-    # reaching a hooked name would crash the traced benchmark run.
+def _traced_row(monkeypatch, m, n):
+    """One three-method example-2 row of order m + n run with every tracer hook
+    installed, and the tracer."""
     from saddleqr.bench import BenchConfig, run_bench
 
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -120,10 +123,28 @@ def test_traced_bench_row_completes_with_every_hook(monkeypatch):
     tracer.install()
     try:
         tracer.new_cell("row")
-        (row,) = run_bench(BenchConfig(example="2", m=20, n=10, t_list=(1.0,),
+        (row,) = run_bench(BenchConfig(example="2", m=m, n=n, t_list=(1.0,),
                                        methods=("bcgs", "bcgs2", "householder")))
     finally:
         tracer.uninstall()
     assert not row.has_errors
     solved = {s.name for s in tracer.spans if s.name.startswith("saddle.solve_detailed.")}
-    assert solved == {f"saddle.solve_detailed.{m}" for m in ("bcgs", "bcgs2", "householder")}
+    assert solved == {f"saddle.solve_detailed.{meth}" for meth in ("bcgs", "bcgs2", "householder")}
+    return tracer
+
+
+def test_traced_bench_row_completes_with_every_hook(monkeypatch):
+    # A flop hook reads .rows and .cols of its first argument, so a raw array
+    # reaching a hooked name would crash the traced benchmark run.
+    _traced_row(monkeypatch, 20, 10)
+
+
+def test_traced_pooled_bench_row_completes_with_every_hook(monkeypatch):
+    # A pooled row's tasks call no hooked name: the tracer keeps one span
+    # stack, so every span it records opened and closed on this thread.
+    from saddleqr.bench import _pools
+
+    assert _pools(134 + 67)
+    tracer = _traced_row(monkeypatch, 134, 67)
+    assert {s.name for s in tracer.spans} >= {"testgen.generate", "saddle.assemble"}
+    assert not any(s.name.startswith("stability.metrics") for s in tracer.spans)
