@@ -1,15 +1,13 @@
 """Benchmark harness: build scaled problem families, solve them with the
 requested QR paths, and tabulate the stability metrics.
 
-A row's metrics cost seven symmetric eigensolves of order l = m + n with
-three methods: sigma(M), and ||I - Q^T Q|| and ||M - Q R|| per method.  A
-table with ``_POOL_MIN_ORDER`` <= l <= 796 runs on one OpenBLAS thread
-from start to end, and pairs these eigensolves on two worker threads once
-the row's solves are done; each such task calls the GIL-releasing
-``norms._eigvalsh``.  Its bytes therefore do not depend on the BLAS thread
-count.  Smaller tables (example 1) and larger ones (the paper-scale
-presets) keep the caller's count and score each method right after its
-solve.  Either way the cells come from the code ``stability.metrics`` runs.
+A row lists its metric tasks as it solves: sigma(M), then ||I - Q^T Q||
+and ||M - Q R|| of each solved method, each an eigensolve of order l = m + n.
+A table with ``_POOL_MIN_ORDER`` <= l <= 796 runs on one OpenBLAS thread (so
+its bytes do not depend on the thread count) and runs a row's tasks on two
+worker threads after its last solve, through the GIL-releasing
+``norms._eigvalsh``.  Other tables run each task as soon as it is listed.
+Either way the cells come from the code ``stability.metrics`` runs.
 
 CSV output is machine-first (cells as columns, 17 significant digits, so
 every numeric cell round-trips exactly); markdown output is eyeball-first
@@ -129,10 +127,8 @@ def base_blocks(
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     """Evaluate every (t, method) cell; failures mark cells, never abort.  A
-    table of order l = m + n from ``_POOL_MIN_ORDER`` up to the squares that
-    ``householder`` pins runs on one OpenBLAS thread, with each row's metric
-    eigensolves paired on two worker threads; the count is restored after
-    it, also when a cell raises."""
+    table that ``_pools`` runs on one OpenBLAS thread, with the row's metric
+    tasks on two workers; the count is restored after it, also on a raise."""
     if not _pools(cfg.m + cfg.n):
         return [_row(cfg, t_index) for t_index in range(len(cfg.t_list))]
     # One pin outside the pool: a pin inside a task would restore the count
@@ -154,100 +150,85 @@ def _pools(l: int) -> bool:
     return _POOL_MIN_ORDER <= l and _pins_one_thread(l, l)
 
 
-class _Done:
-    """A call made at once, read back as a pool task's future is."""
-
-    def __init__(self, fn, *args):
-        try:
-            self._value, self._error = fn(*args), None
-        except LinAlgError as exc:
-            self._value, self._error = None, exc
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def _row(cfg: BenchConfig, t_index: int, pool=None) -> BenchRow:
     """One row.  Generation, assembly and the solves run on this thread in
-    method order.  Without a pool, sigma(M) comes first and each solve's
-    defects right after it.  With one, sigma(M) and every solved method's
-    two defects are pool tasks, submitted after the last solve so that no
-    solve shares the cores with them.  Pool tasks call no name the benchmark
-    tracer hooks.  The cells are built here, in method order."""
+    method order and list the metric tasks.  Without a pool each task runs
+    as soon as it is listed; with one, all run on it after the last solve,
+    so that no solve shares the cores with them.  Pool tasks call no name
+    the benchmark tracer hooks.  The cells are built here, in method order."""
     t = cfg.t_list[t_index]
     a1, b1, c1, provenance = base_blocks(cfg, t_index)
     try:
         problem = scale_problem(a1, b1, c1, t, provenance)
         ma = assemble(problem.blocks).array
-        sigma = None if pool is not None else _extreme_singular_values(ma)
-    except LinAlgError as exc:  # no problem or no ||M||, so no metric of the row
-        return _failed_row(cfg, t, exc)
+    except LinAlgError as exc:  # no problem or no M, so no metric of the row
+        err = f"ERR:{exc.code}"
+        return BenchRow(t=t, kappa=err, cells={m: dict.fromkeys(METRIC_NAMES, err)
+                                               for m in cfg.ordered_methods})
+    tasks, values = [(_extreme_singular_values, ma)], []
     solves, first = [], None  # first: the bcgs detail, whose factors bcgs2 reorthogonalizes
     for method in cfg.ordered_methods:
+        if pool is None:  # the tasks listed so far run before this solve
+            values += _run(tasks)
+            tasks = []
         try:
             detail = solve_detailed(problem.blocks, problem.f, method, first_pass=first)
-            solved = detail, _solution_norm(detail.solution.z)
+            solves.append((method, (detail.solution.z, _solution_norm(detail.solution.z))))
+            tasks += [(_gram_defect, detail.q.array),
+                      (_decomposition_defect, ma, detail.q.array, detail.r.array)]
         except LinAlgError as exc:
-            detail, solved = None, exc
+            detail = None
+            solves.append((method, exc))
         first = detail if method == "bcgs" else None
-        solves.append((method, solved if pool is not None else _defects(_Done, ma, solved)))
-    if pool is not None:
-        tasks = []
-
-        def submit(fn, *args):
-            tasks.append(pool.submit(fn, *args))
-            return tasks[-1]
-
-        sigma = submit(_extreme_singular_values, ma)
-        solves = [(method, _defects(submit, ma, solved)) for method, solved in solves]
-        # Wait for every task, so that none outlives its row or the pin, then
-        # raise what is no cell's failure, as one thread would.
-        for error in [task.exception() for task in tasks]:
-            if error is not None and not isinstance(error, LinAlgError):
-                raise error
-        try:
-            sigma = sigma.result()
-        except LinAlgError as exc:
-            return _failed_row(cfg, t, exc)
-    norm_m, sigma_min = sigma
+    values = iter(values + _run(tasks, pool))
+    sigma = next(values)
     try:  # a singular M has a norm but no kappa, so only kappa and stab fail
+        norm_m, sigma_min = _result(sigma)
         row = BenchRow(t=t, kappa=norm_m / _nonsingular(norm_m, sigma_min))
     except LinAlgError as exc:
         row = BenchRow(t=t, kappa=f"ERR:{exc.code}")
-    for method, scored in solves:
-        row.cells[method] = _cells(problem, ma, scored, norm_m, row.kappa)
+    for method, solved in solves:
+        if not isinstance(solved, LinAlgError):  # its two defects, in the order listed
+            solved = (*solved, next(values), next(values))
+        row.cells[method] = _cells(problem, ma, solved, sigma, row.kappa)
     return row
 
 
-def _failed_row(cfg: BenchConfig, t: float, exc: LinAlgError) -> BenchRow:
-    err = f"ERR:{exc.code}"
-    return BenchRow(t=t, kappa=err, cells={m: dict.fromkeys(METRIC_NAMES, err)
-                                           for m in cfg.ordered_methods})
+def _run(tasks, pool=None) -> list:
+    """The value or ``LinAlgError`` of each ``(fn, *args)`` task, run here or on
+    ``pool``, where every task finishes before any other error is raised."""
+    if pool is None:
+        return [_attempt(*task) for task in tasks]
+    futures = [pool.submit(_attempt, *task) for task in tasks]
+    for future in futures:
+        future.exception()  # waits for it
+    return [future.result() for future in futures]
 
 
-def _defects(run, ma, solved):
-    """(z, ||z||, ||I - Q^T Q||, ||M - Q R||) of a solve, the two defects as
-    calls of ``run`` (``_Done`` or a pool's ``submit``) that keep Q and R only
-    while they run; the error of a failed solve passes through."""
-    if isinstance(solved, LinAlgError):
-        return solved
-    detail, norm_z = solved
-    qa, ra = detail.q.array, detail.r.array
-    return (detail.solution.z, norm_z, run(_gram_defect, qa),
-            run(_decomposition_defect, ma, qa, ra))
-
-
-def _cells(problem, ma, scored, norm_m, kappa) -> dict[str, float | str]:
-    """One method's metric cells, or its error in all four."""
+def _attempt(fn, *args):
+    """``fn(*args)``, or the ``LinAlgError`` it raised."""
     try:
-        if isinstance(scored, LinAlgError):
-            raise scored
-        z, norm_z, orth, dec = scored
+        return fn(*args)
+    except LinAlgError as exc:
+        return exc
+
+
+def _result(value):
+    """A task's value, or its ``LinAlgError`` raised."""
+    if isinstance(value, LinAlgError):
+        raise value
+    return value
+
+
+def _cells(problem, ma, scored, sigma, kappa) -> dict[str, float | str]:
+    """One method's metric cells from (z, ||z||, orth, dec) and sigma(M), or in
+    all four the first error of sigma(M), the solve (``scored`` itself) or a defect."""
+    try:
+        norm_m = _result(sigma)[0]
+        z, norm_z, orth, dec = _result(scored)
         report = _report(ma, problem.f, z, problem.z_star, norm_z=norm_z, norm_m=norm_m,
                          kappa=kappa if isinstance(kappa, float) else 1.0,
-                         orth=orth.result(), dec=dec.result() / norm_m)
+                         orth=_result(orth), dec=_result(dec) / norm_m)
     except LinAlgError as exc:
         return dict.fromkeys(METRIC_NAMES, f"ERR:{exc.code}")
     cells: dict[str, float | str] = {name: getattr(report, name) for name in METRIC_NAMES}

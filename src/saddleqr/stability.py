@@ -99,22 +99,12 @@ def metrics(
     f: Vector,
     z_computed: Vector,
     z_star: Vector,
-    *,
-    kappa: float | None = None,
-    norm_m: float | None = None,
 ) -> StabilityReport:
-    """Measure a solve M z = f produced through the factorization (Q, R).
-
-    ``kappa`` and ``norm_m`` may be passed in to reuse values when
-    several methods are scored against the same matrix.
-    """
+    """Measure a solve M z = f produced through the factorization (Q, R)."""
     _check_system(m, q, r, f, z_computed, z_star)
     norm_z = _solution_norm(z_computed)
-    if norm_m is None or kappa is None:  # one singular-value call on M for both
-        sigma_max, sigma_min = _extreme_singular_values(m.array)
-        norm_m = sigma_max if norm_m is None else norm_m
-        kappa = sigma_max / _nonsingular(sigma_max, sigma_min) if kappa is None else kappa
-
+    norm_m, sigma_min = _extreme_singular_values(m.array)  # ||M|| and kappa from one call
+    kappa = norm_m / _nonsingular(norm_m, sigma_min)
     orth, dec = _factor_defects(m.array, q.array, r.array, norm_m)
     return _report(m.array, f, z_computed, z_star, norm_z=norm_z, norm_m=norm_m, kappa=kappa,
                    orth=orth, dec=dec)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,87 @@ def pooled(monkeypatch):
     monkeypatch.setattr(bench, "_POOL_MIN_ORDER", 30)
 
 
+@pytest.fixture(params=["sequential", "pooled"])
+def schedule(request, monkeypatch):
+    """Run POOLED's tables (l = 30) with or without the metric pool."""
+    from saddleqr import bench
+
+    if request.param == "pooled":
+        monkeypatch.setattr(bench, "_POOL_MIN_ORDER", 30)
+    return request.param
+
+
+def _spy_solves(monkeypatch, events, qs):
+    """Log each ``bench`` solve in ``events``, and its Q by weak reference in ``qs``."""
+    from saddleqr import bench
+
+    def solve(blocks, f, method, real=bench.solve_detailed, **kwargs):
+        events.append(("solve", method))
+        detail = real(blocks, f, method, **kwargs)
+        qs.append((method, weakref.ref(detail.q.array)))
+        return detail
+
+    monkeypatch.setattr(bench, "solve_detailed", solve)
+
+
+def _owner(qa, qs):
+    """The method whose solve made the Q ``qa``."""
+    return next(method for method, ref in qs if ref() is qa)
+
+
+class TestRowSchedules:
+    def test_order_of_solves_and_metric_tasks(self, schedule, monkeypatch):
+        # Sequential rows run sigma(M) first and score each method right after
+        # its solve; pooled rows run every metric task after the last solve.
+        from saddleqr import bench
+
+        events, qs = [], []
+        _spy_solves(monkeypatch, events, qs)
+
+        def sigma(ma, real=bench._extreme_singular_values):
+            events.append(("sigma", None))
+            return real(ma)
+
+        def gram_defect(qa, real=bench._gram_defect):
+            events.append(("gram", _owner(qa, qs)))
+            return real(qa)
+
+        monkeypatch.setattr(bench, "_extreme_singular_values", sigma)
+        monkeypatch.setattr(bench, "_gram_defect", gram_defect)
+        assert not any(row.has_errors for row in run_bench(BenchConfig(**POOLED)))
+        methods = ("bcgs", "bcgs2", "householder")
+        assert len(events) == 14
+        for row in (events[:7], events[7:]):
+            if schedule == "sequential":
+                assert row == [("sigma", None)] + [(step, method) for method in methods
+                                                   for step in ("solve", "gram")]
+            else:
+                assert row[:3] == [("solve", method) for method in methods]
+                assert set(row[3:]) == {("sigma", None)} | {("gram", m) for m in methods}
+
+    def test_no_earlier_q_is_alive_when_a_method_is_scored(self, monkeypatch):
+        # A sequential row holds one method's Q while it scores it, so a
+        # paper-scale row keeps no more than that.
+        from saddleqr import bench
+
+        events, qs, scored = [], [], []
+        _spy_solves(monkeypatch, events, qs)
+
+        def spied(real, q_at):
+            def defect(*args):
+                qa = args[q_at]
+                others = [method for method, ref in qs if ref() is not None and ref() is not qa]
+                scored.append((_owner(qa, qs), others))
+                return real(*args)
+            return defect
+
+        monkeypatch.setattr(bench, "_gram_defect", spied(bench._gram_defect, 0))
+        monkeypatch.setattr(bench, "_decomposition_defect", spied(bench._decomposition_defect, 1))
+        assert not run_bench(BenchConfig(**{**POOLED, "t_list": (1.0,)}))[0].has_errors
+        assert scored == [(method, []) for method in ("bcgs", "bcgs2", "householder")
+                          for _ in range(2)]
+
+
 class TestPooledRows:
     def test_same_cells_as_the_sequential_path_at_one_thread(self, monkeypatch):
         # The pooled table runs on one OpenBLAS thread; so does the sequential
@@ -249,7 +331,7 @@ class TestPooledRows:
         monkeypatch.setattr(bench, "_POOL_MIN_ORDER", 30)
         assert render_csv(cfg, run_bench(cfg)) == sequential
 
-    def test_failing_sigma_task_marks_the_whole_row(self, pooled, monkeypatch):
+    def test_failing_sigma_task_marks_the_whole_row(self, schedule, monkeypatch):
         from saddleqr import bench
 
         def fails(xa):
@@ -261,24 +343,19 @@ class TestPooledRows:
             for cells in row.cells.values():
                 assert set(cells.values()) == {"ERR:nonconverged"}
 
-    def test_failing_defect_task_marks_only_its_method(self, pooled, monkeypatch):
+    def test_failing_defect_task_marks_only_its_method(self, schedule, monkeypatch):
         from saddleqr import bench
 
         cfg = BenchConfig(**POOLED)
         clean = run_bench(cfg)
-        owner, solve = {}, bench.solve_detailed
-
-        def recorded(blocks, f, method, **kwargs):
-            detail = solve(blocks, f, method, **kwargs)
-            owner[id(detail.q.array)] = method
-            return detail
+        qs = []
+        _spy_solves(monkeypatch, [], qs)
 
         def gram_defect(qa, real=bench._gram_defect):
-            if owner[id(qa)] == "bcgs2":
+            if _owner(qa, qs) == "bcgs2":
                 raise NonConvergedError("LAPACK did not converge: dsyevd INFO = 1")
             return real(qa)
 
-        monkeypatch.setattr(bench, "solve_detailed", recorded)
         monkeypatch.setattr(bench, "_gram_defect", gram_defect)
         for row, ref in zip(run_bench(cfg), clean):
             assert row.kappa == ref.kappa

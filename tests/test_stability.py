@@ -20,7 +20,7 @@ from saddleqr import (
 from saddleqr.bench import BenchConfig, base_blocks, run_bench
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
-from saddleqr.stability import theorem1_bound
+from saddleqr.stability import _factor_defects, theorem1_bound
 from saddleqr.testgen import random_orthogonal, scale_problem
 
 
@@ -70,15 +70,8 @@ class TestMetrics:
                 calls.append(name)
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
-        metrics(detail.matrix, detail.q, detail.r, problem.f, detail.solution.z, problem.z_star,
-                kappa=1.0, norm_m=1.0)
+        _factor_defects(detail.matrix.array, detail.q.array, detail.r.array, 1.0)
         assert calls == ["array_equal", "_eigvalsh", "_eigvalsh"]
-
-    def test_precomputed_kappa_reused(self):
-        eye = DenseMatrix(np.eye(2))
-        ones = Vector([1.0, 1.0])
-        report = metrics(eye, eye, eye, ones, ones, ones, kappa=7.0, norm_m=1.0)
-        assert report.kappa == 7.0
 
 
 @pytest.mark.parametrize("call", ["metrics", "backward_certificate"])
