@@ -12,7 +12,8 @@ so every record starts from the same state of ``perfbench/out``.  There:
   whole: provenance, digest, every metric and every op time;
 * each paper-scale one-row table (``saddleqr bench --example 2|3
   --t-list 1 --methods bcgs,bcgs2``) runs in three fresh processes,
-  and the record keeps each wall time, exit code and CSV sha256, and the
+  and the record keeps each wall time, exit code, CSV sha256, minor page
+  faults (``ru_minflt``) and peak RSS (``ru_maxrss``, in MB), and the
   median time.
 
 The record is written to BENCH_<N>.json at the root of this repository,
@@ -68,17 +69,23 @@ def run_perfbench(copy: Path, workload: str) -> dict:
 
 def run_table(copy: Path, args: list[str]) -> dict:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-    seconds, codes, digests = [], [], []
+    seconds, codes, digests, faults, rss_mb = [], [], [], [], []
     for i in range(RUNS):
         out = copy / f"table-{i}.csv"
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "saddleqr.cli", "bench", *args,
-                               "--out", str(out)], cwd=copy, env=env, capture_output=True)
+        with subprocess.Popen([sys.executable, "-m", "saddleqr.cli", "bench", *args,
+                               "--out", str(out)], cwd=copy, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+            # wait4 reaps the child with its own rusage; Popen's exit then
+            # finds no child to wait for, which it accepts.
+            _, status, usage = os.wait4(proc.pid, 0)
         seconds.append(time.perf_counter() - start)
-        codes.append(proc.returncode)
+        codes.append(os.waitstatus_to_exitcode(status))
+        faults.append(usage.ru_minflt)
+        rss_mb.append(usage.ru_maxrss / 1024)
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None)
     return {"args": args, "median_s": statistics.median(seconds), "seconds": seconds,
-            "exit_codes": codes, "sha256": digests}
+            "exit_codes": codes, "sha256": digests, "minflt": faults, "maxrss_mb": rss_mb}
 
 
 def main(argv=None) -> int:
@@ -101,7 +108,9 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     for name, table in record["tables"].items():
-        print(f"{name}: median {table['median_s']:.2f} s, sha256 {sorted(set(table['sha256']))}")
+        print(f"{name}: median {table['median_s']:.2f} s, minflt {table['minflt']}, "
+              f"maxrss {[round(x, 1) for x in table['maxrss_mb']]} MB, "
+              f"sha256 {sorted(set(table['sha256']))}")
     for workload, result in record["perfbench"].items():
         metrics = ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items())
         print(f"{workload}: {metrics}")

@@ -10,6 +10,8 @@ the hypotheses A SPD, C PSD, B of full column rank.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import sys
 from pathlib import Path
@@ -27,6 +29,29 @@ from .norms import condition_number
 from .saddle import METHODS, SaddleBlocks, ValidationReport, solve_detailed, validate
 from .stability import metrics
 from .testgen import GENERATOR_KINDS, GeneratorSpec
+
+
+# glibc's mallopt parameters (malloc.h), and the value both thresholds take.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_BYTES = 256 << 20
+
+
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Set glibc's mmap and trim thresholds to 256 MiB for this process,
+    so that freed heap pages stay for the next array of their size instead
+    of faulting in afresh (README, "The CLI's heap").  Setting one alone
+    stops glibc adjusting the other, which faults more than the defaults,
+    so the trim threshold follows only a successful mmap threshold.  The
+    settings are process-wide, so only the CLI makes them.  Without glibc
+    or its ``mallopt`` this does nothing."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _KEEP_BYTES) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES)
 
 
 def _fail(msg: str, code: int) -> int:
@@ -224,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_pages()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

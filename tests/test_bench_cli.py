@@ -1,6 +1,8 @@
+import ctypes
 import os
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import saddleqr
-from saddleqr import DenseMatrix, NonConvergedError, Vector, householder, norms
+from saddleqr import DenseMatrix, NonConvergedError, Vector, cli, householder, norms
 from saddleqr.mmio import read_matrix, read_vector, write_matrix, write_vector
 from saddleqr.testgen import hilbert
 from saddleqr.bench import (
@@ -702,3 +704,58 @@ class TestCliBench:
         ])
         assert code == 0
         assert out.read_text().startswith("| metric | t=1 |")
+
+
+@pytest.fixture()
+def libc(monkeypatch):
+    """A stand-in C library for ``cli._keep_freed_pages``: its ``mallopt``
+    records each (param, value) call and returns ``libc.result``; other
+    libraries load as usual.  The helper's cache is cleared around the test."""
+    fake = types.SimpleNamespace(calls=[], result=1, loads=0)
+
+    def mallopt(param, value):
+        fake.calls.append((param, value))
+        return fake.result
+
+    fake.mallopt = mallopt
+
+    def load(name, *args, real=ctypes.CDLL, **kwargs):
+        if name != "libc.so.6":
+            return real(name, *args, **kwargs)
+        fake.loads += 1
+        return fake
+
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    cli._keep_freed_pages.cache_clear()
+    yield fake
+    cli._keep_freed_pages.cache_clear()
+
+
+class TestKeepFreedPages:
+    MMAP, TRIM = (-3, 256 << 20), (-1, 256 << 20)
+
+    def test_runs_once_across_two_cli_calls(self, libc, tmp_path):
+        for _ in range(2):
+            assert main(["bench", "--example", "custom", "--out", str(tmp_path / "x.csv")]) == 2
+        assert libc.loads == 1 and len(libc.calls) == 2
+
+    def test_mmap_threshold_before_trim_threshold(self, libc):
+        cli._keep_freed_pages()
+        assert libc.calls == [self.MMAP, self.TRIM]
+
+    def test_trim_threshold_only_after_the_mmap_threshold_took(self, libc):
+        libc.result = 0
+        cli._keep_freed_pages()
+        assert libc.calls == [self.MMAP]
+
+    def test_no_op_without_mallopt_or_c_library(self, libc, monkeypatch):
+        del libc.mallopt
+        assert cli._keep_freed_pages() is None
+        assert libc.loads == 1 and libc.calls == []
+        cli._keep_freed_pages.cache_clear()
+
+        def missing(name, *args, **kwargs):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert cli._keep_freed_pages() is None
