@@ -15,8 +15,8 @@ one-thread column stops winning.
 With ``--rows``, each L is an order l = m + n (default: the README row
 table's), and the script times ``run_bench`` on one-row example-2 tables
 (m = round(2 l / 3), n = l - m, t = 1, all three methods, a new seed per
-row), pooled (one OpenBLAS thread, metric eigensolves paired on two
-workers) and sequential (the caller's thread count), alternating which
+row), pooled (one OpenBLAS thread, metric tasks on the lane beside the
+solves) and sequential (the caller's thread count), alternating which
 mode runs first; each timed row follows an untimed one of its mode.  It
 prints the medians and whether ``bench._pools`` pools the order; set
 ``bench._POOL_MIN_ORDER`` from where the pooled column starts winning.
@@ -31,9 +31,8 @@ import sys
 import time
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
-from saddleqr import bench, householder
+from saddleqr import _openblas, bench, householder
 from saddleqr.rng import standard_normals
 
 SHAPES = ("300x200", "600x400", "3100x100", "1000x600", "1500x500", "1700x500", "2000x500",
@@ -45,18 +44,16 @@ ORDERS = (18, 30, 60, 99, 150, 201, 300, 450, 600, 796)
 
 def _factor_seconds(x: np.ndarray) -> float:
     """Seconds of dgeqrf + dorgqr on an F-order copy of ``x`` (the copy untimed)."""
-    a = np.array(x, order="F")
-    l, k = a.shape
-    tau, at = np.empty(k), a.T
+    a, tau = np.array(x, order="F"), np.empty(x.shape[1])
     start = time.perf_counter()
-    householder._lapack(lapack_lite.dgeqrf, l, k, at, l, tau)
-    householder._lapack(lapack_lite.dorgqr, l, k, k, at, l, tau)
+    _openblas.dgeqrf(a, tau)
+    _openblas.dorgqr(a, tau)
     return time.perf_counter() - start
 
 
 def measure(l: int, k: int, calls: int) -> tuple[float, float]:
     """Median seconds at one and at two threads over ``calls`` interleaved calls each."""
-    lib = householder._openblas()
+    lib = _openblas.library()
     x = standard_normals(l, l * k).reshape(l, k)
     before = lib.scipy_openblas_get_num_threads64_()
     times = {1: [], 2: []}
@@ -112,7 +109,7 @@ def main(argv=None) -> int:
                    help="LxK panel shapes, l >= k (default: the QR table's); with --rows, "
                         "orders l (default: the row table's)")
     args = p.parse_args(argv)
-    if householder._openblas() is None:
+    if _openblas.library() is None:
         print("thread_table: numpy bundles no OpenBLAS, so there is no thread count to set",
               file=sys.stderr)
         return 2

@@ -2,12 +2,16 @@
 requested QR paths, and tabulate the stability metrics.
 
 A row lists its metric tasks as it solves: sigma(M), then ||I - Q^T Q||
-and ||M - Q R|| of each solved method, each an eigensolve of order l = m + n.
-A table with ``_POOL_MIN_ORDER`` <= l <= 796 runs on one OpenBLAS thread (so
-its bytes do not depend on the thread count) and runs a row's tasks on two
-worker threads after its last solve, through the GIL-releasing
-``norms._eigvalsh``.  Other tables run each task as soon as it is listed.
-Either way the cells come from the code ``stability.metrics`` runs.
+and ||M - Q R|| of each solved method, each a symmetric eigenproblem of
+order l = m + n.  A table with ``_POOL_MIN_ORDER`` <= l <= 796 runs on one
+OpenBLAS thread (so its bytes do not depend on the thread count) and
+queues the tasks on one worker thread, the metric lane, as each solve
+returns: the lane scores a row while the calling thread solves its next
+method, since the QR and the eigenvalue routines release the GIL.  After
+the last solve the calling thread runs the queued tasks the lane has not
+started, from the back.  Other tables run each task as soon as it is
+listed.  Either way the cells come from the code ``stability.metrics``
+runs, and a ``MemoryError`` in a row marks its cells ``ERR:memory``.
 
 CSV output is machine-first (cells as columns, 17 significant digits, so
 every numeric cell round-trips exactly); markdown output is eyeball-first
@@ -21,8 +25,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import LinAlgError
-from .householder import _one_blas_thread, _pins_one_thread
+from ._openblas import one_thread
+from .errors import LinAlgError, OutOfMemoryError
+from .householder import _pins_one_thread
 from .matrix import DenseMatrix
 from .norms import _extreme_singular_values, _nonsingular
 from .rng import mix64
@@ -127,60 +132,69 @@ def base_blocks(
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     """Evaluate every (t, method) cell; failures mark cells, never abort.  A
-    table that ``_pools`` runs on one OpenBLAS thread, with the row's metric
-    tasks on two workers; the count is restored after it, also on a raise."""
+    table that ``_pools`` runs on one OpenBLAS thread and scores its rows on
+    the metric lane; the count is restored after it, also on a raise."""
     if not _pools(cfg.m + cfg.n):
         return [_row(cfg, t_index) for t_index in range(len(cfg.t_list))]
-    # One pin outside the pool: a pin inside a task would restore the count
-    # while the other worker still runs.
-    with _one_blas_thread():
-        return [_row(cfg, t_index, _metric_pool()) for t_index in range(len(cfg.t_list))]
+    # One pin around the table: a pin inside a row would restore the count
+    # while the lane still runs.
+    with one_thread():
+        return [_row(cfg, t_index, _metric_lane()) for t_index in range(len(cfg.t_list))]
 
 
 @functools.cache
-def _metric_pool():
-    """The two worker threads of the pooled tables, started on first use."""
+def _metric_lane():
+    """The one worker thread that scores pooled rows, started on first use."""
     from concurrent.futures import ThreadPoolExecutor  # a 7-13 ms import, paid only here
 
-    return ThreadPoolExecutor(max_workers=2)
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def _pools(l: int) -> bool:
-    """Whether a table of order l pairs its rows' metric eigensolves."""
+    """Whether a table of order l scores its rows on the metric lane."""
     return _POOL_MIN_ORDER <= l and _pins_one_thread(l, l)
 
 
-def _row(cfg: BenchConfig, t_index: int, pool=None) -> BenchRow:
+def _row(cfg: BenchConfig, t_index: int, lane=None) -> BenchRow:
     """One row.  Generation, assembly and the solves run on this thread in
-    method order and list the metric tasks.  Without a pool each task runs
-    as soon as it is listed; with one, all run on it after the last solve,
-    so that no solve shares the cores with them.  Pool tasks call no name
-    the benchmark tracer hooks.  The cells are built here, in method order."""
+    method order and list the metric tasks as they go: sigma(M) after
+    assembly, each method's two defects after its solve.  Without a lane
+    each task runs as soon as it is listed.  With one, each solve's return
+    queues the tasks listed so far there, so the lane scores while this
+    thread solves the next method (both release the GIL in LAPACK), and
+    after the last solve this thread takes over the tasks the lane has not
+    started (``_finish``).  Lane tasks call no name the benchmark tracer
+    hooks.  The cells are built here, in method order."""
     t = cfg.t_list[t_index]
-    a1, b1, c1, provenance = base_blocks(cfg, t_index)
     try:
+        a1, b1, c1, provenance = base_blocks(cfg, t_index)
         problem = scale_problem(a1, b1, c1, t, provenance)
         ma = assemble(problem.blocks).array
-    except LinAlgError as exc:  # no problem or no M, so no metric of the row
-        err = f"ERR:{exc.code}"
+    except (LinAlgError, MemoryError) as exc:  # no problem or no M, so no metric of the row
+        err = f"ERR:{_typed(exc).code}"
         return BenchRow(t=t, kappa=err, cells={m: dict.fromkeys(METRIC_NAMES, err)
                                                for m in cfg.ordered_methods})
-    tasks, values = [(_extreme_singular_values, ma)], []
+    # sigma(M) starts before the first solve, or on the lane once that solve
+    # returns, so that the first solve has the cores to itself.
+    tasks = [(_extreme_singular_values, ma)]
+    started = [] if lane else [_start(tasks.pop())]
     solves, first = [], None  # first: the bcgs detail, whose factors bcgs2 reorthogonalizes
-    for method in cfg.ordered_methods:
-        if pool is None:  # the tasks listed so far run before this solve
-            values += _run(tasks)
+    try:
+        for method in cfg.ordered_methods:
+            try:
+                detail = solve_detailed(problem.blocks, problem.f, method, first_pass=first)
+                solves.append((method, (detail.solution.z, _solution_norm(detail.solution.z))))
+            except (LinAlgError, MemoryError) as exc:
+                detail = None
+                solves.append((method, _typed(exc)))
+            first = detail if method == "bcgs" else None
+            if detail is not None:  # listed once first no longer holds an earlier Q
+                qa, ra = detail.q.array, detail.r.array
+                tasks += [(_gram_defect, qa), (_decomposition_defect, ma, qa, ra)]
+            started += [_start(task, lane) for task in tasks]
             tasks = []
-        try:
-            detail = solve_detailed(problem.blocks, problem.f, method, first_pass=first)
-            solves.append((method, (detail.solution.z, _solution_norm(detail.solution.z))))
-            tasks += [(_gram_defect, detail.q.array),
-                      (_decomposition_defect, ma, detail.q.array, detail.r.array)]
-        except LinAlgError as exc:
-            detail = None
-            solves.append((method, exc))
-        first = detail if method == "bcgs" else None
-    values = iter(values + _run(tasks, pool))
+    finally:  # every started task ends before the row returns or raises
+        values = iter(_finish(started, lane))
     sigma = next(values)
     try:  # a singular M has a norm but no kappa, so only kappa and stab fail
         norm_m, sigma_min = _result(sigma)
@@ -194,23 +208,47 @@ def _row(cfg: BenchConfig, t_index: int, pool=None) -> BenchRow:
     return row
 
 
-def _run(tasks, pool=None) -> list:
-    """The value or ``LinAlgError`` of each ``(fn, *args)`` task, run here or on
-    ``pool``, where every task finishes before any other error is raised."""
-    if pool is None:
-        return [_attempt(*task) for task in tasks]
-    futures = [pool.submit(_attempt, *task) for task in tasks]
-    for future in futures:
-        future.exception()  # waits for it
-    return [future.result() for future in futures]
+def _start(task, lane=None):
+    """Without a lane, the value or ``LinAlgError`` of the ``(fn, *args)``
+    task, run here; with one, the task's future there and the task."""
+    if lane is None:
+        return _attempt(*task)
+    return lane.submit(_attempt, *task), task
+
+
+def _finish(started, lane=None) -> list:
+    """The value or ``LinAlgError`` of each task ``_start`` started.  On a lane,
+    this thread runs the tasks the lane has not begun, last listed first,
+    while the lane finishes its own; every task ends before any other error
+    is raised."""
+    if lane is None:
+        return started
+    here = {}
+    try:
+        for i in reversed(range(len(started))):
+            future, task = started[i]
+            if future.cancel():
+                here[i] = _attempt(*task)
+    finally:
+        for future, _ in started:
+            if not future.cancelled():
+                future.exception()  # waits for it
+    return [here[i] if i in here else future.result() for i, (future, _) in enumerate(started)]
 
 
 def _attempt(fn, *args):
-    """``fn(*args)``, or the ``LinAlgError`` it raised."""
+    """``fn(*args)``, or the ``LinAlgError`` it raised (a ``MemoryError`` typed)."""
     try:
         return fn(*args)
-    except LinAlgError as exc:
-        return exc
+    except (LinAlgError, MemoryError) as exc:
+        return _typed(exc)
+
+
+def _typed(exc: Exception) -> LinAlgError:
+    """``exc``, or an ``OutOfMemoryError`` for a ``MemoryError``."""
+    if isinstance(exc, MemoryError):
+        return OutOfMemoryError(str(exc) or "out of memory")
+    return exc
 
 
 def _result(value):

@@ -2,9 +2,10 @@
 from Matrix Market files, and run the stability benchmark.
 
 Exit codes: 0 all requested computations succeeded; 1 some computation
-failed (singular / rank-deficient cells, reported inline); 2 configuration
-or I/O failure before any computation, or a ``solve`` system that breaks
-the hypotheses A SPD, C PSD, B of full column rank.
+failed (singular / rank-deficient cells, reported inline, or a ``gen`` or
+``solve`` that ran out of memory); 2 configuration or I/O failure before
+any computation, or a ``solve`` system that breaks the hypotheses A SPD,
+C PSD, B of full column rank.
 """
 
 from __future__ import annotations
@@ -251,7 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _keep_freed_pages()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # bench rows mark their cells ERR:memory instead
+        return _fail(f"{args.command}: out of memory" + (f" ({exc})" if str(exc) else ""), 1)
 
 
 if __name__ == "__main__":

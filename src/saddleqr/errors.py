@@ -73,3 +73,10 @@ class DegenerateSolutionError(LinAlgError):
     """A metric denominator vanished (zero computed solution)."""
 
     code = "degenerate"
+
+
+class OutOfMemoryError(LinAlgError):
+    """An allocation failed (Python raised ``MemoryError``): the code of a
+    bench cell or row that ran out of memory."""
+
+    code = "memory"

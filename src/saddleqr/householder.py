@@ -4,9 +4,11 @@ The factorization is LAPACK's ``dgeqrf`` followed by ``dorgqr``: a blocked
 right-looking compact-WY Householder QR (Schreiber & Van Loan, SIAM J.
 Sci. Stat. Comput. 10, 1989) whose reflectors ``dlarfg`` scales, so any
 finite input factors without overflow or underflow in the reflectors.
-Both routines are called through ``numpy.linalg.lapack_lite``, which
-links them from the LAPACK numpy is built with, on a Fortran-order panel
-that becomes Q; every numpy build runs this one path.
+Both run column-major on a Fortran-order panel that becomes Q, through
+the LAPACKE bindings of ``_openblas``, which release the GIL for the call.
+On a numpy build without the bundled OpenBLAS the same routines run
+through ``numpy.linalg.lapack_lite``, which holds the GIL; their Q and R
+are byte-equal to the LAPACKE ones.
 
 A QR that needs at most ``_ONE_THREAD_FLOPS`` flops (4 l k^2 - 4 k^3 / 3
 for both routines), square or not, factors on one OpenBLAS thread: the
@@ -19,24 +21,17 @@ caller's count.
 ``_qr_in_place`` is the one kernel: it factors an F-order panel where it
 lies (the block Gram-Schmidt panels are column slices of their Q); ``_thin_qr``
 runs it on an F copy, and ``thin_householder_qr`` wraps that.
-
-``_openblas()`` is the package's one handle on numpy's bundled OpenBLAS:
-it sets the thread count here, ``triangular`` solves through its ``dtrsv``
-and ``norms`` takes eigenvalues through its ``dsyevd``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
-import glob
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import lapack_lite
 
+from . import _openblas
 from .errors import DimensionError, LinAlgError, NonFiniteError, RankDeficientError
 from .matrix import MACHINE_EPS, DenseMatrix, _scaled
 
@@ -58,18 +53,6 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> None:
     q *= sign
 
 
-# The symbols of the bundled OpenBLAS in use, with their C signatures: the
-# thread count, ``triangular``'s dtrsv (four CBLAS enums, then ILP64 sizes) and
-# ``norms``' LAPACKE dsyevd (layout, JOBZ, UPLO, n, a, lda, w; returns INFO).
-_SIGNATURES = {
-    "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
-    "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
-    "scipy_cblas_dtrsv64_": ([ctypes.c_int] * 4 + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                              ctypes.c_void_p, ctypes.c_int64], None),
-    "scipy_LAPACKE_dsyevd64_": ([ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                                 ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p], ctypes.c_int64),
-}
-
 # A QR factors on one OpenBLAS thread up to this many flops of dgeqrf +
 # dorgqr: above the presets' largest thin panel (1500 x 500, 1.33e9) and
 # below the squares from l = 800 (1.37e9), which lose on one thread
@@ -77,46 +60,15 @@ _SIGNATURES = {
 _ONE_THREAD_FLOPS = 1.35e9
 
 
-@functools.cache
-def _openblas() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS with ``_SIGNATURES`` declared, or None when
-    numpy bundles none."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas64_*"))
-    if not libs:
-        return None
-    lib = ctypes.CDLL(libs[0])
-    for name, (argtypes, restype) in _SIGNATURES.items():
-        getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, restype
-    return lib
-
-
 def _pins_one_thread(l: int, k: int) -> bool:
     """Whether an l x k QR factors on one OpenBLAS thread."""
     return 4 * l * k * k - 4 * k**3 / 3 <= _ONE_THREAD_FLOPS
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread and restore the count after it,
-    also when it raises; without a bundled OpenBLAS it does nothing.  The
-    count is process-wide, so BLAS calls from other threads meanwhile run
-    on one thread too."""
-    lib = _openblas()
-    before = lib.scipy_openblas_get_num_threads64_() if lib else 1
-    if before == 1:
-        yield
-        return
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
-
-
 def _lapack(routine, *args) -> None:
     """Run the ``lapack_lite`` ``routine`` on its leading ``args`` with the
-    workspace it asks for; a negative INFO, an illegal argument, raises."""
+    workspace it asks for; a negative INFO, an illegal argument, raises.
+    Only numpy builds without the bundled OpenBLAS take this path."""
     size = np.empty(1)
     info = routine(*args, size, -1, 0)["info"]
     if info == 0:
@@ -154,13 +106,20 @@ def _qr_in_place(a: np.ndarray) -> np.ndarray:
     if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
         raise ValueError("in-place QR needs a writable, F-contiguous float64 panel")
     tol = default_rank_tol(a)  # of the panel, before LAPACK overwrites it; raises on inf/NaN
-    pin = _one_blas_thread() if _pins_one_thread(l, k) else contextlib.nullcontext()
+    pin = _openblas.one_thread() if _pins_one_thread(l, k) else contextlib.nullcontext()
+    lite = _openblas.library() is None
     with pin:
         # a.T is the C-contiguous view lapack_lite takes; LAPACK reads it as a, lda = l.
-        tau, at = np.empty(k), a.T
-        _lapack(lapack_lite.dgeqrf, l, k, at, l, tau)
+        tau = np.empty(k)
+        if lite:
+            _lapack(lapack_lite.dgeqrf, l, k, a.T, l, tau)
+        else:
+            _openblas.dgeqrf(a, tau)
         r = np.triu(a[:k])
-        _lapack(lapack_lite.dorgqr, l, k, k, at, l, tau)
+        if lite:
+            _lapack(lapack_lite.dorgqr, l, k, k, a.T, l, tau)
+        else:
+            _openblas.dorgqr(a, tau)
     if not (np.isfinite(a).all() and np.isfinite(r).all()):
         raise NonFiniteError("QR factor is not finite")
     small = np.flatnonzero(np.abs(np.diag(r)) <= tol)

@@ -1,24 +1,25 @@
-"""Spectral norm, inverse norm and condition number by direct LAPACK calls
-(``dsyevd`` and ``numpy.linalg.svd``).  Nothing iterates in Python: each
-call returns a value accurate to rounding or raises a typed LinAlgError.
+"""Spectral norm, inverse norm and condition number by direct LAPACK calls.
+Nothing iterates in Python: each call returns a value accurate to rounding
+or raises a typed LinAlgError.
 
-``_eigvalsh`` is the package's one symmetric eigensolver.  It calls LAPACKE
-``dsyevd`` of numpy's bundled OpenBLAS through ctypes, which releases the
-GIL for the call, so two threads can run two eigensolves at once (``bench``
-pairs a row's metric eigensolves that way).  Its bytes equal
-``numpy.linalg.eigvalsh``'s, the same LAPACK routine, which is its path
-without the bundled library."""
+A symmetric operand is reduced once to tridiagonal form (``dsytrd``).  A
+norm needs only the end eigenvalues, which bisection (``dstebz``) finds to
+full accuracy in O(n) work each; only sigma_min of a symmetric matrix needs
+every eigenvalue, which ``dsterf`` computes from a copy of the same
+reduction (the bytes of ``numpy.linalg.eigvalsh``, whose path that is).
+All three run through ``_openblas``, which releases the GIL for each call,
+so ``bench`` scores a row on one thread while it solves on another.  A
+nonsymmetric operand takes ``numpy.linalg.svd``.  Without the bundled
+OpenBLAS, ``numpy.linalg.eigvalsh`` gives every eigenvalue and the ends,
+which then differ from bisection's at rounding level."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import householder
-from .errors import (DimensionError, LinAlgError, NonConvergedError, NonFiniteError,
-                     SingularMatrixError)
+from . import _openblas
+from .errors import DimensionError, NonConvergedError, NonFiniteError, SingularMatrixError
 from .matrix import MACHINE_EPS, DenseMatrix, _scaled
-
-_COLUMN_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 # M is singular to working precision when sigma_min <= this factor times
 # sigma_max, or sigma_min is not a normal float.  Far below rounding noise,
@@ -34,27 +35,42 @@ def _converged(routine, a: np.ndarray) -> np.ndarray:
         raise NonConvergedError(f"LAPACK did not converge: {exc}") from exc
 
 
-def _eigvalsh(y: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix in the writable,
-    contiguous float64 ``y``, which it overwrites.  dsyevd reads the lower
-    triangle of y's column-major storage: y's own lower triangle when y is
-    F-ordered, as ``numpy.linalg.eigvalsh`` reads it, and its upper triangle
-    when y is C-ordered, the same numbers for an exactly symmetric y.
-    INFO > 0 raises :class:`NonConvergedError`, INFO < 0 :class:`LinAlgError`."""
-    if y.dtype != np.float64 or not (y.flags.writeable and
-                                     (y.flags.c_contiguous or y.flags.f_contiguous)):
-        raise ValueError("the eigensolver needs a writable, contiguous float64 array")
-    lib = householder._openblas()
-    if lib is None:
-        return _converged(np.linalg.eigvalsh, y)
-    n, w = y.shape[0], np.empty(y.shape[0])
-    info = lib.scipy_LAPACKE_dsyevd64_(_COLUMN_MAJOR, b"N", b"L", n, y.ctypes.data, max(1, n),
-                                       w.ctypes.data)
-    if info > 0:
-        raise NonConvergedError(f"LAPACK did not converge: dsyevd INFO = {info}")
-    if info < 0:
-        raise LinAlgError(f"dsyevd: argument {-info} is illegal")
-    return w
+class _Spectrum:
+    """The eigenvalues of the symmetric ``y``, reduced once and read on demand;
+    ``y`` is overwritten.  dsytrd reads the lower triangle of y's column-major
+    storage: y's own lower triangle when y is F-ordered, as
+    ``numpy.linalg.eigvalsh`` reads it, and its upper triangle when y is
+    C-ordered, the same numbers for an exactly symmetric y.  A LAPACK
+    convergence failure raises :class:`NonConvergedError`."""
+
+    def __init__(self, y: np.ndarray):
+        if _openblas.library() is None:
+            self._every, self._tridiagonal = _converged(np.linalg.eigvalsh, y), None
+        else:
+            self._every, self._tridiagonal = None, _openblas.dsytrd(y)
+        self._n = len(y)
+
+    def eigenvalue(self, i: int) -> float:
+        """Eigenvalue i of the ascending order, counted from the top if negative."""
+        if self._tridiagonal is None:
+            return float(self._every[i])
+        return _openblas.dstebz(*self._tridiagonal, i % self._n + 1)
+
+    def ends(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max)."""
+        return self.eigenvalue(0), self.eigenvalue(-1)
+
+    def abs_max(self) -> float:
+        """max |lambda|, from the two ends."""
+        return max(abs(end) for end in self.ends())
+
+    def every(self) -> np.ndarray:
+        """All eigenvalues, ascending."""
+        if self._every is None:
+            d, e = (v.copy() for v in self._tridiagonal)
+            _openblas.dsterf(d, e)
+            self._every = d
+        return self._every
 
 
 def _finite_norm(value: float) -> float:
@@ -65,17 +81,20 @@ def _finite_norm(value: float) -> float:
 
 
 def _extreme_singular_values(xa: np.ndarray) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of X from Y = X / max|X|: |eigvalsh(Y)| when
-    X is exactly symmetric (Golub & Van Loan, Matrix Computations, 8.1),
-    else ``svd(Y)``.  A sigma_max past the float range raises
-    :class:`NonFiniteError`."""
+    """(sigma_max, sigma_min) of X from Y = X / max|X|, the |eigenvalues| of
+    Y when X is exactly symmetric (Golub & Van Loan, Matrix Computations,
+    8.1): sigma_max from the two ends, sigma_min from every eigenvalue.
+    Otherwise both come from ``svd(Y)``.  A sigma_max past the float range
+    raises :class:`NonFiniteError`."""
     symmetric = np.array_equal(xa, xa.T)
     scale, y = _scaled(xa)
     if symmetric:
-        sv = np.abs(_eigvalsh(y))
+        spectrum = _Spectrum(y)
+        sigma_max, sigma_min = spectrum.abs_max(), np.min(np.abs(spectrum.every()))
     else:
         sv = _converged(lambda a: np.linalg.svd(a, compute_uv=False), y)
-    return _finite_norm(scale * float(np.max(sv))), scale * float(np.min(sv))
+        sigma_max, sigma_min = np.max(sv), np.min(sv)
+    return _finite_norm(scale * float(sigma_max)), scale * float(sigma_min)
 
 
 def _nonsingular(sigma_max: float, sigma_min: float) -> float:
@@ -92,7 +111,7 @@ def _gram_norm(xa: np.ndarray, overwrite: bool = False) -> float:
     With ``overwrite`` X is scaled in place."""
     scale, y = _scaled(xa, xa if overwrite else None)
     gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
-    return _finite_norm(scale * float(np.sqrt(max(_eigvalsh(gram)[-1], 0.0))))
+    return _finite_norm(scale * float(np.sqrt(max(_Spectrum(gram).eigenvalue(-1), 0.0))))
 
 
 def _two_norm(xa: np.ndarray, overwrite: bool = False) -> float:
@@ -101,7 +120,7 @@ def _two_norm(xa: np.ndarray, overwrite: bool = False) -> float:
     if not np.array_equal(xa, xa.T):
         return _gram_norm(xa, overwrite)
     scale, y = _scaled(xa, xa if overwrite else None)
-    return _finite_norm(scale * float(np.max(np.abs(_eigvalsh(y)))))
+    return _finite_norm(scale * _Spectrum(y).abs_max())
 
 
 def spectral_norm(x: DenseMatrix) -> float:

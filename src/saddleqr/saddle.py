@@ -16,7 +16,7 @@ from .blockgs import _reorthogonalize, bcgs, bcgs2
 from .errors import DimensionError, RankDeficientError
 from .householder import ThinQR, thin_householder_qr
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric
-from .norms import _eigvalsh
+from .norms import _Spectrum
 from .triangular import _back_substitute_arr, cholesky
 
 METHODS = ("bcgs", "bcgs2", "householder")
@@ -104,11 +104,10 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
     except ValueError:  # cholesky refuses an A that is not symmetric
         a_spd, min_pivot = False, float("nan")
 
-    # An F-order copy, since C is read-only: dsyevd then reads C's own lower
+    # An F-order copy, since C is read-only: dsytrd then reads C's own lower
     # triangle, as numpy's eigvalsh does, also when C is not symmetric.
-    c_eigs = _eigvalsh(np.array(blocks.c.array, order="F"))
-    c_min_eig = float(c_eigs[0])
-    norm_c = float(max(-c_eigs[0], c_eigs[-1]))
+    c_min_eig, c_max_eig = _Spectrum(np.array(blocks.c.array, order="F")).ends()
+    norm_c = max(-c_min_eig, c_max_eig)
     c_psd = _is_symmetric(blocks.c.array) and c_min_eig >= -100.0 * MACHINE_EPS * norm_c
 
     b_min_r = None

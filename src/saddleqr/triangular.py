@@ -6,13 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import householder
+from . import _openblas
 from .errors import DimensionError, ZeroDiagonalError
 from .matrix import DenseMatrix, Vector, _is_symmetric, _seq_sum
 
 _TINY = float(np.finfo(np.float64).tiny)
-# CBLAS enum values: RowMajor, Upper, NoTrans, NonUnit.
-_ROW_UPPER_NOTRANS_NONUNIT = (101, 121, 111, 131)
 
 
 def _check_square(r: DenseMatrix, what: str) -> None:
@@ -44,12 +42,10 @@ def _back_substitute_arr(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
     small = np.flatnonzero(np.abs(np.diag(ra)) < _TINY)
     if small.size:
         raise ZeroDiagonalError(int(small[-1]))  # the row a bottom-up solve meets first
-    lib = householder._openblas()
-    if lib is None:
+    if _openblas.library() is None:
         return _column_sweep(ra, g)
-    ra = np.ascontiguousarray(ra, dtype=np.float64)
     z = np.array(g, dtype=np.float64)
-    lib.scipy_cblas_dtrsv64_(*_ROW_UPPER_NOTRANS_NONUNIT, n, ra.ctypes.data, n, z.ctypes.data, 1)
+    _openblas.dtrsv(np.ascontiguousarray(ra, dtype=np.float64), z)
     return z
 
 

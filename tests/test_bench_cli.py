@@ -2,6 +2,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import threading
 import types
 import weakref
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import saddleqr
-from saddleqr import DenseMatrix, NonConvergedError, Vector, cli, householder, norms
+from saddleqr import DenseMatrix, NonConvergedError, Vector, _openblas, cli
 from saddleqr.mmio import read_matrix, read_vector, write_matrix, write_vector
 from saddleqr.testgen import hilbert
 from saddleqr.bench import (
@@ -205,11 +206,7 @@ class TestRunBench:
         _, parsed = read_bench_csv(path)
         assert parsed[0]["kappa_M"] == 3e15
 
-    def test_lapack_failure_gives_nonconverged_cells(self, monkeypatch, tmp_path, capsys):
-        def fails(y):
-            raise NonConvergedError("LAPACK did not converge: dsyevd INFO = 1")
-
-        monkeypatch.setattr(norms, "_eigvalsh", fails)
+    def test_lapack_failure_gives_nonconverged_cells(self, eigen_fails, tmp_path, capsys):
         out = tmp_path / "nc.csv"
         code = main(["bench", "--example", "1", "--t-list", "1", "--out", str(out)])
         assert code == 1
@@ -269,33 +266,69 @@ def _owner(qa, qs):
 
 class TestRowSchedules:
     def test_order_of_solves_and_metric_tasks(self, schedule, monkeypatch):
-        # Sequential rows run sigma(M) first and score each method right after
-        # its solve; pooled rows run every metric task after the last solve.
+        # Sequential rows run sigma(M) before the first solve and a method's
+        # defects right after its solve, one thing at a time.  Pooled rows
+        # queue sigma(M) and the first method's defects when the first solve
+        # returns, later defects after their solve, and no more than one task
+        # runs beside a solve.
         from saddleqr import bench
 
-        events, qs = [], []
-        _spy_solves(monkeypatch, events, qs)
+        events, caller, qs, running, seen = [], [], [], {"solve": 0, "task": 0}, []
+        lock = threading.Lock()
+        _spy_solves(monkeypatch, caller, qs)
 
-        def sigma(ma, real=bench._extreme_singular_values):
-            events.append(("sigma", None))
-            return real(ma)
+        def tracked(kind, real, event):
+            def run(*args, **kwargs):
+                with lock:
+                    running[kind] += 1
+                    seen.append(dict(running))
+                    events.append(event(*args))
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    with lock:
+                        running[kind] -= 1
+            return run
 
-        def gram_defect(qa, real=bench._gram_defect):
-            events.append(("gram", _owner(qa, qs)))
-            return real(qa)
+        monkeypatch.setattr(bench, "solve_detailed", tracked(
+            "solve", bench.solve_detailed, lambda blocks, f, method: ("solve", method)))
+        names = {}
+        for name, event in (("_extreme_singular_values", lambda ma: ("sigma", None)),
+                            ("_gram_defect", lambda qa: ("gram", _owner(qa, qs))),
+                            ("_decomposition_defect", lambda ma, qa, ra: ("dec", _owner(qa, qs)))):
+            spy = tracked("task", getattr(bench, name), event)
+            names[spy] = name
+            monkeypatch.setattr(bench, name, spy)
 
-        monkeypatch.setattr(bench, "_extreme_singular_values", sigma)
-        monkeypatch.setattr(bench, "_gram_defect", gram_defect)
+        def start(task, lane=None, real=bench._start):
+            caller.append(("list", names[task[0]]))
+            return real(task, lane)
+
+        monkeypatch.setattr(bench, "_start", start)
         assert not any(row.has_errors for row in run_bench(BenchConfig(**POOLED)))
         methods = ("bcgs", "bcgs2", "householder")
-        assert len(events) == 14
-        for row in (events[:7], events[7:]):
+        listed = [step for m in methods for step in (("solve", m), ("list", "_gram_defect"),
+                                                     ("list", "_decomposition_defect"))]
+        listed.insert(0 if schedule == "sequential" else 1, ("list", "_extreme_singular_values"))
+        assert caller == 2 * listed
+        assert len(events) == 2 * (3 + 7) == len(seen)
+        for row in (events[:10], events[10:]):
             if schedule == "sequential":
-                assert row == [("sigma", None)] + [(step, method) for method in methods
-                                                   for step in ("solve", "gram")]
+                assert row == [("sigma", None)] + [(step, m) for m in methods
+                                                   for step in ("solve", "gram", "dec")]
             else:
-                assert row[:3] == [("solve", method) for method in methods]
-                assert set(row[3:]) == {("sigma", None)} | {("gram", m) for m in methods}
+                assert [e for e in row if e[0] == "solve"] == [("solve", m) for m in methods]
+                assert sorted(row, key=str) == sorted(
+                    [("sigma", None)] + [(step, m) for m in methods
+                                         for step in ("solve", "gram", "dec")], key=str)
+                assert all(row.index((step, m)) > row.index(("solve", m))
+                           for m in methods for step in ("gram", "dec"))
+                assert row.index(("sigma", None)) > row.index(("solve", "bcgs"))
+        if schedule == "sequential":
+            assert all(state["solve"] + state["task"] == 1 for state in seen)
+        else:  # a task beside a solve is the lane's; after the solves, two at most
+            assert all(state["task"] <= (1 if state["solve"] else 2) for state in seen)
+            assert all(state["solve"] <= 1 for state in seen)
 
     def test_no_earlier_q_is_alive_when_a_method_is_scored(self, monkeypatch):
         # A sequential row holds one method's Q while it scores it, so a
@@ -325,19 +358,35 @@ class TestPooledRows:
         # The pooled table runs on one OpenBLAS thread; so does the sequential
         # one here, and both score with the same code.
         from saddleqr import bench
-        from saddleqr.householder import _one_blas_thread
 
         cfg = BenchConfig(**POOLED)
-        with _one_blas_thread():
+        with _openblas.one_thread():
             sequential = render_csv(cfg, run_bench(cfg))
         monkeypatch.setattr(bench, "_POOL_MIN_ORDER", 30)
         assert render_csv(cfg, run_bench(cfg)) == sequential
+
+    def test_same_cells_when_threads_switch_often(self, monkeypatch):
+        # The lane and this thread split each row's tasks between them; a GIL
+        # switch every 10 us stresses the hand-offs, and the bytes must hold.
+        from saddleqr import bench
+
+        cfg = BenchConfig(**{**POOLED, "t_list": (0.01, 0.1, 1.0, 10.0, 100.0)})
+        with _openblas.one_thread():
+            sequential = render_csv(cfg, run_bench(cfg))
+        monkeypatch.setattr(bench, "_POOL_MIN_ORDER", 30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = render_csv(cfg, run_bench(cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == sequential
 
     def test_failing_sigma_task_marks_the_whole_row(self, schedule, monkeypatch):
         from saddleqr import bench
 
         def fails(xa):
-            raise NonConvergedError("LAPACK did not converge: dsyevd INFO = 1")
+            raise NonConvergedError("LAPACK did not converge: dstebz INFO = 1")
 
         monkeypatch.setattr(bench, "_extreme_singular_values", fails)
         for row in run_bench(BenchConfig(**POOLED)):
@@ -355,7 +404,7 @@ class TestPooledRows:
 
         def gram_defect(qa, real=bench._gram_defect):
             if _owner(qa, qs) == "bcgs2":
-                raise NonConvergedError("LAPACK did not converge: dsyevd INFO = 1")
+                raise NonConvergedError("LAPACK did not converge: dstebz INFO = 1")
             return real(qa)
 
         monkeypatch.setattr(bench, "_gram_defect", gram_defect)
@@ -365,12 +414,12 @@ class TestPooledRows:
             for method in ("bcgs", "householder"):
                 assert row.cells[method] == ref.cells[method]
 
-    @pytest.mark.skipif(householder._openblas() is None, reason="needs numpy's bundled OpenBLAS")
+    @pytest.mark.skipif(_openblas.library() is None, reason="needs numpy's bundled OpenBLAS")
     @pytest.mark.parametrize("raises", [False, True], ids=["returns", "task_raises"])
     def test_thread_count_is_one_inside_and_restored_after(self, pooled, monkeypatch, raises):
         from saddleqr import bench
 
-        lib, seen = householder._openblas(), []
+        lib, seen = _openblas.library(), []
         before = lib.scipy_openblas_get_num_threads64_()
 
         def gram_defect(qa, real=bench._gram_defect):
@@ -403,8 +452,95 @@ class TestPooledRows:
         orders = (18, low - 1, low, 300, 796, 797, 1500, 3100)
         assert [bench._pools(l) for l in orders] == [False, False, True, True, True, False,
                                                       False, False]
-        monkeypatch.setattr(bench, "_one_blas_thread", None)  # calling it would raise
+        monkeypatch.setattr(bench, "one_thread", None)  # calling it would raise
         assert not run_bench(BenchConfig(example="1", m=12, n=6, t_list=(1.0,)))[0].has_errors
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 2.98 GiB for an array")
+
+
+class TestMemoryFailures:
+    """A ``MemoryError`` in a row becomes ``ERR:memory`` cells, and ``gen`` and
+    ``solve`` exit 1 with a message.  Each raises from a patched function; no
+    test allocates for real."""
+
+    def test_generator_marks_the_row(self, schedule, monkeypatch):
+        from saddleqr import bench
+
+        monkeypatch.setattr(bench, "matrix2", _out_of_memory)
+        for row in run_bench(BenchConfig(**POOLED)):
+            assert row.kappa == "ERR:memory"
+            for cells in row.cells.values():
+                assert set(cells.values()) == {"ERR:memory"}
+
+    def test_solve_marks_only_its_method(self, schedule, monkeypatch):
+        from saddleqr import bench
+
+        cfg = BenchConfig(**POOLED)
+        clean = run_bench(cfg)
+
+        def solve(blocks, f, method, real=bench.solve_detailed, **kwargs):
+            if method == "bcgs2":
+                _out_of_memory()
+            return real(blocks, f, method, **kwargs)
+
+        monkeypatch.setattr(bench, "solve_detailed", solve)
+        for row, ref in zip(run_bench(cfg), clean):
+            assert row.kappa == ref.kappa
+            assert set(row.cells["bcgs2"].values()) == {"ERR:memory"}
+            for method in ("bcgs", "householder"):
+                assert row.cells[method] == ref.cells[method]
+
+    def test_metric_task_marks_only_its_method(self, schedule, monkeypatch):
+        from saddleqr import bench
+
+        cfg = BenchConfig(**POOLED)
+        clean = run_bench(cfg)
+        qs = []
+        _spy_solves(monkeypatch, [], qs)
+
+        def decomposition_defect(ma, qa, ra, real=bench._decomposition_defect):
+            if _owner(qa, qs) == "householder":
+                _out_of_memory()
+            return real(ma, qa, ra)
+
+        monkeypatch.setattr(bench, "_decomposition_defect", decomposition_defect)
+        for row, ref in zip(run_bench(cfg), clean):
+            assert row.kappa == ref.kappa
+            assert set(row.cells["householder"].values()) == {"ERR:memory"}
+            for method in ("bcgs", "bcgs2"):
+                assert row.cells[method] == ref.cells[method]
+
+    def test_bench_cli_writes_the_cells_and_exits_1(self, monkeypatch, tmp_path, capsys):
+        from saddleqr import bench
+
+        monkeypatch.setattr(bench, "hilbert", _out_of_memory)
+        out = tmp_path / "oom.csv"
+        assert main(["bench", "--example", "1", "--t-list", "1", "--out", str(out)]) == 1
+        assert "1 with errors" in capsys.readouterr().out
+        header, rows = read_bench_csv(out)
+        assert all(rows[0][key] == "ERR:memory" for key in header[1:])
+
+    def test_gen_exits_1_with_a_message(self, monkeypatch, tmp_path, capsys):
+        from saddleqr.testgen import GeneratorSpec
+
+        monkeypatch.setattr(GeneratorSpec, "generate", _out_of_memory)
+        out = tmp_path / "m.mtx"
+        assert main(["gen", "--kind", "matrix2", "--n", "4", "--out", str(out)]) == 1
+        assert "gen: out of memory (Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_exits_1_with_a_message(self, saddle_files, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve_detailed", _out_of_memory)
+        code = main([
+            "solve", "--a", str(saddle_files["a"]), "--b", str(saddle_files["b"]),
+            "--c", str(saddle_files["c"]), "--f", str(saddle_files["f"]),
+            "--out", str(saddle_files["out"]),
+        ])
+        assert code == 1
+        assert "solve: out of memory" in capsys.readouterr().err
+        assert not saddle_files["out"].exists()
 
 
 @pytest.fixture()
@@ -449,12 +585,8 @@ class TestCliGen:
         assert np.array_equal(read_matrix(out).array, np.ones((4, 4)))
         assert "singular-to-working-precision" in capsys.readouterr().out
 
-    def test_lapack_failure_in_kappa_still_writes(self, tmp_path, capsys, monkeypatch):
-        def fails(y):
-            raise NonConvergedError("LAPACK did not converge: dsyevd INFO = 1")
-
-        # hilbert(3) is symmetric, so its kappa comes from the eigensolver.
-        monkeypatch.setattr(norms, "_eigvalsh", fails)
+    def test_lapack_failure_in_kappa_still_writes(self, tmp_path, capsys, eigen_fails):
+        # hilbert(3) is symmetric, so its kappa comes from its eigenvalues.
         out = tmp_path / "h3.mtx"
         assert main(["gen", "--kind", "hilbert", "--m", "3", "--out", str(out)]) == 0
         assert np.array_equal(read_matrix(out).array, hilbert(3).array)

@@ -233,12 +233,12 @@ def example2(m, n, t_list=(0.01, 1.0, 100.0)):
 # transposition-specific small-matrix gemm/gemv kernels for them, so the
 # bytes differ at rounding level (test_known_differences_are_rounding bounds
 # them).  From l = 300 up the products take the same kernels whichever layout
-# Q1 has.
+# Q1 has.  The marks are strict, so equal bytes here would fail and be seen.
 LAYOUT_DIFFERS = {(5, 1, "bcgs"), (5, 1, "bcgs2"), (30, 30, "bcgs2"), (40, 10, "bcgs"),
                   (40, 10, "bcgs2")}
 IN_PLACE_CASES = [
     pytest.param(m, n, method, id=f"{m}+{n}-{method}", marks=[pytest.mark.xfail(
-        reason="small-matrix BLAS kernels differ by operand layout", strict=False)]
+        reason="small-matrix BLAS kernels differ by operand layout", strict=True)]
         if (m, n, method) in LAYOUT_DIFFERS else [])
     for m, n in [(5, 1), (3, 3), (30, 30), (40, 10), (200, 100), (400, 200)]
     for method in ("bcgs", "bcgs2")

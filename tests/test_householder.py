@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +23,8 @@ from saddleqr import (
     qr_residuals,
     thin_householder_qr,
 )
-from saddleqr import householder
-from saddleqr.householder import (
-    _openblas, _pins_one_thread, _qr_in_place, _thin_qr, default_rank_tol,
-)
+from saddleqr import _openblas, householder
+from saddleqr.householder import _pins_one_thread, _qr_in_place, _thin_qr, default_rank_tol
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
 from saddleqr.testgen import random_orthogonal
@@ -183,7 +183,7 @@ class TestQrResiduals:
             qr_residuals(rand_matrix(5, 4, 7), f)
 
 
-NO_OPENBLAS = _openblas() is None
+NO_OPENBLAS = _openblas.library() is None
 needs_openblas = pytest.mark.skipif(
     NO_OPENBLAS, reason="numpy bundles no OpenBLAS, so there is no thread count to pin"
 )
@@ -200,10 +200,11 @@ for l, k in ((600, 200), (600, 400), (300, 300)):
 
 
 def _spy_dgeqrf(monkeypatch, raises=False):
-    """Replace ``lapack_lite.dgeqrf`` with a spy that records the OpenBLAS
-    thread count of each call (the workspace query, then the factorization),
-    and raises instead when asked to; returns the record."""
-    real, threads, seen = lapack_lite.dgeqrf, _openblas().scipy_openblas_get_num_threads64_, []
+    """Replace the ``dgeqrf`` binding with a spy that records the OpenBLAS
+    thread count of each call, and raises instead when asked to; returns
+    the record."""
+    real, seen = _openblas.dgeqrf, []
+    threads = _openblas.library().scipy_openblas_get_num_threads64_
 
     def spy(*args):
         seen.append(threads())
@@ -211,8 +212,7 @@ def _spy_dgeqrf(monkeypatch, raises=False):
             raise RuntimeError("dgeqrf failed")
         return real(*args)
 
-    spy.__name__ = real.__name__
-    monkeypatch.setattr(lapack_lite, "dgeqrf", spy)
+    monkeypatch.setattr(_openblas, "dgeqrf", spy)
     return seen
 
 
@@ -223,7 +223,7 @@ class TestNarrowPanelThreads:
 
     @pytest.fixture
     def two_threads(self):
-        lib = _openblas()
+        lib = _openblas.library()
         before = lib.scipy_openblas_get_num_threads64_()
         lib.scipy_openblas_set_num_threads64_(2)
         yield lib.scipy_openblas_get_num_threads64_
@@ -232,7 +232,7 @@ class TestNarrowPanelThreads:
     def test_narrow_panel_pins_and_restores(self, two_threads, monkeypatch):
         seen = _spy_dgeqrf(monkeypatch)
         thin_householder_qr(rand_matrix(60, 30, 1))
-        assert seen == [1, 1] and two_threads() == 2
+        assert seen == [1] and two_threads() == 2
 
     def test_raise_inside_pin_restores(self, two_threads, monkeypatch):
         seen = _spy_dgeqrf(monkeypatch, raises=True)
@@ -244,7 +244,7 @@ class TestNarrowPanelThreads:
         seen = _spy_dgeqrf(monkeypatch)
         thin_householder_qr(rand_matrix(30, 30, 1))
         thin_householder_qr(rand_matrix(800, 800, 1))  # 1.37e9 flops: over the bound
-        assert seen == [1, 1, 2, 2] and two_threads() == 2
+        assert seen == [1, 2] and two_threads() == 2
 
     @pytest.mark.parametrize("l, k, pins", [(1000, 600, True), (1500, 500, True),
                                             (3100, 100, True), (1700, 500, False),
@@ -268,6 +268,73 @@ class TestNarrowPanelThreads:
         assert len(digests) == 1
 
 
+@needs_openblas
+class TestLapackeKernel:
+    """``dgeqrf``/``dorgqr`` through the LAPACKE bindings against the same
+    routines through ``lapack_lite``, at a fixed thread count, and the GIL
+    released meanwhile."""
+
+    @staticmethod
+    def _lapack_lite(x):
+        a, tau = np.array(x, order="F"), np.empty(x.shape[1])
+        l, k = x.shape
+        householder._lapack(lapack_lite.dgeqrf, l, k, a.T, l, tau)
+        r = np.triu(a[:k])
+        householder._lapack(lapack_lite.dorgqr, l, k, k, a.T, l, tau)
+        return a, r
+
+    @staticmethod
+    def _lapacke(x):
+        a, tau = np.array(x, order="F"), np.empty(x.shape[1])
+        _openblas.dgeqrf(a, tau)
+        r = np.triu(a[:x.shape[1]])
+        _openblas.dorgqr(a, tau)
+        return a, r
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_q_and_r_are_byte_equal_to_lapack_lite(self, threads):
+        lib = _openblas.library()
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(threads)
+        try:
+            for seed, (l, k) in enumerate(((12, 6), (60, 60), (300, 200), (300, 300),
+                                           (601, 400), (1000, 100), (1500, 1000))):
+                x = standard_normals(seed + 40, l * k).reshape(l, k)
+                q, r = self._lapacke(x)
+                q0, r0 = self._lapack_lite(x)
+                assert q.tobytes() == q0.tobytes() and r.tobytes() == r0.tobytes(), (l, k)
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+
+    def test_a_counting_thread_advances_during_a_large_qr(self):
+        # lapack_lite holds the GIL through each routine, so a Python thread
+        # counts at about 1-2 % of its free rate during them; through ctypes
+        # it keeps its rate.
+        a = np.asfortranarray(standard_normals(44, 2000 * 2000).reshape(2000, 2000))
+        tau = np.empty(2000)
+        count, stop = [0], threading.Event()
+
+        def counter():
+            while not stop.is_set():
+                count[0] += 1
+
+        def rate(run):
+            start, before = time.perf_counter(), count[0]
+            run()
+            return (count[0] - before) / (time.perf_counter() - start)
+
+        thread = threading.Thread(target=counter)
+        with _openblas.one_thread():
+            thread.start()
+            try:
+                free = rate(lambda: time.sleep(0.1))
+                during = rate(lambda: (_openblas.dgeqrf(a, tau), _openblas.dorgqr(a, tau)))
+            finally:
+                stop.set()
+                thread.join()
+        assert during >= 0.25 * free, (during, free)
+
+
 def _strided_300x200():
     return rand_matrix(300, 300, 12).array[:, :200]
 
@@ -277,8 +344,8 @@ def _fortran_60x30():
 
 
 class TestKernelPaths:
-    """The one lapack_lite kernel with the bundled OpenBLAS handle against
-    the same kernel without it, as on a numpy build that bundles none."""
+    """The kernel on the LAPACKE bindings against its lapack_lite fallback,
+    as on a numpy build that bundles no OpenBLAS."""
 
     @pytest.mark.parametrize("make", [
         lambda: rand_matrix(1, 1, 1).array, lambda: rand_matrix(5, 1, 2).array,
@@ -289,7 +356,7 @@ class TestKernelPaths:
         x = make()
         before = x.copy()
         # Both runs at one thread: without the handle there is no count to pin.
-        with householder._one_blas_thread():
+        with _openblas.one_thread():
             q, r = _thin_qr(x)
             no_openblas()
             q0, r0 = _thin_qr(x)
@@ -317,8 +384,8 @@ class TestKernelPaths:
 
 
 def _read_only_f():
-    # lapack_lite does not check that an array is writable, so this refusal is
-    # the only guard against LAPACK writing into a read-only buffer.
+    # lapack_lite does not check that an array is writable, so on that path
+    # this refusal is the only guard against LAPACK writing into a read-only buffer.
     a = np.asfortranarray(rand_matrix(6, 3, 16).array)
     a.setflags(write=False)
     return a
@@ -343,7 +410,7 @@ class TestInPlaceKernel:
     def test_column_slice_of_a_wider_array(self, drop, no_openblas):
         w = np.asfortranarray(rand_matrix(40, 12, 17).array)
         before = w.copy(order="F")
-        with householder._one_blas_thread():
+        with _openblas.one_thread():
             q, r = _thin_qr(w[:, 3:8])
             if drop:
                 no_openblas()

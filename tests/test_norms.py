@@ -15,6 +15,8 @@ from saddleqr import (
     norms,
     spectral_norm,
 )
+from saddleqr import _openblas
+from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
 from saddleqr.testgen import hilbert
 
@@ -155,32 +157,59 @@ class TestSingularValueBranches:
         xa[0, 1] = np.nextafter(xa[0, 1], 2.0)
         x = DenseMatrix(xa)
         ref = np.linalg.svd(xa, compute_uv=False)
-        eigvalsh = norms._eigvalsh
-        monkeypatch.setattr(norms, "_eigvalsh", self._fails)
+        spectrum = norms._Spectrum
+        monkeypatch.setattr(norms, "_Spectrum", self._fails)
         assert condition_number(x) == ref[0] / ref[-1]
         assert inverse_norm(x) == 1.0 / ref[-1]
         # The two-norm of a non-symmetric matrix comes from its Gram matrix.
-        monkeypatch.setattr(norms, "_eigvalsh", eigvalsh)
+        monkeypatch.setattr(norms, "_Spectrum", spectrum)
         assert spectral_norm(x) == pytest.approx(ref[0], rel=1e-15)
 
     def test_symmetric_two_norm_scans_and_solves_once(self, monkeypatch):
         h, calls = hilbert(6), []
-        for module, name in ((np, "array_equal"), (norms, "_eigvalsh"), (np.linalg, "svd")):
+        for module, name in ((np, "array_equal"), (norms, "_Spectrum"), (np.linalg, "svd")):
             def spy(*args, real=getattr(module, name), name=name, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
         spectral_norm(h)
-        assert calls == ["array_equal", "_eigvalsh"]
+        assert calls == ["array_equal", "_Spectrum"]
+
+    @pytest.mark.skipif(_openblas.library() is None, reason="needs numpy's bundled OpenBLAS")
+    def test_norms_take_end_eigenvalues_and_only_sigma_min_takes_all(self, monkeypatch):
+        # One reduction each; a norm bisects for its ends (two of a symmetric
+        # matrix, the top one of a Gram matrix), and only sigma_min of a
+        # symmetric matrix runs dsterf, on a copy of the reduction.
+        calls = []
+        for name in ("dsytrd", "dstebz", "dsterf"):
+            def spy(*args, real=getattr(_openblas, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(_openblas, name, spy)
+        h, x = hilbert(6), rand_matrix(7, 5, 3)
+        for run, expected in ((lambda: spectral_norm(h), ["dsytrd", "dstebz", "dstebz"]),
+                              (lambda: spectral_norm(x), ["dsytrd", "dstebz"]),
+                              (lambda: condition_number(h),
+                               ["dsytrd", "dstebz", "dstebz", "dsterf"])):
+            calls.clear()
+            run()
+            assert calls == expected
+
+
+needs_openblas = pytest.mark.skipif(_openblas.library() is None,
+                                    reason="needs numpy's bundled OpenBLAS")
 
 
 class TestEigensolver:
+    """``norms._Spectrum``: one dsytrd reduction, ends by dstebz bisection and
+    every eigenvalue by dsterf, or numpy's eigvalsh without the bundled library."""
+
     @staticmethod
     def _symmetric(n):
         x = standard_normals(n, n * n).reshape(n, n)
         return x + x.T
 
-    @pytest.mark.parametrize("drop", [False, True], ids=["dsyevd", "no_openblas"])
+    @pytest.mark.parametrize("drop", [False, True], ids=["dsterf", "no_openblas"])
     def test_bytes_equal_eigvalsh(self, drop, no_openblas):
         if drop:
             no_openblas()
@@ -188,38 +217,67 @@ class TestEigensolver:
             a = self._symmetric(n)
             ref = np.linalg.eigvalsh(a).tobytes()
             for order in "CF":
-                assert norms._eigvalsh(np.array(a, order=order)).tobytes() == ref, (n, order)
+                every = norms._Spectrum(np.array(a, order=order)).every()
+                assert every.tobytes() == ref, (n, order)
 
-    @pytest.mark.parametrize("drop", [False, True], ids=["dsyevd", "no_openblas"])
+    @pytest.mark.parametrize("drop", [False, True], ids=["dsterf", "no_openblas"])
     def test_f_order_reads_its_own_lower_triangle(self, drop, no_openblas):
         # validate's C need not be symmetric: it passes an F-order copy.
         if drop:
             no_openblas()
         x = standard_normals(3, 36).reshape(6, 6)
-        ref = np.linalg.eigvalsh(x).tobytes()
-        assert norms._eigvalsh(np.array(x, order="F")).tobytes() == ref
+        ref = np.linalg.eigvalsh(x)
+        spectrum = norms._Spectrum(np.array(x, order="F"))
+        assert spectrum.every().tobytes() == ref.tobytes()
+        low, high = spectrum.ends()
+        assert abs(low - ref[0]) <= 8 * MACHINE_EPS * abs(ref).max()
+        assert abs(high - ref[-1]) <= 8 * MACHINE_EPS * abs(ref).max()
 
-    @pytest.mark.parametrize("info, error", [(3, NonConvergedError), (-5, LinAlgError)])
+    @staticmethod
+    def _cases():
+        """SPD, indefinite and near-singular symmetric matrices, n = 1 to 100."""
+        for n in (1, 2, 3, 7, 30, 100):
+            x = standard_normals(n + 50, n * n).reshape(n, n)
+            u = np.linalg.qr(x)[0]
+            s = np.logspace(0.0, -15.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+            for kind, y in (("spd", x @ x.T + 1e-3 * np.eye(n)), ("indefinite", x + x.T),
+                            ("near_singular", (u * s) @ u.T)):
+                yield n, kind, (y + y.T) / 2.0
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["dstebz", "no_openblas"])
+    def test_ends_within_a_few_ulps_of_eigvalsh(self, drop, no_openblas):
+        # Bisection is accurate to about eps ||T||; eigvalsh's implicit QL
+        # ends differ from it by rounding that grows with n (up to 21 ulps
+        # of ||T|| seen at n = 100).
+        if drop:
+            no_openblas()
+        for n, kind, y in self._cases():
+            ref = np.linalg.eigvalsh(y)
+            ulp = MACHINE_EPS * float(np.max(np.abs(ref)))
+            low, high = norms._Spectrum(np.array(y)).ends()
+            assert abs(low - ref[0]) <= (4 + n) * ulp, (n, kind)
+            assert abs(high - ref[-1]) <= (4 + n) * ulp, (n, kind)
+
+    @needs_openblas
+    @pytest.mark.parametrize("info, error", [(3, NonConvergedError), (-5, LinAlgError),
+                                             (-1010, MemoryError)])
     def test_info_raises(self, monkeypatch, info, error):
-        from saddleqr import householder
-
-        class Returns:
-            def scipy_LAPACKE_dsyevd64_(self, *args):
-                return info
-
-        monkeypatch.setattr(householder, "_openblas", Returns)
+        monkeypatch.setattr(_openblas.library(), "scipy_LAPACKE_dstebz64_", lambda *args: info)
         with pytest.raises(error) as caught:
-            norms._eigvalsh(self._symmetric(4))
+            norms._Spectrum(self._symmetric(4)).ends()
         if info > 0:
-            assert str(caught.value).startswith("LAPACK did not converge")
-        else:
+            assert str(caught.value).startswith("LAPACK did not converge: dstebz INFO = 3")
+        elif error is LinAlgError:
             assert type(caught.value) is LinAlgError and "argument 5" in str(caught.value)
 
+    @needs_openblas
     def test_refuses_what_it_cannot_overwrite_in_place(self):
         a = self._symmetric(4)
         for bad in (a[:, :3].T[:3], a.astype(np.float32), DenseMatrix(a).array):
+            before = bad.tobytes()
             with pytest.raises(ValueError):
-                norms._eigvalsh(bad)
+                norms._Spectrum(bad)
+            assert bad.tobytes() == before
 
 
 def _check_against_gesdd(example, m, n, seed, t, methods=("bcgs", "bcgs2", "householder")):

@@ -55,19 +55,29 @@ def test_readme_states_the_source_line_count():
     assert int(stated.group(1).replace(",", "")) == counted
 
 
-def test_one_qr_path_through_lapack_lite():
-    # Every thin QR runs dgeqrf/dorgqr through numpy.linalg.lapack_lite, on
-    # every numpy build: no ctypes LAPACK binding and no numpy.linalg.qr
-    # path beside it.
+def test_every_openblas_binding_lives_in_the_boundary_module():
+    # Only _openblas.py names OpenBLAS symbols or passes array pointers
+    # (cli.py's one other ctypes binding is glibc's mallopt, which takes
+    # none); lapack_lite runs only on the QR's fallback, inside an ``if lite:``
+    # block of householder.py; and no numpy.linalg.qr path sits beside the QR.
     from numpy.linalg import lapack_lite
 
     missing = [name for name in ("dgeqrf", "dorgqr") if not hasattr(lapack_lite, name)]
-    assert not missing, f"the thin QR needs numpy.linalg.lapack_lite.{missing}, absent here"
+    assert not missing, f"the QR's fallback needs numpy.linalg.lapack_lite.{missing}, absent here"
     for path in (ROOT / "src" / "saddleqr").glob("*.py"):
-        text = path.read_text()
-        assert "scipy_dgeqrf_64_" not in text and "scipy_dorgqr_64_" not in text, path.name
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Call):
+        text, tree = path.read_text(), ast.parse(path.read_text())
+        if path.name != "_openblas.py":
+            assert "scipy_" not in text and "ctypes.data" not in text, path.name
+            imports = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                       for alias in node.names}
+            assert "ctypes" not in imports or path.name == "cli.py", path.name
+        fallback = {id(node) for branch in ast.walk(tree)
+                    if isinstance(branch, ast.If) and ast.unparse(branch.test) == "lite"
+                    for stmt in branch.body for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "lapack_lite":
+                assert path.name == "householder.py" and id(node) in fallback, path.name
+            elif isinstance(node, ast.Call):
                 assert not ast.unparse(node.func).endswith("linalg.qr"), path.name
             elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
                 assert "qr" not in {alias.name for alias in node.names}, path.name

@@ -62,16 +62,16 @@ class TestMetrics:
 
     def test_only_the_gram_defect_is_scanned_for_symmetry(self, monkeypatch):
         # I - Q^T Q may be exactly symmetric; M - Q R is not by construction
-        # and goes straight to its Gram matrix: one scan, two eigensolves.
+        # and goes straight to its Gram matrix: one scan, two eigenvalue reductions.
         problem, detail = example_style_run(12, 6, 1.0, "bcgs2", example="1")
         calls = []
-        for module, name in ((np, "array_equal"), (norms, "_eigvalsh"), (np.linalg, "svd")):
+        for module, name in ((np, "array_equal"), (norms, "_Spectrum"), (np.linalg, "svd")):
             def spy(*args, real=getattr(module, name), name=name, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
         _factor_defects(detail.matrix.array, detail.q.array, detail.r.array, 1.0)
-        assert calls == ["array_equal", "_eigvalsh", "_eigvalsh"]
+        assert calls == ["array_equal", "_Spectrum", "_Spectrum"]
 
 
 @pytest.mark.parametrize("call", ["metrics", "backward_certificate"])
@@ -122,13 +122,13 @@ class TestLemma1:
             lemma1_bounds(DenseMatrix(2.0 * np.eye(3)))
 
     def test_decomposes_qt_once(self, monkeypatch):
-        # One eigensolve for each defect, and one decomposition of Qt itself
-        # for both ||Qt|| and ||Qt^{-1}||.
+        # One eigenvalue reduction for each defect, and one decomposition of
+        # Qt itself for both ||Qt|| and ||Qt^{-1}||.
         qa = random_orthogonal(6, 9).array + 1e-4 * standard_normals(9, 36).reshape(6, 6)
         y, operands = qa / np.max(np.abs(qa)), []
-        for module, name in ((norms, "_eigvalsh"), (np.linalg, "svd")):
+        for module, name in ((norms, "_Spectrum"), (np.linalg, "svd")):
             def spy(a, *args, real=getattr(module, name), **kwargs):
-                operands.append(a.copy())  # the eigensolver overwrites its operand
+                operands.append(a.copy())  # the reduction overwrites its operand
                 return real(a, *args, **kwargs)
             monkeypatch.setattr(module, name, spy)
         lemma1_bounds(DenseMatrix(qa))

@@ -15,7 +15,7 @@ from saddleqr import (
     matrix2,
     vector_norm,
 )
-from saddleqr import householder
+from saddleqr import _openblas
 from saddleqr.householder import _thin_qr
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import _uniforms_at, mix64, standard_normals
@@ -132,7 +132,7 @@ class TestBackSubstitute:
 
 
 needs_openblas = pytest.mark.skipif(
-    householder._openblas() is None, reason="numpy bundles no OpenBLAS, so no dtrsv path"
+    _openblas.library() is None, reason="numpy bundles no OpenBLAS, so no dtrsv path"
 )
 
 
@@ -168,7 +168,7 @@ class TestBlasPath:
     def test_bytes_do_not_depend_on_thread_count(self, l):
         # The R of bcgs, bcgs2 and Householder QR of one random square, and a
         # random upper triangle (ill conditioned).
-        lib = householder._openblas()
+        lib = _openblas.library()
         x = standard_normals(l, l * l).reshape(l, l)
         uppers = [method(DenseMatrix(x), 2 * l // 3).r.array for method in (bcgs, bcgs2)]
         uppers += [_thin_qr(x)[1], random_upper(l, l + 1).array]
