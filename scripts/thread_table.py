@@ -36,9 +36,9 @@ from saddleqr import _openblas, bench, householder
 from saddleqr.rng import standard_normals
 
 SHAPES = ("300x200", "600x400", "3100x100", "1000x600", "1500x500", "1700x500", "2000x500",
-          "1200x700", "1400x700", "1200x800", "1600x800", "1500x1000", "2000x1000", "200x200",
-          "300x300", "400x400", "500x500", "600x600", "700x700", "800x800", "900x900",
-          "1000x1000")
+          "1200x700", "1400x700", "1200x800", "1600x800", "1500x1000", "2000x1000", "4000x500",
+          "6000x300", "10000x150", "200x200", "300x300", "400x400", "500x500", "600x600",
+          "700x700", "800x800", "900x900", "1000x1000")
 ORDERS = (18, 30, 60, 99, 150, 201, 300, 450, 600, 796)
 
 

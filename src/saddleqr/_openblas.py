@@ -1,9 +1,12 @@
-"""The package's one boundary with numpy's bundled OpenBLAS.
+"""The package's one boundary with raw LAPACK and numpy's bundled OpenBLAS.
 
 ``library()`` loads it once, or returns None on a numpy build that bundles
-none; the callers then take their fallbacks (``lapack_lite`` for the QR,
-``numpy.linalg.eigvalsh`` for the eigenvalues, a column sweep for the
-triangular solve).  ``one_thread()`` pins its thread count.  Every other
+none.  ``dgeqrf`` and ``dorgqr`` then run the same routines through
+``numpy.linalg.lapack_lite``, which holds the GIL, behind the same checks,
+workspace query and INFO mapping, with byte-equal Q and R; the other
+callers take their own fallbacks (``numpy.linalg.eigvalsh`` for the
+eigenvalues, a column sweep for the triangular solve).  ``one_thread()``
+pins its thread count.  Every other
 function here binds one routine, all of them LAPACKE or CBLAS entry points
 with no hidden Fortran string lengths, and checks each operand's dtype,
 shape, contiguity and, where the routine writes it, writability before any
@@ -27,6 +30,7 @@ import glob
 import os
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import LinAlgError, NonConvergedError
 
@@ -102,18 +106,18 @@ def _pointer(x, shape: tuple[int, ...], order: str = "C", write: bool = False) -
 
 
 def _with_workspace(call) -> int:
-    """INFO of a LAPACKE ``_work`` ``call``, given all but its workspace and
-    size, run with the workspace its query (size -1) asks for."""
+    """INFO of a LAPACK ``call`` of (work array, its size), run with the
+    workspace its query (size -1) asks for."""
     size = np.empty(1)
-    info = call(size.ctypes.data, -1)
+    info = call(size, -1)
     if info == 0:
         work = np.empty(max(1, int(size[0])))
-        info = call(work.ctypes.data, work.size)
+        info = call(work, work.size)
     return info
 
 
 def _checked(routine: str, info: int) -> None:
-    """Raise the error a LAPACKE ``routine``'s INFO reports, if any."""
+    """Raise the error a LAPACK ``routine``'s INFO reports, if any."""
     if info in _WORK_MEMORY_ERRORS:
         raise MemoryError(f"{routine}: no memory for its workspace")
     if info < 0:
@@ -130,14 +134,29 @@ def dtrsv(ra: np.ndarray, z: np.ndarray) -> None:
     library().scipy_cblas_dtrsv64_(*_ROW_UPPER_NOTRANS_NONUNIT, n, pa, n, pz, 1)
 
 
+def _qr_step(routine: str, dims: tuple[int, ...], a: np.ndarray, pa: int, tau: np.ndarray,
+             pt: int) -> None:
+    """Run the QR ``routine`` on its ``dims``, the checked F-contiguous ``a``
+    at ``pa`` (lda = its rows) and ``tau`` at ``pt``.  Without the bundled
+    OpenBLAS it runs through ``lapack_lite`` on a's C view a.T, which LAPACK
+    reads as a."""
+    lib, lda = library(), a.shape[0]
+    if lib is None:
+        lite = getattr(lapack_lite, routine)
+        info = _with_workspace(lambda work, size: lite(*dims, a.T, lda, tau, work, size, 0)["info"])
+    else:
+        lapacke = getattr(lib, f"scipy_LAPACKE_{routine}_work64_")
+        info = _with_workspace(lambda work, size: lapacke(_COLUMN_MAJOR, *dims, pa, lda, pt,
+                                                          work.ctypes.data, size))
+    _checked(routine, info)
+
+
 def dgeqrf(a: np.ndarray, tau: np.ndarray) -> None:
     """LAPACK's QR of the F-contiguous l x k ``a``, in place: R on and above
     its diagonal, the reflectors below it and their scalars in ``tau``."""
     l, k = a.shape
     pa, pt = _pointer(a, (l, k), "F", write=True), _pointer(tau, (k,), write=True)
-    call = functools.partial(library().scipy_LAPACKE_dgeqrf_work64_, _COLUMN_MAJOR, l, k, pa, l,
-                             pt)
-    _checked("dgeqrf", _with_workspace(call))
+    _qr_step("dgeqrf", (l, k), a, pa, tau, pt)
 
 
 def dorgqr(a: np.ndarray, tau: np.ndarray) -> None:
@@ -147,9 +166,7 @@ def dorgqr(a: np.ndarray, tau: np.ndarray) -> None:
     if l < k:
         raise ValueError(f"dorgqr needs rows >= cols, got {l}x{k}")
     pa, pt = _pointer(a, (l, k), "F", write=True), _pointer(tau, (k,))
-    call = functools.partial(library().scipy_LAPACKE_dorgqr_work64_, _COLUMN_MAJOR, l, k, k, pa,
-                             l, pt)
-    _checked("dorgqr", _with_workspace(call))
+    _qr_step("dorgqr", (l, k, k), a, pa, tau, pt)
 
 
 def dsytrd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +179,7 @@ def dsytrd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d, e, tau = np.empty(n), np.empty(max(n - 1, 0)), np.empty(max(n - 1, 1))
     call = functools.partial(library().scipy_LAPACKE_dsytrd_work64_, _COLUMN_MAJOR, b"L", n, pa,
                              max(1, n), d.ctypes.data, e.ctypes.data, tau.ctypes.data)
-    _checked("dsytrd", _with_workspace(call))
+    _checked("dsytrd", _with_workspace(lambda work, size: call(work.ctypes.data, size)))
     return d, e
 
 

@@ -9,9 +9,10 @@ queues the tasks on one worker thread, the metric lane, as each solve
 returns: the lane scores a row while the calling thread solves its next
 method, since the QR and the eigenvalue routines release the GIL.  After
 the last solve the calling thread runs the queued tasks the lane has not
-started, from the back.  Other tables run each task as soon as it is
-listed.  Either way the cells come from the code ``stability.metrics``
-runs, and a ``MemoryError`` in a row marks its cells ``ERR:memory``.
+started, from the back.  Other tables run the tasks on the calling thread,
+in the same order.  Either way the cells come from the code
+``stability.metrics`` runs, and a ``MemoryError`` in a row marks its cells
+``ERR:memory``.
 
 CSV output is machine-first (cells as columns, 17 significant digits, so
 every numeric cell round-trips exactly); markdown output is eyeball-first
@@ -158,13 +159,14 @@ def _pools(l: int) -> bool:
 def _row(cfg: BenchConfig, t_index: int, lane=None) -> BenchRow:
     """One row.  Generation, assembly and the solves run on this thread in
     method order and list the metric tasks as they go: sigma(M) after
-    assembly, each method's two defects after its solve.  Without a lane
-    each task runs as soon as it is listed.  With one, each solve's return
-    queues the tasks listed so far there, so the lane scores while this
-    thread solves the next method (both release the GIL in LAPACK), and
-    after the last solve this thread takes over the tasks the lane has not
-    started (``_finish``).  Lane tasks call no name the benchmark tracer
-    hooks.  The cells are built here, in method order."""
+    assembly, each method's two defects after its solve.  Each solve's
+    return starts the tasks listed so far, so the first solve has the cores
+    to itself.  Without a lane they run here, one after another.  With one
+    they queue there, so the lane scores while this thread solves the next
+    method (both release the GIL in LAPACK), and after the last solve this
+    thread takes over the tasks the lane has not started (``_finish``).
+    Lane tasks call no name the benchmark tracer hooks.  The cells are
+    built here, in method order."""
     t = cfg.t_list[t_index]
     try:
         a1, b1, c1, provenance = base_blocks(cfg, t_index)
@@ -174,10 +176,7 @@ def _row(cfg: BenchConfig, t_index: int, lane=None) -> BenchRow:
         err = f"ERR:{_typed(exc).code}"
         return BenchRow(t=t, kappa=err, cells={m: dict.fromkeys(METRIC_NAMES, err)
                                                for m in cfg.ordered_methods})
-    # sigma(M) starts before the first solve, or on the lane once that solve
-    # returns, so that the first solve has the cores to itself.
-    tasks = [(_extreme_singular_values, ma)]
-    started = [] if lane else [_start(tasks.pop())]
+    tasks, started = [(_extreme_singular_values, ma)], []
     solves, first = [], None  # first: the bcgs detail, whose factors bcgs2 reorthogonalizes
     try:
         for method in cfg.ordered_methods:

@@ -5,10 +5,9 @@ right-looking compact-WY Householder QR (Schreiber & Van Loan, SIAM J.
 Sci. Stat. Comput. 10, 1989) whose reflectors ``dlarfg`` scales, so any
 finite input factors without overflow or underflow in the reflectors.
 Both run column-major on a Fortran-order panel that becomes Q, through
-the LAPACKE bindings of ``_openblas``, which release the GIL for the call.
-On a numpy build without the bundled OpenBLAS the same routines run
-through ``numpy.linalg.lapack_lite``, which holds the GIL; their Q and R
-are byte-equal to the LAPACKE ones.
+the bindings of ``_openblas``, which check the panel's layout and choose
+the door: LAPACKE, or numpy's own LAPACK on a build without the bundled
+OpenBLAS, with byte-equal Q and R.
 
 A QR that needs at most ``_ONE_THREAD_FLOPS`` flops (4 l k^2 - 4 k^3 / 3
 for both routines), square or not, factors on one OpenBLAS thread: the
@@ -29,10 +28,9 @@ import contextlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 from . import _openblas
-from .errors import DimensionError, LinAlgError, NonFiniteError, RankDeficientError
+from .errors import DimensionError, NonFiniteError, RankDeficientError
 from .matrix import MACHINE_EPS, DenseMatrix, _scaled
 
 
@@ -65,19 +63,6 @@ def _pins_one_thread(l: int, k: int) -> bool:
     return 4 * l * k * k - 4 * k**3 / 3 <= _ONE_THREAD_FLOPS
 
 
-def _lapack(routine, *args) -> None:
-    """Run the ``lapack_lite`` ``routine`` on its leading ``args`` with the
-    workspace it asks for; a negative INFO, an illegal argument, raises.
-    Only numpy builds without the bundled OpenBLAS take this path."""
-    size = np.empty(1)
-    info = routine(*args, size, -1, 0)["info"]
-    if info == 0:
-        work = np.empty(max(1, int(size[0])))
-        info = routine(*args, work, work.size, 0)["info"]
-    if info < 0:
-        raise LinAlgError(f"{routine.__name__}: argument {-info} is illegal")
-
-
 def default_rank_tol(xa: np.ndarray) -> float:
     """Scale-invariant rank threshold: eps * sqrt(l) * max column norm.
 
@@ -99,27 +84,18 @@ def default_rank_tol(xa: np.ndarray) -> float:
 def _qr_in_place(a: np.ndarray) -> np.ndarray:
     """Overwrite the writable, F-contiguous float64 l x k ``a``, such as a column slice of an
     F-order array, with the Q of its checked thin QR and return R (``thin_householder_qr``
-    has the checks).  Any other layout, which LAPACK would misread, raises ``ValueError``."""
+    has the checks).  Any other layout, which LAPACK would misread, raises ``ValueError``
+    from the binding, before anything is written."""
     l, k = a.shape
     if l < k:
         raise DimensionError(f"thin QR needs rows >= cols, got {l}x{k}")
-    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
-        raise ValueError("in-place QR needs a writable, F-contiguous float64 panel")
     tol = default_rank_tol(a)  # of the panel, before LAPACK overwrites it; raises on inf/NaN
     pin = _openblas.one_thread() if _pins_one_thread(l, k) else contextlib.nullcontext()
-    lite = _openblas.library() is None
     with pin:
-        # a.T is the C-contiguous view lapack_lite takes; LAPACK reads it as a, lda = l.
         tau = np.empty(k)
-        if lite:
-            _lapack(lapack_lite.dgeqrf, l, k, a.T, l, tau)
-        else:
-            _openblas.dgeqrf(a, tau)
+        _openblas.dgeqrf(a, tau)
         r = np.triu(a[:k])
-        if lite:
-            _lapack(lapack_lite.dorgqr, l, k, k, a.T, l, tau)
-        else:
-            _openblas.dorgqr(a, tau)
+        _openblas.dorgqr(a, tau)
     if not (np.isfinite(a).all() and np.isfinite(r).all()):
         raise NonFiniteError("QR factor is not finite")
     small = np.flatnonzero(np.abs(np.diag(r)) <= tol)

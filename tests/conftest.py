@@ -6,8 +6,9 @@ from saddleqr import _openblas
 
 @pytest.fixture
 def no_openblas(monkeypatch):
-    """Run the rest of a test as on a numpy build with no bundled OpenBLAS:
-    the lapack_lite path for the QR, with no thread count to pin,
+    """Run the rest of a test as on a numpy build with no bundled OpenBLAS
+    (README's "Without the bundled OpenBLAS"): no thread count to pin, the
+    QR bindings of ``_openblas`` through ``lapack_lite``,
     ``numpy.linalg.eigvalsh`` for the eigenvalues, and the column sweep for
     back-substitution."""
     return lambda: monkeypatch.setattr(_openblas, "library", lambda: None)

@@ -394,3 +394,28 @@ def test_example3_reduced_contrast():
         f"{min(row.cells['bcgs']['orth'] / row.cells['bcgs2']['orth'] for row in rows):.3g}, "
         f"res_BCGS max {res1:.3g}"
     )
+
+
+@pytest.mark.parametrize("cfg", [
+    BenchConfig(example="2", m=200, n=100, t_list=(0.01, 1.0, 100.0), seed=0,
+                methods=("bcgs", "bcgs2", "householder")),
+    BenchConfig(example="1", m=12, n=6, seed=0),
+], ids=["example2_reduced", "example1"])
+def test_tables_without_openblas_keep_the_contrast(cfg, no_openblas):
+    # Whole rows as on a numpy build with no bundled OpenBLAS: the QR through
+    # lapack_lite, the eigenvalues through numpy.linalg.eigvalsh, the
+    # column-sweep back-substitution.
+    no_openblas()
+    rows = run_bench(cfg)
+    for row in rows:
+        cells = [row.kappa, *(v for c in row.cells.values() for v in c.values())]
+        assert not any(isinstance(v, str) and v.startswith("ERR") for v in cells), row
+        bcgs, bcgs2 = row.cells["bcgs"], row.cells["bcgs2"]
+        assert bcgs2["res"] <= 1e2 and bcgs2["stab"] <= 1e2, f"bcgs2 out of band at t={row.t:g}"
+        assert bcgs["orth"] >= 1e3 * bcgs2["orth"], f"orth contrast lost at t={row.t:g}"
+    print(
+        f"[no OpenBLAS] PASS: example {cfg.example}: orth_BCGS2 max "
+        f"{max(row.cells['bcgs2']['orth'] for row in rows):.3g}, res_BCGS2 max "
+        f"{max(row.cells['bcgs2']['res'] for row in rows):.3g}, orth ratio >= "
+        f"{min(row.cells['bcgs']['orth'] / row.cells['bcgs2']['orth'] for row in rows):.3g}"
+    )

@@ -266,11 +266,10 @@ def _owner(qa, qs):
 
 class TestRowSchedules:
     def test_order_of_solves_and_metric_tasks(self, schedule, monkeypatch):
-        # Sequential rows run sigma(M) before the first solve and a method's
-        # defects right after its solve, one thing at a time.  Pooled rows
-        # queue sigma(M) and the first method's defects when the first solve
-        # returns, later defects after their solve, and no more than one task
-        # runs beside a solve.
+        # Both schedules start sigma(M) and the first method's defects when
+        # the first solve returns, later defects after their solve.
+        # Sequential rows run them one thing at a time; on pooled rows no
+        # more than one task runs beside a solve.
         from saddleqr import bench
 
         events, caller, qs, running, seen = [], [], [], {"solve": 0, "task": 0}, []
@@ -309,12 +308,13 @@ class TestRowSchedules:
         methods = ("bcgs", "bcgs2", "householder")
         listed = [step for m in methods for step in (("solve", m), ("list", "_gram_defect"),
                                                      ("list", "_decomposition_defect"))]
-        listed.insert(0 if schedule == "sequential" else 1, ("list", "_extreme_singular_values"))
+        listed.insert(1, ("list", "_extreme_singular_values"))
         assert caller == 2 * listed
         assert len(events) == 2 * (3 + 7) == len(seen)
         for row in (events[:10], events[10:]):
             if schedule == "sequential":
-                assert row == [("sigma", None)] + [(step, m) for m in methods
+                assert row == [("solve", "bcgs"), ("sigma", None), ("gram", "bcgs"),
+                               ("dec", "bcgs")] + [(step, m) for m in methods[1:]
                                                    for step in ("solve", "gram", "dec")]
             else:
                 assert [e for e in row if e[0] == "solve"] == [("solve", m) for m in methods]

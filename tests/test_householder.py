@@ -23,7 +23,7 @@ from saddleqr import (
     qr_residuals,
     thin_householder_qr,
 )
-from saddleqr import _openblas, householder
+from saddleqr import _openblas
 from saddleqr.householder import _pins_one_thread, _qr_in_place, _thin_qr, default_rank_tol
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
@@ -276,11 +276,20 @@ class TestLapackeKernel:
 
     @staticmethod
     def _lapack_lite(x):
+        # The oracle calls lapack_lite itself, with no package code between:
+        # on the C view a.T, which LAPACK reads as a (lda = l), each routine
+        # with the workspace its query asks for.
+        def run(routine, *args):
+            size = np.empty(1)
+            assert routine(*args, size, -1, 0)["info"] == 0
+            work = np.empty(max(1, int(size[0])))
+            assert routine(*args, work, work.size, 0)["info"] == 0
+
         a, tau = np.array(x, order="F"), np.empty(x.shape[1])
         l, k = x.shape
-        householder._lapack(lapack_lite.dgeqrf, l, k, a.T, l, tau)
+        run(lapack_lite.dgeqrf, l, k, a.T, l, tau)
         r = np.triu(a[:k])
-        householder._lapack(lapack_lite.dorgqr, l, k, k, a.T, l, tau)
+        run(lapack_lite.dorgqr, l, k, k, a.T, l, tau)
         return a, r
 
     @staticmethod
@@ -377,15 +386,19 @@ class TestKernelPaths:
             _thin_qr(dependent)
         assert exc.value.column == 40
 
-    def test_illegal_argument_raises(self):
-        a, tau = np.zeros((3, 5)), np.empty(3)  # the C view of an F-order 5 x 3 panel
+    def test_illegal_argument_raises(self, monkeypatch, no_openblas):
+        # The binding passes lda = l itself, so only a faked INFO can say an
+        # argument is illegal: here lapack_lite's, as for lda = 1 < 5 rows.
+        no_openblas()
+        monkeypatch.setattr(lapack_lite, "dgeqrf", lambda *args: {"info": -4})
         with pytest.raises(LinAlgError, match="argument 4"):
-            householder._lapack(lapack_lite.dgeqrf, 5, 3, a, 1, tau)  # lda = 1 < 5 rows
+            _openblas.dgeqrf(np.asfortranarray(np.zeros((5, 3))), np.empty(3))
 
 
 def _read_only_f():
     # lapack_lite does not check that an array is writable, so on that path
-    # this refusal is the only guard against LAPACK writing into a read-only buffer.
+    # the binding's refusal is the only guard against LAPACK writing into a
+    # read-only buffer.
     a = np.asfortranarray(rand_matrix(6, 3, 16).array)
     a.setflags(write=False)
     return a
@@ -394,15 +407,20 @@ def _read_only_f():
 class TestInPlaceKernel:
     """``_qr_in_place`` overwrites a writable F-contiguous panel with Q."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: rand_matrix(6, 3, 14).array.copy(),  # C-ordered
-        lambda: np.asfortranarray(rand_matrix(12, 3, 15).array)[::2],  # not contiguous
-        _read_only_f,
-    ], ids=["c_order", "strided", "read_only"])
-    def test_refuses_other_layouts_untouched(self, make):
+    @pytest.mark.parametrize("make, drop", [
+        pytest.param(make, drop, id=name + ("-no_openblas" if drop else ""))
+        for name, make in (
+            ("c_order", lambda: rand_matrix(6, 3, 14).array.copy()),
+            ("strided", lambda: np.asfortranarray(rand_matrix(12, 3, 15).array)[::2]),
+            ("read_only", _read_only_f),
+        ) for drop in (False, True)
+    ])
+    def test_refuses_other_layouts_untouched(self, make, drop, no_openblas):
+        if drop:
+            no_openblas()
         a = make()
         before = a.tobytes()
-        with pytest.raises(ValueError, match="F-contiguous"):
+        with pytest.raises(ValueError, match="F-contiguous|writable"):
             _qr_in_place(a)
         assert a.tobytes() == before
 

@@ -56,10 +56,11 @@ def test_readme_states_the_source_line_count():
 
 
 def test_every_openblas_binding_lives_in_the_boundary_module():
-    # Only _openblas.py names OpenBLAS symbols or passes array pointers
-    # (cli.py's one other ctypes binding is glibc's mallopt, which takes
-    # none); lapack_lite runs only on the QR's fallback, inside an ``if lite:``
-    # block of householder.py; and no numpy.linalg.qr path sits beside the QR.
+    # Only _openblas.py names OpenBLAS symbols, passes array pointers or names
+    # lapack_lite, the QR's fallback (cli.py's one other ctypes binding is
+    # glibc's mallopt, which takes none).  householder.py leaves the choice
+    # of door and the panel's layout check to the bindings, and no
+    # numpy.linalg.qr path sits beside the QR.
     from numpy.linalg import lapack_lite
 
     missing = [name for name in ("dgeqrf", "dorgqr") if not hasattr(lapack_lite, name)]
@@ -71,12 +72,13 @@ def test_every_openblas_binding_lives_in_the_boundary_module():
             imports = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                        for alias in node.names}
             assert "ctypes" not in imports or path.name == "cli.py", path.name
-        fallback = {id(node) for branch in ast.walk(tree)
-                    if isinstance(branch, ast.If) and ast.unparse(branch.test) == "lite"
-                    for stmt in branch.body for node in ast.walk(stmt)}
+        if path.name == "householder.py":
+            names = {getattr(node, "name", None) or getattr(node, "attr", None)
+                     or getattr(node, "id", None) for node in ast.walk(tree)}
+            assert not names & {"_lapack", "library", "flags"}, path.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id == "lapack_lite":
-                assert path.name == "householder.py" and id(node) in fallback, path.name
+                assert path.name == "_openblas.py", path.name
             elif isinstance(node, ast.Call):
                 assert not ast.unparse(node.func).endswith("linalg.qr"), path.name
             elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
