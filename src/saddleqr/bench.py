@@ -30,17 +30,20 @@ from ._openblas import one_thread
 from .errors import LinAlgError, OutOfMemoryError
 from .householder import _pins_one_thread
 from .matrix import DenseMatrix
+from .mmio import format17
 from .norms import _extreme_singular_values, _nonsingular
 from .rng import mix64
 from .saddle import METHODS, assemble, solve_detailed
-from .stability import _decomposition_defect, _gram_defect, _report, _solution_norm
+from .stability import (StabilityReport, _decomposition_defect, _gram_defect, _report,
+                        _solution_norm)
 from .testgen import GeneratorSpec, hilbert, matrix1, matrix2, ones_rank_one, scale_problem
 
 EXAMPLES = ("1", "2", "3", "custom")
 EXAMPLE_DEFAULT_SIZES = {"1": (12, 6), "2": (1000, 500), "3": (3000, 100)}
 METRIC_NAMES = ("orth", "dec", "res", "stab")
+_md_float = "{:.4e}".format  # markdown's eyeball-first cells
 
-# Above this kappa is itself precision-limited and gets a "~".
+# A kappa at or above this is itself precision-limited and gets a "~".
 KAPPA_FLAG_LIMIT = 1e14
 
 # Tables of order l = m + n from here up to l = 796 pair their metric
@@ -274,16 +277,16 @@ def _cells(problem, ma, scored, sigma, kappa) -> dict[str, float | str]:
     return cells
 
 
-def _fmt17(v: float) -> str:
-    return format(v, ".17g")
+def format_cell(v: float | str, fmt=format17) -> str:
+    """A cell's text: an ``ERR:<code>`` string as it is, a float through ``fmt``."""
+    return v if isinstance(v, str) else fmt(v)
 
 
-def _kappa_cell(row: BenchRow, spec: str) -> str:
-    """kappa in format ``spec``, with a ``~`` when it is precision-limited."""
-    if isinstance(row.kappa, str):
-        return row.kappa
-    text = format(row.kappa, spec)
-    return f"~{text}" if row.kappa >= KAPPA_FLAG_LIMIT else text
+def format_kappa(kappa: float | str, fmt=format17) -> str:
+    """kappa's text as ``format_cell`` writes it, with a ``~`` at or above
+    ``KAPPA_FLAG_LIMIT``: the one rule for every writer of a kappa."""
+    text = format_cell(kappa, fmt)
+    return f"~{text}" if isinstance(kappa, float) and kappa >= KAPPA_FLAG_LIMIT else text
 
 
 def csv_header(cfg: BenchConfig) -> list[str]:
@@ -296,11 +299,9 @@ def csv_header(cfg: BenchConfig) -> list[str]:
 def render_csv(cfg: BenchConfig, rows: list[BenchRow]) -> str:
     lines = [",".join(csv_header(cfg))]
     for row in rows:
-        cells = [_fmt17(row.t), _kappa_cell(row, ".17g")]
+        cells = [format17(row.t), format_kappa(row.kappa)]
         for method in cfg.ordered_methods:
-            for name in METRIC_NAMES:
-                v = row.cells[method][name]
-                cells.append(v if isinstance(v, str) else _fmt17(v))
+            cells.extend(format_cell(row.cells[method][name]) for name in METRIC_NAMES)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -308,18 +309,22 @@ def render_csv(cfg: BenchConfig, rows: list[BenchRow]) -> str:
 def render_markdown(cfg: BenchConfig, rows: list[BenchRow]) -> str:
     headers = ["metric"] + [f"t={row.t:g}" for row in rows]
     out = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
-
-    def md_value(v: float | str) -> str:
-        return v if isinstance(v, str) else f"{v:.4e}"
-
-    kappa_cells = [_kappa_cell(row, ".4e") for row in rows]
+    kappa_cells = [format_kappa(row.kappa, _md_float) for row in rows]
     out.append("| kappa_M | " + " | ".join(kappa_cells) + " |")
     for name in METRIC_NAMES:
         for method in cfg.ordered_methods:
             label = f"{name}_{method.upper()}"
-            cells = [md_value(row.cells[method][name]) for row in rows]
+            cells = [format_cell(row.cells[method][name], _md_float) for row in rows]
             out.append(f"| {label} | " + " | ".join(cells) + " |")
     return "\n".join(out) + "\n"
+
+
+def render_report(method: str, report: StabilityReport) -> str:
+    """``solve --z-star``'s metrics CSV: its header and the method's one row,
+    in the cell texts of a bench CSV."""
+    header = ",".join(("method", "kappa_M", *METRIC_NAMES))
+    cells = (format17(getattr(report, name)) for name in METRIC_NAMES)
+    return f"{header}\n{method},{format_kappa(report.kappa)}," + ",".join(cells) + "\n"
 
 
 def write_bench(path, cfg: BenchConfig, rows: list[BenchRow]) -> None:

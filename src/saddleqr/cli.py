@@ -21,6 +21,8 @@ from .bench import (
     EXAMPLE_DEFAULT_SIZES,
     EXAMPLES,
     BenchConfig,
+    format_kappa,
+    render_report,
     run_bench,
     write_bench,
 )
@@ -82,8 +84,7 @@ def cmd_gen(args) -> int:
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}", 2)
     try:
-        kappa = condition_number(matrix)
-        print(f"kappa: {kappa:.6e}")
+        print(f"kappa: {format_kappa(condition_number(matrix), '{:.6e}'.format)}")
     except LinAlgError as exc:  # singular, overflowed or not converged
         print(f"kappa: {exc}")
     return 0
@@ -154,15 +155,11 @@ def cmd_solve(args) -> int:
             report = metrics(detail.matrix, detail.q, detail.r, f, detail.solution.z, z_star)
         except LinAlgError as exc:
             return _fail(f"metrics failed: {exc}", 1)
-        line = (
-            f"{args.method},{report.kappa:.17g},{report.orth:.17g},"
-            f"{report.dec:.17g},{report.res:.17g},{report.stab:.17g}"
-        )
-        print("method,kappa_M,orth,dec,res,stab")
-        print(line)
+        text = render_report(args.method, report)
+        print(text, end="")
         if args.report is not None:
             try:
-                Path(args.report).write_text("method,kappa_M,orth,dec,res,stab\n" + line + "\n")
+                Path(args.report).write_text(text)
             except OSError as exc:
                 return _fail(f"cannot write {args.report}: {exc}", 2)
     return 0

@@ -135,14 +135,8 @@ class DenseMatrix(_Immutable):
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
-    def __neg__(self) -> "DenseMatrix":
-        return DenseMatrix._wrap(-self._a)
-
     def __truediv__(self, scalar: float) -> "DenseMatrix":
         return DenseMatrix._wrap(self._a / float(scalar))
-
-    def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
-        return matmul(self, other)
 
 
 class Vector(_Immutable):

@@ -21,12 +21,15 @@ class MatrixMarketError(ValueError):
     """Malformed Matrix Market input; the message names file and line."""
 
 
+def format17(v: float) -> str:
+    """``v`` with 17 significant digits, the package's one text for a float
+    that must round-trip exactly (Matrix Market entries, CSV cells)."""
+    return format(v, ".17g")
+
+
 def write_matrix(path, m: DenseMatrix) -> None:
-    a = m.array
     lines = ["%%MatrixMarket matrix array real general", f"{m.rows} {m.cols}"]
-    for j in range(m.cols):
-        for i in range(m.rows):
-            lines.append(format(a[i, j], ".17g"))
+    lines += map(format17, m.array.ravel(order="F"))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

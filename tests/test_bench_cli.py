@@ -15,6 +15,7 @@ from saddleqr import DenseMatrix, NonConvergedError, Vector, _openblas, cli
 from saddleqr.mmio import read_matrix, read_vector, write_matrix, write_vector
 from saddleqr.testgen import hilbert
 from saddleqr.bench import (
+    KAPPA_FLAG_LIMIT,
     BenchConfig,
     BenchRow,
     base_blocks,
@@ -40,6 +41,8 @@ class TestBenchConfig:
             BenchConfig(example="1", m=4, n=2, t_list=())
         with pytest.raises(ValueError):
             BenchConfig(example="1", m=4, n=2, t_list=(0.0,))
+        with pytest.raises(ValueError):
+            BenchConfig(example="1", m=4, n=2, methods=())
         with pytest.raises(ValueError):
             BenchConfig(example="1", m=4, n=2, methods=("qr",))
         with pytest.raises(ValueError):
@@ -596,6 +599,30 @@ class TestCliGen:
         assert main(["gen", "--kind", "matrix1", "--m", "2", "--n", "5",
                      "--out", str(tmp_path / "x.mtx")]) == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["--kind", "matrix1", "--m", "3"], "matrix1 requires both --m and --n"),
+        (["--kind", "hilbert"], "hilbert requires a size (--n or --m)"),
+    ], ids=["matrix1", "hilbert"])
+    def test_incomplete_spec_exits_2_with_its_message(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.mtx"
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # The flag of a precision-limited kappa (>= 1e14), as bench writes kappa_M.
+    @pytest.mark.parametrize("args, flagged", [
+        (["--kind", "hilbert", "--n", "12"], True),
+        (["--kind", "ones_rank_one", "--n", "3"], True),  # rank one: sigma_min is rounding
+        (["--kind", "matrix1", "--m", "12", "--n", "6", "--s", "10", "--seed", "1"], False),
+    ], ids=["hilbert", "ones_rank_one", "matrix1"])
+    def test_kappa_line_flags_precision_limited_values(self, tmp_path, capsys, args, flagged):
+        assert main(["gen", *args, "--out", str(tmp_path / "x.mtx")]) == 0
+        text = capsys.readouterr().out.strip()
+        kappa = float(text.removeprefix("kappa: ").removeprefix("~"))
+        assert text.startswith("kappa: ~") == flagged == (kappa >= KAPPA_FLAG_LIMIT)
+        if not flagged:
+            assert text == "kappa: 1.000000e+10"
+
 
 class TestCliSolve:
     def test_cramer_system(self, saddle_files):
@@ -618,7 +645,7 @@ class TestCliSolve:
         assert "/nonexistent/c.mtx" in capsys.readouterr().err
 
     @staticmethod
-    def _solve_files(tmp_path, blocks, f, method="bcgs2"):
+    def _solve_files(tmp_path, blocks, f, method="bcgs2", *extra):
         paths = {}
         for name, mat in (("a", blocks.a), ("b", blocks.b), ("c", blocks.c)):
             paths[name] = tmp_path / f"{name}.mtx"
@@ -627,7 +654,7 @@ class TestCliSolve:
         return main([
             "solve", "--a", str(paths["a"]), "--b", str(paths["b"]),
             "--c", str(paths["c"]), "--f", str(tmp_path / "f.mtx"),
-            "--method", method, "--out", str(tmp_path / "z.mtx"),
+            "--method", method, "--out", str(tmp_path / "z.mtx"), *extra,
         ])
 
     def test_singular_system_exits_1(self, tmp_path, capsys):
@@ -677,15 +704,72 @@ class TestCliSolve:
         assert cells[0] == "bcgs2"
         assert all(float(c) >= 0 for c in cells[1:])
 
-    def test_unwritable_out_exits_2(self, saddle_files, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["solve", "gen", "bench"])
+    def test_unwritable_out_exits_2(self, saddle_files, tmp_path, capsys, command):
         out = tmp_path / "missing" / "z.mtx"
+        args = {
+            "solve": ["--a", str(saddle_files["a"]), "--b", str(saddle_files["b"]),
+                      "--c", str(saddle_files["c"]), "--f", str(saddle_files["f"])],
+            "gen": ["--kind", "hilbert", "--n", "3"],
+            "bench": ["--example", "1", "--t-list", "1", "--methods", "bcgs2"],
+        }[command]
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_unreadable_file_exits_2(self, saddle_files, tmp_path, capsys):
+        # A directory opens with an OSError other than FileNotFoundError.
+        code = main([
+            "solve", "--a", str(tmp_path), "--b", str(saddle_files["b"]),
+            "--c", str(saddle_files["c"]), "--f", str(saddle_files["f"]),
+            "--out", str(saddle_files["out"]),
+        ])
+        assert code == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+        assert not saddle_files["out"].exists()
+
+    def test_failed_validation_exits_1(self, saddle_files, capsys, eigen_fails):
         code = main([
             "solve", "--a", str(saddle_files["a"]), "--b", str(saddle_files["b"]),
             "--c", str(saddle_files["c"]), "--f", str(saddle_files["f"]),
-            "--out", str(out),
+            "--out", str(saddle_files["out"]),
         ])
-        assert code == 2
-        assert f"cannot write {out}" in capsys.readouterr().err
+        assert code == 1
+        assert "validate failed" in capsys.readouterr().err
+        assert not saddle_files["out"].exists()
+
+    def test_failed_metrics_exit_1(self, saddle_files, tmp_path, capsys):
+        # f = 0 gives z = 0, which has no forward-error ratio.
+        zero_f, report = tmp_path / "zero.mtx", tmp_path / "report.csv"
+        write_vector(zero_f, Vector([0.0, 0.0, 0.0]))
+        code = main([
+            "solve", "--a", str(saddle_files["a"]), "--b", str(saddle_files["b"]),
+            "--c", str(saddle_files["c"]), "--f", str(zero_f),
+            "--out", str(saddle_files["out"]),
+            "--z-star", str(saddle_files["z_star"]), "--report", str(report),
+        ])
+        assert code == 1
+        assert "metrics failed" in capsys.readouterr().err
+        assert np.array_equal(read_vector(saddle_files["out"]).array, [0.0, 0.0, 0.0])
+        assert not report.exists()
+
+    def test_report_row_is_the_bench_row(self, tmp_path, capsys):
+        # Example 1 at t = 0.01 has kappa(M) near 7.6e17: solve flags it on
+        # stdout and in the report, as bench flags kappa_M.
+        cfg = BenchConfig(example="1", m=12, n=6, t_list=(0.01,), methods=("bcgs2",))
+        problem = scale_problem(*base_blocks(cfg, 0)[:3], 0.01)
+        z_star, report = tmp_path / "zs.mtx", tmp_path / "report.csv"
+        write_vector(z_star, problem.z_star)
+        code = self._solve_files(tmp_path, problem.blocks, problem.f, "bcgs2",
+                                 "--z-star", str(z_star), "--report", str(report))
+        assert code == 0
+        text = report.read_text()
+        assert capsys.readouterr().out.endswith(text)
+        bench_row = render_csv(cfg, run_bench(cfg)).splitlines()[1].split(",")
+        header, row = text.splitlines()
+        assert header == "method,kappa_M,orth,dec,res,stab"
+        assert row.split(",") == ["bcgs2", *bench_row[1:]]
+        assert row.split(",")[1].startswith("~")
 
     def test_unwritable_report_exits_2(self, saddle_files, tmp_path, capsys):
         report = tmp_path / "missing" / "report.csv"

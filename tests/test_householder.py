@@ -90,6 +90,11 @@ class TestThinQR:
         with pytest.raises(NonFiniteError):
             thin_householder_qr(DenseMatrix._wrap(a))
 
+    def test_overflowing_factor_raises(self):
+        # A finite panel whose column norm, 2e308, is past the float range.
+        with pytest.raises(NonFiniteError, match="QR factor is not finite"):
+            thin_householder_qr(DenseMatrix(np.full((4, 1), 1e308)))
+
     def test_idempotent_on_orthogonal(self):
         q = random_orthogonal(12, 8)
         f = thin_householder_qr(q)

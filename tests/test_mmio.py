@@ -68,6 +68,9 @@ def test_comments_and_blank_lines_tolerated(tmp_path):
         ("%%MatrixMarket matrix array real general\n2 1\n1.0\n", "expected 2 entries"),
         ("%%MatrixMarket matrix array real general\n1 1\nnan\n", "non-finite"),
         ("%%MatrixMarket matrix array real general\n0 2\n", "positive"),
+        ("", ":1: empty file"),
+        ("%%MatrixMarket matrix array real general\n2 x\n1.0\n2.0\n", ":2: non-integer"),
+        ("%%MatrixMarket matrix array real general\n% no sizes\n", ":2: missing dimensions"),
     ],
 )
 def test_parse_errors_name_file_and_line(tmp_path, content, fragment):

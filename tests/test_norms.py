@@ -8,6 +8,7 @@ from saddleqr import (
     DimensionError,
     LinAlgError,
     NonConvergedError,
+    NonFiniteError,
     SingularMatrixError,
     condition_number,
     inverse_norm,
@@ -71,6 +72,15 @@ def test_norms_return_plain_floats(x):
     # a non-symmetric and a symmetric input, one per LAPACK branch
     for fn in (spectral_norm, inverse_norm, condition_number):
         assert type(fn(DenseMatrix(x))) is float
+
+
+@pytest.mark.parametrize("fn, x, error", [
+    (spectral_norm, [[1e308, 1e308], [1e308, 1e308]], NonFiniteError),  # norm 2e308
+    (inverse_norm, [[1.0, 2.0, 3.0]], DimensionError),  # wider than tall
+])
+def test_typed_errors(fn, x, error):
+    with pytest.raises(error):
+        fn(DenseMatrix(x))
 
 
 class TestConditionNumber:

@@ -76,6 +76,14 @@ class TestAssemble:
         assert hash(fresh) == hash(used)
         assert repr(fresh) == repr(used)
 
+    @pytest.mark.parametrize("a, c, named", [
+        (np.ones((2, 3)), np.eye(1), "A must be square"),
+        (np.eye(2), np.ones((1, 2)), "C must be square"),
+    ])
+    def test_non_square_diagonal_block_rejected(self, a, c, named):
+        with pytest.raises(DimensionError, match=named):
+            SaddleBlocks(a=DenseMatrix(a), b=DenseMatrix(np.ones((2, 1))), c=DenseMatrix(c))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             SaddleBlocks(

@@ -6,6 +6,7 @@ import pytest
 from saddleqr import (
     DegenerateSolutionError,
     DenseMatrix,
+    DimensionError,
     HypothesisError,
     Vector,
     backward_certificate,
@@ -46,6 +47,15 @@ class TestMetrics:
         zero = Vector([0.0, 0.0])
         with pytest.raises(DegenerateSolutionError, match="degenerate solution"):
             metrics(eye, eye, eye, ones, zero, ones)
+
+    @pytest.mark.parametrize("r_shape, z_len, named", [
+        ((3, 2), 3, "square M, Q, R"),
+        ((3, 3), 2, "vector lengths"),
+    ])
+    def test_mismatched_operands_rejected(self, r_shape, z_len, named):
+        eye, ones = DenseMatrix(np.eye(3)), Vector(np.ones(3))
+        with pytest.raises(DimensionError, match=named):
+            metrics(eye, eye, DenseMatrix(np.ones(r_shape)), ones, Vector(np.ones(z_len)), ones)
 
     def test_example_one_style_bcgs2_is_stable(self):
         problem, detail = example_style_run(12, 6, 1.0, "bcgs2", example="1")
@@ -120,6 +130,10 @@ class TestLemma1:
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisError, match="Lemma 1"):
             lemma1_bounds(DenseMatrix(2.0 * np.eye(3)))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError, match="square"):
+            lemma1_bounds(DenseMatrix(random_orthogonal(5, 3).array[:, :3]))
 
     def test_decomposes_qt_once(self, monkeypatch):
         # One eigenvalue reduction for each defect, and one decomposition of
