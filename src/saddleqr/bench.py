@@ -38,8 +38,9 @@ from .stability import (StabilityReport, _decomposition_defect, _gram_defect, _r
                         _solution_norm)
 from .testgen import GeneratorSpec, hilbert, matrix1, matrix2, ones_rank_one, scale_problem
 
-EXAMPLES = ("1", "2", "3", "custom")
-EXAMPLE_DEFAULT_SIZES = {"1": (12, 6), "2": (1000, 500), "3": (3000, 100)}
+# Each example's paper sizes (m, n); custom has none.  The order fixes the seeds.
+EXAMPLES = {"1": (12, 6), "2": (1000, 500), "3": (3000, 100), "custom": None}
+FORMATS = ("csv", "md")
 METRIC_NAMES = ("orth", "dec", "res", "stab")
 _md_float = "{:.4e}".format  # markdown's eyeball-first cells
 
@@ -53,9 +54,12 @@ _POOL_MIN_ORDER = 200
 
 @dataclass(frozen=True)
 class BenchConfig:
-    example: str
-    m: int
-    n: int
+    """One bench table's inputs, and the one home of their defaults: an m or
+    n left out takes the example's paper size from ``EXAMPLES``."""
+
+    example: str = "1"
+    m: int | None = None
+    n: int | None = None
     s_a: float = 10.0
     s_b: float = 10.0
     s_c: float = 10.0
@@ -66,7 +70,12 @@ class BenchConfig:
 
     def __post_init__(self):
         if self.example not in EXAMPLES:
-            raise ValueError(f"example must be one of {EXAMPLES}, got {self.example!r}")
+            raise ValueError(f"example must be one of {tuple(EXAMPLES)}, got {self.example!r}")
+        m, n = EXAMPLES[self.example] or (None, None)
+        object.__setattr__(self, "m", m if self.m is None else self.m)
+        object.__setattr__(self, "n", n if self.n is None else self.n)
+        if self.m is None or self.n is None:
+            raise ValueError(f"example {self.example!r} requires --m and --n")
         if self.m < 1 or self.n < 1 or self.n > self.m:
             raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if not self.t_list:
@@ -80,8 +89,8 @@ class BenchConfig:
         bad = [meth for meth in self.methods if meth not in METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}; choose from {METHODS}")
-        if self.fmt not in ("csv", "md"):
-            raise ValueError(f"format must be csv or md, got {self.fmt!r}")
+        if self.fmt not in FORMATS:
+            raise ValueError(f"format must be {' or '.join(FORMATS)}, got {self.fmt!r}")
 
     @property
     def ordered_methods(self) -> tuple[str, ...]:
@@ -109,7 +118,7 @@ class BenchRow:
 def _cell_seeds(seed: int, example: str, t_index: int) -> tuple[int, int, int]:
     """Generator seeds for one row, derived from (config seed, example,
     t index) so cells can be evaluated in any order."""
-    base = mix64(seed, EXAMPLES.index(example))
+    base = mix64(seed, list(EXAMPLES).index(example))
     row = mix64(base, t_index)
     return mix64(row, 1), mix64(row, 2), mix64(row, 3)
 
@@ -174,6 +183,7 @@ def _row(cfg: BenchConfig, t_index: int, lane=None) -> BenchRow:
     try:
         a1, b1, c1, provenance = base_blocks(cfg, t_index)
         problem = scale_problem(a1, b1, c1, t, provenance)
+        del a1, b1, c1  # only the scaled copies are read from here on
         ma = assemble(problem.blocks).array
     except (LinAlgError, MemoryError) as exc:  # no problem or no M, so no metric of the row
         err = f"ERR:{_typed(exc).code}"

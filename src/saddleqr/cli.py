@@ -3,9 +3,10 @@ from Matrix Market files, and run the stability benchmark.
 
 Exit codes: 0 all requested computations succeeded; 1 some computation
 failed (singular / rank-deficient cells, reported inline, or a ``gen`` or
-``solve`` that ran out of memory); 2 configuration or I/O failure before
-any computation, or a ``solve`` system that breaks the hypotheses A SPD,
-C PSD, B of full column rank.
+``solve`` that ran out of memory); 2 configuration or I/O error (a bad
+flag or input file before any computation, an unwritable output after
+it), or a ``solve`` system that breaks the hypotheses A SPD, C PSD, B of
+full column rank.
 """
 
 from __future__ import annotations
@@ -15,17 +16,11 @@ import ctypes
 import functools
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .bench import (
-    EXAMPLE_DEFAULT_SIZES,
-    EXAMPLES,
-    BenchConfig,
-    format_kappa,
-    render_report,
-    run_bench,
-    write_bench,
-)
+from .bench import (EXAMPLES, FORMATS, BenchConfig, format_kappa, render_report, run_bench,
+                    write_bench)
 from .errors import DimensionError, LinAlgError
 from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
 from .norms import condition_number
@@ -63,14 +58,20 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _gen_spec(args) -> GeneratorSpec:
-    if args.kind == "matrix1":
-        if args.m is None or args.n is None:
+    """The spec of ``gen``'s flags; an ``--s`` or ``--seed`` left out takes
+    ``GeneratorSpec``'s default."""
+    m, n, kind = args.m, args.n, args.kind
+    given = {name: v for name in ("s", "seed") if (v := getattr(args, name)) is not None}
+    if kind == "matrix1":
+        if m is None or n is None:
             raise ValueError("matrix1 requires both --m and --n")
-        return GeneratorSpec("matrix1", m=args.m, n=args.n, s=args.s, seed=args.seed)
-    size = args.n if args.n is not None else args.m  # square kinds take either flag
+        return GeneratorSpec(kind, m=m, n=n, **given)
+    if m is not None and n is not None and m != n:
+        raise ValueError(f"{kind} is square, but --m {m} and --n {n} differ")
+    size = n if n is not None else m  # square kinds take either flag
     if size is None:
-        raise ValueError(f"{args.kind} requires a size (--n or --m)")
-    return GeneratorSpec(args.kind, n=size, s=args.s, seed=args.seed)
+        raise ValueError(f"{kind} requires a size (--n or --m)")
+    return GeneratorSpec(kind, n=size, **given)
 
 
 def cmd_gen(args) -> int:
@@ -166,29 +167,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """The table of the fields given as flags; ``BenchConfig`` fills in the rest."""
+    given = {f.name: getattr(args, f.name) for f in fields(BenchConfig) if hasattr(args, f.name)}
     try:
-        if args.example == "custom":
-            if args.m is None or args.n is None:
-                raise ValueError("example 'custom' requires --m and --n")
-            m, n = args.m, args.n
-        else:
-            default_m, default_n = EXAMPLE_DEFAULT_SIZES[args.example]
-            m = args.m if args.m is not None else default_m
-            n = args.n if args.n is not None else default_n
-        t_list = tuple(float(tok) for tok in args.t_list.split(","))
-        methods = tuple(tok.strip() for tok in args.methods.split(","))
-        cfg = BenchConfig(
-            example=args.example,
-            m=m,
-            n=n,
-            s_a=args.sA,
-            s_b=args.sB,
-            s_c=args.sC,
-            t_list=t_list,
-            seed=args.seed,
-            methods=methods,
-            fmt=args.format,
-        )
+        for name, parse in (("t_list", float), ("methods", str.strip)):  # the comma lists
+            if name in given:
+                given[name] = tuple(map(parse, given[name].split(",")))
+        cfg = BenchConfig(**given)
     except ValueError as exc:
         return _fail(str(exc), 2)
 
@@ -214,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     gen.add_argument("--m", type=int, help="row count (matrix1) or size (square kinds)")
     gen.add_argument("--n", type=int, help="column count (matrix1) or size (square kinds)")
-    gen.add_argument("--s", type=float, default=0.0, help="decade exponent, kappa ~ 10^s")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--s", type=float, help="decade exponent, kappa ~ 10^s")
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
@@ -230,17 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--report", help="path for a one-row metrics CSV (needs --z-star)")
     solve.set_defaults(func=cmd_solve)
 
-    bench = sub.add_parser("bench", help="run the stability benchmark table")
-    bench.add_argument("--example", default="1", choices=EXAMPLES)
+    # A bench flag left out is not set, so BenchConfig's default applies.
+    bench = sub.add_parser("bench", help="run the stability benchmark table",
+                           argument_default=argparse.SUPPRESS)
+    bench.add_argument("--example", choices=EXAMPLES)
     bench.add_argument("--m", type=int)
     bench.add_argument("--n", type=int)
-    bench.add_argument("--sA", type=float, default=10.0)
-    bench.add_argument("--sB", type=float, default=10.0)
-    bench.add_argument("--sC", type=float, default=10.0)
-    bench.add_argument("--t-list", dest="t_list", default="0.01,0.1,1,10,100")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--methods", default="bcgs,bcgs2")
-    bench.add_argument("--format", default="csv", choices=("csv", "md"))
+    bench.add_argument("--sA", dest="s_a", metavar="SA", type=float)
+    bench.add_argument("--sB", dest="s_b", metavar="SB", type=float)
+    bench.add_argument("--sC", dest="s_c", metavar="SC", type=float)
+    bench.add_argument("--t-list", dest="t_list")
+    bench.add_argument("--seed", type=int)
+    bench.add_argument("--methods")
+    bench.add_argument("--format", dest="fmt", choices=FORMATS)
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench)
     return parser

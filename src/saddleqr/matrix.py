@@ -94,16 +94,9 @@ class _Immutable:
         """The underlying (read-only) float64 array."""
         return self._a
 
-    def _check_same_shape(self, other, op: str) -> None:
-        if self._a.shape != other._a.shape:
-            raise DimensionError(f"cannot {op} {self!r} and {other!r}")
-
-    def __add__(self, other):
-        self._check_same_shape(other, "add")
-        return self._wrap(self._a + other._a)
-
     def __sub__(self, other):
-        self._check_same_shape(other, "subtract")
+        if self._a.shape != other._a.shape:
+            raise DimensionError(f"cannot subtract {self!r} and {other!r}")
         return self._wrap(self._a - other._a)
 
     def __mul__(self, scalar: float):

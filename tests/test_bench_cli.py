@@ -47,6 +47,19 @@ class TestBenchConfig:
             BenchConfig(example="1", m=4, n=2, methods=("qr",))
         with pytest.raises(ValueError):
             BenchConfig(example="1", m=4, n=2, fmt="html")
+        with pytest.raises(ValueError, match="example 'custom' requires --m and --n"):
+            BenchConfig(example="custom", m=4)
+
+    @pytest.mark.parametrize("given, m, n", [
+        ({}, 12, 6),
+        ({"example": "2"}, 1000, 500),
+        ({"example": "3"}, 3000, 100),
+        ({"example": "2", "n": 100}, 1000, 100),
+        ({"example": "custom", "m": 7, "n": 3}, 7, 3),
+    ], ids=["default", "example2", "example3", "n_given", "custom"])
+    def test_sizes_default_to_the_example_paper_sizes(self, given, m, n):
+        cfg = BenchConfig(**given)
+        assert (cfg.example, cfg.m, cfg.n) == (given.get("example", "1"), m, n)
 
     def test_method_order_canonical(self):
         cfg = BenchConfig(example="1", m=4, n=2, methods=("householder", "bcgs"))
@@ -173,8 +186,9 @@ class TestRunBench:
         cfg = BenchConfig(**SMALL)
         rows = run_bench(cfg)
         path = tmp_path / "bench.csv"
-        path.write_text(render_csv(cfg, rows))
+        path.write_text(render_csv(cfg, rows) + "\n")  # a blank last line is skipped
         header, parsed = read_bench_csv(path)
+        assert len(parsed) == len(rows)
         assert header[:2] == ["t", "kappa_M"]
         assert header[2:6] == ["orth_bcgs", "dec_bcgs", "res_bcgs", "stab_bcgs"]
         for row, back in zip(rows, parsed):
@@ -609,6 +623,22 @@ class TestCliGen:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes, error", [
+        (["--m", "5", "--n", "5"], None),
+        (["--m", "5"], None),
+        (["--n", "5"], None),
+        (["--m", "7", "--n", "5"], "hilbert is square, but --m 7 and --n 5 differ"),
+    ], ids=["equal", "m_alone", "n_alone", "conflicting"])
+    def test_square_kind_takes_one_size(self, tmp_path, capsys, sizes, error):
+        out = tmp_path / "h.mtx"
+        code = main(["gen", "--kind", "hilbert", *sizes, "--out", str(out)])
+        if error:
+            assert code == 2 and not out.exists()
+            assert error in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert np.array_equal(read_matrix(out).array, hilbert(5).array)
+
     # The flag of a precision-limited kappa (>= 1e14), as bench writes kappa_M.
     @pytest.mark.parametrize("args, flagged", [
         (["--kind", "hilbert", "--n", "12"], True),
@@ -892,6 +922,23 @@ class TestCliBench:
             assert row["res_bcgs2"] <= 1e2 and row["stab_bcgs2"] <= 1e2
             assert row["orth_bcgs2"] <= 1e3
 
+    @pytest.mark.parametrize("args, expected", [
+        ([], {}),
+        (["--example", "2"], dict(example="2", m=1000, n=500)),
+        (["--example", "3"], dict(example="3", m=3000, n=100)),
+        (["--example", "custom", "--m", "10", "--n", "4", "--sA", "1", "--sB", "2",
+          "--sC", "3", "--t-list", "1, 2", "--seed", "5", "--methods", "householder, bcgs",
+          "--format", "md"],
+         dict(example="custom", m=10, n=4, s_a=1.0, s_b=2.0, s_c=3.0, t_list=(1.0, 2.0),
+              seed=5, methods=("householder", "bcgs"), fmt="md")),
+    ], ids=["defaults", "example2", "example3", "every_flag"])
+    def test_flags_left_out_take_bench_config_defaults(self, tmp_path, monkeypatch, args,
+                                                        expected):
+        built = []
+        monkeypatch.setattr(cli, "run_bench", lambda cfg: built.append(cfg) or [])
+        assert main(["bench", *args, "--out", str(tmp_path / "x")]) == 0
+        assert built == [BenchConfig(**expected)]
+
     def test_custom_requires_sizes(self, tmp_path):
         assert main(["bench", "--example", "custom", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -975,3 +1022,22 @@ class TestKeepFreedPages:
 
         monkeypatch.setattr(ctypes, "CDLL", missing)
         assert cli._keep_freed_pages() is None
+
+
+def test_cli_leaves_the_metric_lane_import_unpaid(tmp_path):
+    # bench._metric_lane imports concurrent.futures only when a pooled table
+    # first needs it, which keeps that import off every gen and solve
+    # process.  A fresh process, since this one has imported it already.
+    src = Path(saddleqr.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    script = (
+        "import sys\n"
+        "from saddleqr import cli\n"
+        "assert 'concurrent.futures' not in sys.modules, 'imported by saddleqr.cli'\n"
+        "assert cli.main(['gen', '--kind', 'hilbert', '--n', '3', '--out', sys.argv[1]]) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules, 'imported by gen'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "h.mtx")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -6,11 +6,13 @@ import pytest
 from saddleqr import (
     DenseMatrix,
     DimensionError,
+    LinAlgError,
     RankDeficientError,
     assemble,
     bcgs,
     bcgs2,
     matmul,
+    matrix2,
     qr_residuals,
     thin_householder_qr,
 )
@@ -169,6 +171,22 @@ class TestBcgs2:
 
         monkeypatch.setattr(blockgs, "_bcgs", first_pass)
         assert peak(bcgs2, 290) - held[-1] < ll
+
+    def test_lost_positive_diagonal_raises(self, monkeypatch):
+        # A reorthogonalization R with a negative diagonal entry makes the
+        # refined triangle R2' R2 negative there, which the pass refuses.
+        real = blockgs._project_out
+
+        def flipped(q, m, m2, step):
+            s, r = real(q, m, m2, step)
+            if step == "reorthogonalization panel":
+                r = r.copy()
+                r[0, 0] = -r[0, 0]
+            return s, r
+
+        monkeypatch.setattr(blockgs, "_project_out", flipped)
+        with pytest.raises(LinAlgError, match="lost its positive diagonal at 0"):
+            bcgs2(matrix2(12, 2.0, 1), 8)
 
     def test_reorthogonalization_update_identities(self):
         x = conditioned(9, 6, 77)

@@ -122,6 +122,8 @@ class TestMatmul:
     def test_dimension_mismatch_names_shapes(self):
         with pytest.raises(DimensionError, match="2x3.*4x2"):
             matmul(rand_matrix(2, 3, 4), rand_matrix(4, 2, 5))
+        with pytest.raises(DimensionError, match="2x3 by vector of length 4"):
+            mat_vec(rand_matrix(2, 3, 4), Vector(np.ones(4)))
 
     def test_mat_vec_matches_matmul_bitwise(self):
         # The last case sums -0.0 + -0.0: the triple loop starts from +0.0,
@@ -161,13 +163,13 @@ class TestVectorOps:
         assert np.array_equal((w - v).array, [2.0, 3.0])
         assert np.array_equal((2.0 * v).array, [2.0, 4.0])
         with pytest.raises(DimensionError):
-            v + Vector([1.0])
+            v - Vector([1.0])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"2x3.*3x2"):
             rand_matrix(2, 3, 1) - rand_matrix(3, 2, 2)
         with pytest.raises(DimensionError, match=r"len=2.*len=1"):
-            Vector([1.0, 2.0]) + Vector([1.0])
+            Vector([1.0, 2.0]) - Vector([1.0])
 
     def test_slice(self):
         v = Vector([1.0, 2.0, 3.0])

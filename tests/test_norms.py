@@ -83,6 +83,22 @@ def test_typed_errors(fn, x, error):
         fn(DenseMatrix(x))
 
 
+@pytest.mark.parametrize("x, routine, drop", [
+    ([[2.0, 1.0], [0.0, 1.0]], "svd", False),  # nonsymmetric: the SVD
+    ([[2.0, 1.0], [1.0, 3.0]], "eigvalsh", True),  # symmetric, without the bundled OpenBLAS
+], ids=["svd", "eigvalsh_no_openblas"])
+def test_lapack_failure_is_nonconverged(x, routine, drop, monkeypatch, no_openblas):
+    if drop:
+        no_openblas()
+
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fails)
+    with pytest.raises(NonConvergedError, match=f"LAPACK did not converge: {routine}"):
+        condition_number(DenseMatrix(x))
+
+
 class TestConditionNumber:
     def test_identity(self):
         for size in (1, 3, 7):

@@ -8,6 +8,7 @@ from saddleqr import (
     DenseMatrix,
     DimensionError,
     HypothesisError,
+    NonFiniteError,
     Vector,
     backward_certificate,
     lemma1_bounds,
@@ -21,7 +22,7 @@ from saddleqr import (
 from saddleqr.bench import BenchConfig, base_blocks, run_bench
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import standard_normals
-from saddleqr.stability import _factor_defects, theorem1_bound
+from saddleqr.stability import StabilityReport, _factor_defects, theorem1_bound
 from saddleqr.testgen import random_orthogonal, scale_problem
 
 
@@ -56,6 +57,13 @@ class TestMetrics:
         eye, ones = DenseMatrix(np.eye(3)), Vector(np.ones(3))
         with pytest.raises(DimensionError, match=named):
             metrics(eye, eye, DenseMatrix(np.ones(r_shape)), ones, Vector(np.ones(z_len)), ones)
+
+    @pytest.mark.parametrize("value, error", [
+        (math.nan, NonFiniteError), (math.inf, NonFiniteError), (-1.0, ValueError),
+    ], ids=["nan", "inf", "negative"])
+    def test_report_rejects_a_bad_metric(self, value, error):
+        with pytest.raises(error, match="metric res"):
+            StabilityReport(kappa=1.0, orth=0.0, dec=0.0, res=value, stab=0.0)
 
     def test_example_one_style_bcgs2_is_stable(self):
         problem, detail = example_style_run(12, 6, 1.0, "bcgs2", example="1")

@@ -47,6 +47,14 @@ class TestLogspaceDiag:
                 logspace_diag(s, 3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_orthogonal(0, 1), lambda: hilbert(0), lambda: ones_rank_one(0),
+], ids=["random_orthogonal", "hilbert", "ones_rank_one"])
+def test_size_zero_rejected(make):
+    with pytest.raises(DimensionError, match="size must be positive, got 0"):
+        make()
+
+
 class TestRandomOrthogonal:
     def test_size_one_normalized(self):
         assert np.array_equal(random_orthogonal(1, 123).array, [[1.0]])
