@@ -344,18 +344,19 @@ def write_bench(path, cfg: BenchConfig, rows: list[BenchRow]) -> None:
 
 def read_bench_csv(path) -> tuple[list[str], list[dict[str, float | str]]]:
     """Parse a bench CSV back into numeric cells (the ``~`` flag on a
-    precision-limited kappa is stripped; ``ERR:`` cells stay strings)."""
+    precision-limited kappa is stripped; ``ERR:`` cells stay strings).  An empty file,
+    or a row with fewer or more cells than the header, raises ``ValueError``."""
     lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}:1: empty file, no bench CSV header")
     header = lines[0].split(",")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        parsed: dict[str, float | str] = {}
-        for key, cell in zip(header, line.split(",")):
-            if cell.startswith("ERR:"):
-                parsed[key] = cell
-            else:
-                parsed[key] = float(cell.lstrip("~"))
-        rows.append(parsed)
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{number}: {len(cells)} cells under a {len(header)}-cell header")
+        rows.append({key: cell if cell.startswith("ERR:") else float(cell.lstrip("~"))
+                     for key, cell in zip(header, cells)})
     return header, rows

@@ -14,16 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, LinAlgError, RankDeficientError
+from .errors import DimensionError, LinAlgError
 from .householder import ThinQR, _qr_in_place
 from .matrix import DenseMatrix
-
-
-def _panel_qr(x: np.ndarray, step: str) -> np.ndarray:
-    try:
-        return _qr_in_place(x)
-    except RankDeficientError as exc:
-        raise RankDeficientError(column=exc.column, step=step) from exc
 
 
 def _project_out(q: np.ndarray, m: int, m2: np.ndarray, step: str) -> tuple[np.ndarray, np.ndarray]:
@@ -32,14 +25,14 @@ def _project_out(q: np.ndarray, m: int, m2: np.ndarray, step: str) -> tuple[np.n
     s = q[:, :m].T @ m2
     # Not matmul(out=): into an F-order slice it runs another BLAS kernel.
     np.subtract(m2, q[:, :m] @ s, out=q[:, m:])
-    return s, _panel_qr(q[:, m:], step)
+    return s, _qr_in_place(q[:, m:], step)
 
 
 def _bcgs(xa: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(Q, R) of ``bcgs``, as new writable arrays, Q in F order."""
     q, r = np.empty(xa.shape, order="F"), np.zeros(xa.shape)
     q[:, :m] = xa[:, :m]
-    r[:m, :m] = _panel_qr(q[:, :m], "first panel")
+    r[:m, :m] = _qr_in_place(q[:, :m], "first panel")
     r[:m, m:], r[m:, m:] = _project_out(q, m, xa[:, m:], "second panel")
     return q, r
 

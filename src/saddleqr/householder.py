@@ -81,11 +81,11 @@ def default_rank_tol(xa: np.ndarray) -> float:
     return MACHINE_EPS * float(np.sqrt(xa.shape[0])) * max_col
 
 
-def _qr_in_place(a: np.ndarray) -> np.ndarray:
+def _qr_in_place(a: np.ndarray, step: str | None = None) -> np.ndarray:
     """Overwrite the writable, F-contiguous float64 l x k ``a``, such as a column slice of an
-    F-order array, with the Q of its checked thin QR and return R (``thin_householder_qr``
-    has the checks).  Any other layout, which LAPACK would misread, raises ``ValueError``
-    from the binding, before anything is written."""
+    F-order array, with the Q of its checked thin QR and return R (``thin_householder_qr`` has
+    the checks; a rank failure names ``step``).  Any other layout, which LAPACK would misread,
+    raises ``ValueError`` from the binding, before anything is written."""
     l, k = a.shape
     if l < k:
         raise DimensionError(f"thin QR needs rows >= cols, got {l}x{k}")
@@ -100,7 +100,7 @@ def _qr_in_place(a: np.ndarray) -> np.ndarray:
         raise NonFiniteError("QR factor is not finite")
     small = np.flatnonzero(np.abs(np.diag(r)) <= tol)
     if small.size:
-        raise RankDeficientError(column=int(small[0]))
+        raise RankDeficientError(column=int(small[0]), step=step)
     _fix_signs(a, r)
     return r
 

@@ -33,8 +33,6 @@ MACHINE_EPS = float(np.finfo(np.float64).eps)  # 2^-52, approx 2.22e-16
 
 def _seq_sum(x: np.ndarray) -> float:
     """Sum of a 1-D array in strictly ascending index order."""
-    if x.size == 0:
-        return 0.0
     return float(np.cumsum(x)[-1])
 
 
@@ -99,11 +97,6 @@ class _Immutable:
             raise DimensionError(f"cannot subtract {self!r} and {other!r}")
         return self._wrap(self._a - other._a)
 
-    def __mul__(self, scalar: float):
-        return self._wrap(self._a * float(scalar))
-
-    __rmul__ = __mul__
-
 
 class DenseMatrix(_Immutable):
     """Immutable dense real matrix, row-major when constructed; a computed
@@ -128,9 +121,6 @@ class DenseMatrix(_Immutable):
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
-    def __truediv__(self, scalar: float) -> "DenseMatrix":
-        return DenseMatrix._wrap(self._a / float(scalar))
-
 
 class Vector(_Immutable):
     """Immutable dense real vector."""
@@ -144,9 +134,6 @@ class Vector(_Immutable):
 
     def __repr__(self) -> str:
         return f"Vector(len={len(self)})"
-
-    def slice(self, i0: int, i1: int) -> "Vector":
-        return Vector._wrap(self._a[i0:i1].copy())
 
 
 def vector_norm(v: Vector) -> float:

@@ -130,11 +130,10 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Solution split z = (x; y); z is exactly the concatenation."""
+    """The solution z = (x; y) of M z = f and the method that computed it;
+    x is ``z.array[:m]`` and y is ``z.array[m:]``."""
 
     z: Vector
-    x: Vector
-    y: Vector
     method: str
 
 
@@ -176,7 +175,5 @@ def solve_detailed(
         fac = bcgs(m, blocks.m) if method == "bcgs" else bcgs2(m, blocks.m)
     # R from ThinQR is upper triangular by contract, so the raw solve skips the check.
     z = Vector._wrap(_back_substitute_arr(fac.r.array, fac.q.array.T @ f.array))
-    sol = SaddleSolution(
-        z=z, x=z.slice(0, blocks.m), y=z.slice(blocks.m, blocks.l), method=method
-    )
+    sol = SaddleSolution(z=z, method=method)
     return SolveDetail(solution=sol, matrix=m, q=fac.q, r=fac.r)

@@ -79,7 +79,7 @@ def matrix1(m: int, n: int, s: float, seed: int) -> DenseMatrix:
     if m < n or n < 1:
         raise DimensionError(f"matrix1 requires m >= n >= 1, got m={m}, n={n}")
     p = _orthonormal_columns(m, n, mix64(seed, 1))
-    qf = random_orthogonal(n, mix64(seed, 2)).array
+    qf = _orthonormal_columns(n, n, mix64(seed, 2))
     d = _log_spectrum(s, n)  # P D as a column scaling
     return DenseMatrix._wrap((p * d) @ qf.T)
 
@@ -89,7 +89,7 @@ def matrix2(n: int, s: float, seed: int) -> DenseMatrix:
     kappa about 10^s: P D P^T from one random orthogonal P, then
     symmetrized as (X + X^T)/2."""
     # P read row-major: OpenBLAS's threaded dgemm rounds by operand layout at some n.
-    p = np.ascontiguousarray(random_orthogonal(n, seed).array)
+    p = np.ascontiguousarray(_orthonormal_columns(n, n, seed))
     d = _log_spectrum(s, n)
     x = (p * d) @ p.T
     return DenseMatrix._wrap(0.5 * (x + x.T))
@@ -175,7 +175,8 @@ def scale_problem(
     if t == 0.0:
         raise ValueError("scale parameter t must be nonzero")
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = SaddleBlocks(a=a1 / t, b=b1 * t, c=c1 * t)
+        wrap = DenseMatrix._wrap
+        blocks = SaddleBlocks(a=wrap(a1.array / t), b=wrap(b1.array * t), c=wrap(c1.array * t))
         z = np.concatenate([np.full(blocks.m, t), np.full(blocks.n, 1.0 / t)])
         m = assemble(blocks)
         if not (np.isfinite(m.array).all() and np.isfinite(z).all()):

@@ -1,5 +1,6 @@
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -197,6 +198,17 @@ class TestRunBench:
             for method in cfg.ordered_methods:
                 for name in ("orth", "dec", "res", "stab"):
                     assert back[f"{name}_{method}"] == row.cells[method][name]
+        # A truncated or overfull row, and an empty file, name the path and 1-based line.
+        text = path.read_text().splitlines()
+        for number, bad in ((3, "1,5,1,2"), (2, text[1] + ",1")):
+            broken = tmp_path / "broken.csv"
+            broken.write_text("\n".join([*text[:number - 1], bad, *text[number:]]) + "\n")
+            with pytest.raises(ValueError, match=re.escape(f"{broken}:{number}:")):
+                read_bench_csv(broken)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{empty}:1:")):
+            read_bench_csv(empty)
 
     def test_markdown_layout(self):
         cfg = BenchConfig(**SMALL, fmt="md")
@@ -1024,16 +1036,29 @@ class TestKeepFreedPages:
         assert cli._keep_freed_pages() is None
 
 
+# What `import saddleqr.cli` may load beyond numpy and saddleqr itself: every
+# process of the CLI pays for these before it parses its arguments.
+CLI_IMPORTS = {"__future__", "argparse", "copy", "dataclasses", "gettext", "glob",
+               "numpy.linalg.lapack_lite"}
+
+
 def test_cli_leaves_the_metric_lane_import_unpaid(tmp_path):
     # bench._metric_lane imports concurrent.futures only when a pooled table
     # first needs it, which keeps that import off every gen and solve
     # process.  A fresh process, since this one has imported it already.
+    # Any other module the import adds must be on CLI_IMPORTS; fewer pass.
     src = Path(saddleqr.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
     script = (
         "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
         "from saddleqr import cli\n"
+        f"allowed = {sorted(CLI_IMPORTS)!r}\n"
+        "added = {m for m in set(sys.modules) - before if m.split('.')[0] != 'saddleqr'}\n"
+        "extra = sorted(added.difference(allowed))\n"
+        "assert not extra, f'saddleqr.cli imports {extra}'\n"
         "assert 'concurrent.futures' not in sys.modules, 'imported by saddleqr.cli'\n"
         "assert cli.main(['gen', '--kind', 'hilbert', '--n', '3', '--out', sys.argv[1]]) == 0\n"
         "assert 'concurrent.futures' not in sys.modules, 'imported by gen'\n"
