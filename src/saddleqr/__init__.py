@@ -15,7 +15,7 @@ from .errors import (
 )
 from .householder import thin_householder_qr
 from .matrix import DenseMatrix, Vector, mat_vec, matmul, vector_norm
-from .norms import condition_number, inverse_norm, spectral_norm
+from .norms import condition_number, spectral_norm
 from .saddle import SaddleBlocks, assemble, solve_detailed, validate
 from .stability import backward_certificate, lemma1_bounds, metrics, qr_residuals
 from .testgen import matrix1, matrix2, scale_problem
@@ -40,7 +40,6 @@ __all__ = [
     "bcgs",
     "bcgs2",
     "condition_number",
-    "inverse_norm",
     "lemma1_bounds",
     "mat_vec",
     "matmul",

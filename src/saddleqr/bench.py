@@ -345,7 +345,8 @@ def write_bench(path, cfg: BenchConfig, rows: list[BenchRow]) -> None:
 def read_bench_csv(path) -> tuple[list[str], list[dict[str, float | str]]]:
     """Parse a bench CSV back into numeric cells (the ``~`` flag on a
     precision-limited kappa is stripped; ``ERR:`` cells stay strings).  An empty file,
-    or a row with fewer or more cells than the header, raises ``ValueError``."""
+    a row with fewer or more cells than the header, or a cell no writer writes (not
+    finite, or a ``~`` other than one on kappa_M) raises ``ValueError``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}:1: empty file, no bench CSV header")
@@ -357,6 +358,14 @@ def read_bench_csv(path) -> tuple[list[str], list[dict[str, float | str]]]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}:{number}: {len(cells)} cells under a {len(header)}-cell header")
-        rows.append({key: cell if cell.startswith("ERR:") else float(cell.lstrip("~"))
-                     for key, cell in zip(header, cells)})
+        row = {}
+        for column, (key, cell) in enumerate(zip(header, cells), start=1):
+            text = cell[1:] if key == "kappa_M" and cell.startswith("~") else cell
+            try:
+                row[key] = cell if cell.startswith("ERR:") else float(text)
+            except ValueError:
+                row[key] = math.nan
+            if isinstance(row[key], float) and not math.isfinite(row[key]):
+                raise ValueError(f"{path}:{number}: column {column} ({key}) holds {cell!r}")
+        rows.append(row)
     return header, rows

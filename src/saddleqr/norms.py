@@ -1,4 +1,4 @@
-"""Spectral norm, inverse norm and condition number by direct LAPACK calls.
+"""Spectral norm and condition number by direct LAPACK calls.
 Nothing iterates in Python: each call returns a value accurate to rounding
 or raises a typed LinAlgError.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _openblas
-from .errors import DimensionError, NonConvergedError, NonFiniteError, SingularMatrixError
+from .errors import NonConvergedError, NonFiniteError, SingularMatrixError
 from .matrix import MACHINE_EPS, DenseMatrix, _scaled
 
 # M is singular to working precision when sigma_min <= this factor times
@@ -130,15 +130,6 @@ def spectral_norm(x: DenseMatrix) -> float:
     defect M - QR).  The zero matrix returns 0; inf or NaN input, or a norm
     past the float range, raises :class:`NonFiniteError`."""
     return _two_norm(x.array)
-
-
-def inverse_norm(m: DenseMatrix) -> float:
-    """1 / sigma_min(M), which is ||M^{-1}|| for square M.  Raises
-    :class:`SingularMatrixError` if M is singular to working precision;
-    M must have at least as many rows as columns."""
-    if m.rows < m.cols:
-        raise DimensionError(f"inverse_norm needs rows >= cols, got {m.rows}x{m.cols}")
-    return 1.0 / _nonsingular(*_extreme_singular_values(m.array))
 
 
 def condition_number(m: DenseMatrix) -> float:

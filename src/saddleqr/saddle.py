@@ -81,7 +81,6 @@ class ValidationReport:
     b_full_rank: bool
     cholesky_min_pivot: float
     c_min_eigenvalue: float
-    b_min_r_diagonal: float | None
 
     @property
     def all_passed(self) -> bool:
@@ -89,14 +88,13 @@ class ValidationReport:
 
 
 def validate(blocks: SaddleBlocks) -> ValidationReport:
-    """Check A SPD, C symmetric PSD, and B full column rank.
+    """Check A SPD, C symmetric PSD, and B full column rank (its thin QR succeeds).
 
     Failures land in the report rather than raising; the diagnostics carry
-    the minimum Cholesky pivot (NaN when A is not symmetric), the
-    smallest eigenvalue of C and the smallest |R| diagonal of B's
-    thin QR.  A and C count as symmetric within 10 * eps * ||.||_F
-    entrywise (``matrix._is_symmetric``); for A that is ``cholesky``'s own
-    check.
+    the minimum Cholesky pivot (NaN when A is not symmetric) and the
+    smallest eigenvalue of C.  A and C count as symmetric within
+    10 * eps * ||.||_F entrywise (``matrix._is_symmetric``); for A that is
+    ``cholesky``'s own check.
     """
     try:
         chol = cholesky(blocks.a)
@@ -110,10 +108,8 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
     norm_c = max(-c_min_eig, c_max_eig)
     c_psd = _is_symmetric(blocks.c.array) and c_min_eig >= -100.0 * MACHINE_EPS * norm_c
 
-    b_min_r = None
     try:  # a B wider than tall is refused by the QR's shape check
-        fac = thin_householder_qr(blocks.b)
-        b_min_r = float(np.min(np.abs(np.diag(fac.r.array))))
+        thin_householder_qr(blocks.b)
         b_full_rank = True
     except (DimensionError, RankDeficientError):
         b_full_rank = False
@@ -124,7 +120,6 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
         b_full_rank=b_full_rank,
         cholesky_min_pivot=min_pivot,
         c_min_eigenvalue=c_min_eig,
-        b_min_r_diagonal=b_min_r,
     )
 
 

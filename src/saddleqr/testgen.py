@@ -31,16 +31,9 @@ def _log_spectrum(s: float, n: int) -> np.ndarray:
         raise DimensionError(f"size must be positive, got {n}")
     if not 0.0 <= s < np.inf:
         raise ValueError(f"decade exponent must be finite and nonnegative, got {s}")
-    if n == 1:
-        exps = np.array([-float(s)])
-    else:
-        exps = -float(s) * np.arange(n) / (n - 1)
+    with np.errstate(over="ignore"):  # s (n-1) past the float range: -inf, and 10^-inf = 0
+        exps = -float(s) * np.arange(n) / (n - 1) if n > 1 else np.array([-float(s)])
     return 10.0**exps
-
-
-def logspace_diag(s: float, n: int) -> DenseMatrix:
-    """Diagonal matrix of the log-spaced values 10^0 down to 10^-s."""
-    return DenseMatrix._wrap(np.diag(_log_spectrum(s, n)))
 
 
 def _orthonormal_columns(n: int, k: int, seed: int) -> np.ndarray:
@@ -71,7 +64,7 @@ def matrix1(m: int, n: int, s: float, seed: int) -> DenseMatrix:
     """m x n matrix with log-spaced singular values, kappa about 10^s.
 
     Built as P D Q^T from the first n columns of a random orthogonal P
-    (m x m), the diagonal D = logspace_diag(s, n) and a random orthogonal
+    (m x m), the diagonal D of ``_log_spectrum(s, n)`` and a random orthogonal
     Q (n x n).  Only P's n columns are drawn and factored; they are the
     same normals as in the full m x m draw.  Sub-seeds are derived from
     ``seed`` so the two factors are independent streams.

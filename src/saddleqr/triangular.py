@@ -8,14 +8,9 @@ import numpy as np
 
 from . import _openblas
 from .errors import DimensionError, ZeroDiagonalError
-from .matrix import DenseMatrix, Vector, _is_symmetric, _seq_sum
+from .matrix import DenseMatrix, _is_symmetric, _seq_sum
 
 _TINY = float(np.finfo(np.float64).tiny)
-
-
-def _check_square(r: DenseMatrix, what: str) -> None:
-    if r.rows != r.cols:
-        raise DimensionError(f"{what} must be square, got {r.rows}x{r.cols}")
 
 
 def _column_sweep(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -34,8 +29,8 @@ def _column_sweep(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _back_substitute_arr(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
     """z of R z = g for the upper-triangular ``ra``, as a new array: BLAS
-    ``dtrsv`` of numpy's bundled OpenBLAS on a copy of g, or ``_column_sweep``
-    without that library.  Neither ``ra`` nor ``g`` is written."""
+    ``dtrsv`` of numpy's bundled OpenBLAS, unthreaded, on a copy of g, or
+    ``_column_sweep`` without that library.  Neither ``ra`` nor ``g`` is written."""
     n = len(ra)
     if ra.shape != (n, n) or g.shape != (n,):  # dtrsv would read and write past them
         raise DimensionError(f"cannot solve a {ra.shape} system for a {g.shape} right-hand side")
@@ -47,27 +42,6 @@ def _back_substitute_arr(ra: np.ndarray, g: np.ndarray) -> np.ndarray:
     z = np.array(g, dtype=np.float64)
     _openblas.dtrsv(np.ascontiguousarray(ra, dtype=np.float64), z)
     return z
-
-
-def back_substitute(r: DenseMatrix, g: Vector) -> Vector:
-    """Solve the upper-triangular system R z = g.
-
-    The solve is BLAS ``dtrsv`` of numpy's bundled OpenBLAS, which is
-    backward stable and has no threaded variant, so z does not depend on
-    the BLAS thread count.  On a numpy build without that library a sweep
-    over the columns from the last runs instead, bitwise equal to the
-    row-by-row loop.  A zero (or subnormal) diagonal entry raises
-    :class:`ZeroDiagonalError` naming the bottom-most such row.
-    """
-    _check_square(r, "back_substitute matrix")
-    if len(g) != r.rows:
-        raise DimensionError(
-            f"right-hand side length {len(g)} does not match {r.rows}x{r.cols} matrix"
-        )
-    ra = r.array
-    if np.any(np.tril(ra, -1) != 0.0):
-        raise ValueError("back_substitute requires an upper-triangular matrix")
-    return Vector._wrap(_back_substitute_arr(ra, g.array))
 
 
 @dataclass(frozen=True)
@@ -108,7 +82,8 @@ def cholesky(a: DenseMatrix) -> CholeskyResult:
     Requires A to be symmetric within 10 * eps * ||A||_F entrywise (see
     ``matrix._is_symmetric``).
     """
-    _check_square(a, "cholesky matrix")
+    if a.rows != a.cols:
+        raise DimensionError(f"cholesky matrix must be square, got {a.rows}x{a.cols}")
     aa = a.array
     if not _is_symmetric(aa):
         raise ValueError("cholesky requires a symmetric matrix")

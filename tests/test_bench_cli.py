@@ -209,6 +209,14 @@ class TestRunBench:
         empty.write_text("")
         with pytest.raises(ValueError, match=re.escape(f"{empty}:1:")):
             read_bench_csv(empty)
+        # No writer writes a non-finite cell, nor a "~" other than one on kappa_M.
+        cells = text[1].split(",")
+        for column, bad in ((2, "~~1e15"), (3, "~2.5"), (1, "nan"), (4, "inf"), (5, "-inf"),
+                            (6, "ERR"), (2, "~ERR:singular")):
+            broken.write_text("\n".join([text[0], ",".join(
+                [*cells[:column - 1], bad, *cells[column:]])]) + "\n")
+            with pytest.raises(ValueError, match=re.escape(f"{broken}:2: column {column} (")):
+                read_bench_csv(broken)
 
     def test_markdown_layout(self):
         cfg = BenchConfig(**SMALL, fmt="md")

@@ -22,7 +22,7 @@ from saddleqr.blockgs import _reorthogonalize
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.triangular import _back_substitute_arr
 from saddleqr.rng import standard_normals
-from saddleqr.testgen import logspace_diag, random_orthogonal, scale_problem
+from saddleqr.testgen import _log_spectrum, random_orthogonal, scale_problem
 
 from _oracles import copy_path_bcgs, exact_spectral_norm
 
@@ -31,7 +31,7 @@ def conditioned(l, s, seed):
     """Square l x l matrix with kappa = 10^s."""
     u = random_orthogonal(l, seed)
     v = random_orthogonal(l, seed + 1)
-    return matmul(matmul(u, logspace_diag(float(s), l)), DenseMatrix(v.array.T))
+    return matmul(matmul(u, DenseMatrix(np.diag(_log_spectrum(s, l)))), DenseMatrix(v.array.T))
 
 
 def pass_on_copies(first, m):

@@ -11,7 +11,6 @@ from saddleqr import (
     NonFiniteError,
     SingularMatrixError,
     condition_number,
-    inverse_norm,
     matrix1,
     norms,
     spectral_norm,
@@ -70,13 +69,12 @@ class TestSpectralNorm:
 @pytest.mark.parametrize("x", [[[2.0, 1.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 3.0]]])
 def test_norms_return_plain_floats(x):
     # a non-symmetric and a symmetric input, one per LAPACK branch
-    for fn in (spectral_norm, inverse_norm, condition_number):
+    for fn in (spectral_norm, condition_number):
         assert type(fn(DenseMatrix(x))) is float
 
 
 @pytest.mark.parametrize("fn, x, error", [
     (spectral_norm, [[1e308, 1e308], [1e308, 1e308]], NonFiniteError),  # norm 2e308
-    (inverse_norm, [[1.0, 2.0, 3.0]], DimensionError),  # wider than tall
 ])
 def test_typed_errors(fn, x, error):
     with pytest.raises(error):
@@ -145,9 +143,9 @@ class TestConditionNumber:
         # kappa = 1e310: the eigensolve resolves sigma_min = 1e-310, the
         # singular gate rejects it.
         with pytest.raises(SingularMatrixError):
-            inverse_norm(DenseMatrix(np.diag([1.0, 1e-310])))
+            condition_number(DenseMatrix(np.diag([1.0, 1e-310])))
 
-    @pytest.mark.parametrize("fn", [condition_number, inverse_norm])
+    @pytest.mark.parametrize("fn", [condition_number])
     def test_singular_gate_is_on_the_sigma_ratio(self, fn):
         # M is singular to working precision when sigma_min <= 1e-3 eps sigma_max.
         eps = np.finfo(np.float64).eps
@@ -155,12 +153,6 @@ class TestConditionNumber:
         assert fn(DenseMatrix(np.diag([1.0, kept]))) == pytest.approx(1.0 / kept, rel=1e-15)
         with pytest.raises(SingularMatrixError):
             fn(DenseMatrix(np.diag([1.0, 5e-4 * eps])))
-
-    def test_inverse_norm_orthogonal(self):
-        from saddleqr.testgen import random_orthogonal
-
-        q = random_orthogonal(6, 5)
-        assert inverse_norm(q) == pytest.approx(1.0, rel=1e-6)
 
 
 class TestSingularValueBranches:
@@ -186,7 +178,7 @@ class TestSingularValueBranches:
         spectrum = norms._Spectrum
         monkeypatch.setattr(norms, "_Spectrum", self._fails)
         assert condition_number(x) == ref[0] / ref[-1]
-        assert inverse_norm(x) == 1.0 / ref[-1]
+        assert norms._extreme_singular_values(xa) == (ref[0], ref[-1])
         # The two-norm of a non-symmetric matrix comes from its Gram matrix.
         monkeypatch.setattr(norms, "_Spectrum", spectrum)
         assert spectral_norm(x) == pytest.approx(ref[0], rel=1e-15)
@@ -307,7 +299,7 @@ class TestEigensolver:
 
 
 def _check_against_gesdd(example, m, n, seed, t, methods=("bcgs", "bcgs2", "householder")):
-    """||M||, kappa(M), ||M^-1|| and the orth/dec metrics of one bench row
+    """||M||, kappa(M), sigma_min(M) and the orth/dec metrics of one bench row
     against numpy's SVD (LAPACK gesdd)."""
     from saddleqr import metrics
     from saddleqr.matrix import MACHINE_EPS
@@ -326,7 +318,7 @@ def _check_against_gesdd(example, m, n, seed, t, methods=("bcgs", "bcgs2", "hous
     # sigma_min of M is itself determined only to about eps * kappa
     # relative, by any backward-stable method.
     assert condition_number(m) == pytest.approx(kappa, rel=MACHINE_EPS * kappa)
-    assert inverse_norm(m) == pytest.approx(1.0 / sv[-1], rel=MACHINE_EPS * kappa)
+    assert norms._extreme_singular_values(ma)[1] == pytest.approx(sv[-1], rel=MACHINE_EPS * kappa)
     for method in methods:
         d = solve_detailed(problem.blocks, problem.f, method)
         qa, ra = d.q.array, d.r.array

@@ -103,7 +103,6 @@ class TestValidate:
         report = validate(blocks)
         assert report.all_passed
         assert report.cholesky_min_pivot > 0
-        assert report.b_min_r_diagonal == pytest.approx(1.0)
         assert abs(report.c_min_eigenvalue) <= 1e-12
 
     def test_indefinite_a_fails(self):
@@ -125,7 +124,6 @@ class TestValidate:
         )
         report = validate(blocks)
         assert not report.b_full_rank
-        assert report.b_min_r_diagonal is None
 
     def test_negative_c_fails_psd(self):
         blocks = SaddleBlocks(

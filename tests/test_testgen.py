@@ -16,7 +16,7 @@ from saddleqr import (
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import normals_at, standard_normals
 from saddleqr.saddle import SaddleBlocks
-from saddleqr.testgen import GeneratorSpec, hilbert, logspace_diag, ones_rank_one, random_orthogonal
+from saddleqr.testgen import GeneratorSpec, _log_spectrum, hilbert, ones_rank_one, random_orthogonal
 from saddleqr.triangular import cholesky
 
 from _oracles import (
@@ -25,26 +25,33 @@ from _oracles import (
 
 
 class TestLogspaceDiag:
+    """The log-spaced diagonal D of matrix1 and matrix2, ``_log_spectrum``."""
+
     def test_example_one_parameters(self):
-        d = np.diag(logspace_diag(10.0, 6).array)
+        d = _log_spectrum(10.0, 6)
         assert np.allclose(d, [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10], rtol=1e-15)
         assert d[0] == 1.0
 
     def test_zero_exponent_is_identity(self):
-        assert np.array_equal(logspace_diag(0.0, 5).array, np.eye(5))
+        assert np.array_equal(_log_spectrum(0.0, 5), np.ones(5))
 
     def test_two_points_are_endpoints(self):
-        assert np.allclose(np.diag(logspace_diag(3.0, 2).array), [1.0, 1e-3], rtol=1e-15)
+        assert np.allclose(_log_spectrum(3.0, 2), [1.0, 1e-3], rtol=1e-15)
 
     def test_single_point_is_right_endpoint(self):
-        assert logspace_diag(2.0, 1).array[0, 0] == pytest.approx(1e-2, rel=1e-15)
+        assert _log_spectrum(2.0, 1)[0] == pytest.approx(1e-2, rel=1e-15)
+
+    def test_exponent_past_the_float_range_gives_zeros(self):
+        # s (n-1) overflows to -inf, and 10^-inf = 0, with no RuntimeWarning.
+        assert _log_spectrum(1e308, 3).tolist() == [1.0, 0.0, 0.0]
+        assert _log_spectrum(1.7e308, 2).tolist() == [1.0, 0.0]
 
     def test_domain_checks(self):
         with pytest.raises(DimensionError):
-            logspace_diag(1.0, 0)
+            _log_spectrum(1.0, 0)
         for s in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                logspace_diag(s, 3)
+                _log_spectrum(s, 3)
 
 
 @pytest.mark.parametrize("make", [
@@ -89,7 +96,7 @@ class TestMatrix1:
     def test_singular_values_match_logspace(self):
         x = matrix1(10, 4, 3.0, 42)
         sv = exact_singular_values(x)
-        ref = np.diag(logspace_diag(3.0, 4).array)
+        ref = _log_spectrum(3.0, 4)
         assert np.allclose(sv, ref, rtol=1e-8)
 
     def test_wide_rejected(self):

@@ -20,7 +20,7 @@ from saddleqr.householder import _thin_qr
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import _uniforms_at, mix64, standard_normals
 from saddleqr.testgen import hilbert
-from saddleqr.triangular import _back_substitute_arr, _column_sweep, back_substitute, cholesky
+from saddleqr.triangular import _back_substitute_arr, _column_sweep, cholesky
 
 from _oracles import exact_singular_values, loop_cholesky, row_back_substitute
 
@@ -45,24 +45,22 @@ def scaled_upper(seed):
 
 class TestBackSubstitute:
     def test_identity(self):
-        g = Vector([3.0, -1.0, 2.5])
-        z = back_substitute(DenseMatrix(np.eye(3)), g)
-        assert np.array_equal(z.array, g.array)
+        g = np.array([3.0, -1.0, 2.5])
+        assert np.array_equal(_back_substitute_arr(np.eye(3), g), g)
 
     def test_hand_example(self):
-        r = DenseMatrix([[2.0, 1.0], [0.0, 4.0]])
-        z = back_substitute(r, Vector([4.0, 8.0]))
-        assert np.array_equal(z.array, [1.0, 2.0])
+        z = _back_substitute_arr(np.array([[2.0, 1.0], [0.0, 4.0]]), np.array([4.0, 8.0]))
+        assert np.array_equal(z, [1.0, 2.0])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_construct_then_solve(self, seed):
         r = random_upper(6, seed)
         z_true = standard_normals(seed + 50, 6)
         g = mat_vec(r, Vector(z_true))
-        z = back_substitute(r, g)
+        z = _back_substitute_arr(r.array, g.array)
         sv = exact_singular_values(r)
         kappa = float(sv[0] / sv[-1])
-        rel = vector_norm(Vector(z.array - z_true)) / vector_norm(Vector(z_true))
+        rel = vector_norm(Vector(z - z_true)) / vector_norm(Vector(z_true))
         assert rel <= 1e3 * MACHINE_EPS * kappa
 
     @pytest.mark.parametrize("seed", range(5))
@@ -70,7 +68,7 @@ class TestBackSubstitute:
         # ||R z - g|| <= 1e2 eps ||R|| ||z||
         r = random_upper(8, 100 + seed)
         g = Vector(standard_normals(seed + 7, 8))
-        z = back_substitute(r, g)
+        z = Vector(_back_substitute_arr(r.array, g.array))
         resid = vector_norm(mat_vec(r, z) - g)
         norm_r = float(exact_singular_values(r)[0])
         assert resid <= 1e2 * MACHINE_EPS * norm_r * vector_norm(z)
@@ -109,26 +107,20 @@ class TestBackSubstitute:
         assert exc.value.row == expected.value.row == max(zero_rows)
 
     def test_zero_diagonal_names_row(self):
-        r = DenseMatrix([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ZeroDiagonalError, match="row 1") as exc:
-            back_substitute(r, Vector([1.0, 1.0]))
+            _back_substitute_arr(np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones(2))
         assert exc.value.row == 1
 
     def test_subnormal_diagonal_rejected(self):
         tiny = float(np.finfo(np.float64).tiny) / 4.0
-        r = DenseMatrix([[tiny]])
         with pytest.raises(ZeroDiagonalError):
-            back_substitute(r, Vector([1.0]))
-
-    def test_requires_upper_triangular(self):
-        with pytest.raises(ValueError):
-            back_substitute(DenseMatrix([[1.0, 0.0], [2.0, 1.0]]), Vector([1.0, 1.0]))
+            _back_substitute_arr(np.array([[tiny]]), np.ones(1))
 
     def test_shape_errors(self):
         with pytest.raises(DimensionError):
-            back_substitute(DenseMatrix([[1.0, 2.0]]), Vector([1.0]))
+            _back_substitute_arr(np.array([[1.0, 2.0]]), np.ones(1))
         with pytest.raises(DimensionError):
-            back_substitute(DenseMatrix(np.eye(2)), Vector([1.0, 2.0, 3.0]))
+            _back_substitute_arr(np.eye(2), np.array([1.0, 2.0, 3.0]))
 
 
 needs_openblas = pytest.mark.skipif(
