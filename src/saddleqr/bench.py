@@ -36,7 +36,7 @@ from .rng import mix64
 from .saddle import METHODS, assemble, solve_detailed
 from .stability import (StabilityReport, _decomposition_defect, _gram_defect, _report,
                         _solution_norm)
-from .testgen import GeneratorSpec, hilbert, matrix1, matrix2, ones_rank_one, scale_problem
+from .testgen import hilbert, matrix1, matrix2, ones_rank_one, scale_problem
 
 # Each example's paper sizes (m, n); custom has none.  The order fixes the seeds.
 EXAMPLES = {"1": (12, 6), "2": (1000, 500), "3": (3000, 100), "custom": None}
@@ -125,22 +125,15 @@ def _cell_seeds(seed: int, example: str, t_index: int) -> tuple[int, int, int]:
 
 def base_blocks(
     cfg: BenchConfig, t_index: int
-) -> tuple[DenseMatrix, DenseMatrix, DenseMatrix, tuple[GeneratorSpec, ...]]:
-    """Unscaled (A1, B1, C1) for one row of the configured example."""
-    seed_a, seed_b, seed_c = _cell_seeds(cfg.seed, cfg.example, t_index)
-    spec_b = GeneratorSpec("matrix1", m=cfg.m, n=cfg.n, s=cfg.s_b, seed=seed_b)
+) -> tuple[DenseMatrix, DenseMatrix, DenseMatrix, tuple[int, int, int]]:
+    """Unscaled (A1, B1, C1) for one row of the configured example, and the
+    row's generator seeds (``_cell_seeds``)."""
+    seeds = seed_a, seed_b, seed_c = _cell_seeds(cfg.seed, cfg.example, t_index)
     if cfg.example == "1":
-        spec_a = GeneratorSpec("hilbert", n=cfg.m)
-        spec_c = GeneratorSpec("ones_rank_one", n=cfg.n)
-        a1 = hilbert(cfg.m)
-        c1 = ones_rank_one(cfg.n)
+        a1, c1 = hilbert(cfg.m), ones_rank_one(cfg.n)
     else:
-        spec_a = GeneratorSpec("matrix2", n=cfg.m, s=cfg.s_a, seed=seed_a)
-        spec_c = GeneratorSpec("matrix2", n=cfg.n, s=cfg.s_c, seed=seed_c)
-        a1 = matrix2(cfg.m, cfg.s_a, seed_a)
-        c1 = matrix2(cfg.n, cfg.s_c, seed_c)
-    b1 = matrix1(cfg.m, cfg.n, cfg.s_b, seed_b)
-    return a1, b1, c1, (spec_a, spec_b, spec_c)
+        a1, c1 = matrix2(cfg.m, cfg.s_a, seed_a), matrix2(cfg.n, cfg.s_c, seed_c)
+    return a1, matrix1(cfg.m, cfg.n, cfg.s_b, seed_b), c1, seeds
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:

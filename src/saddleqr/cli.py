@@ -26,7 +26,7 @@ from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, wri
 from .norms import condition_number
 from .saddle import METHODS, SaddleBlocks, ValidationReport, solve_detailed, validate
 from .stability import metrics
-from .testgen import GENERATOR_KINDS, GeneratorSpec
+from .testgen import GENERATOR_KINDS, hilbert, matrix1, matrix2, ones_rank_one
 
 
 # glibc's mallopt parameters (malloc.h), and the value both thresholds take.
@@ -57,27 +57,26 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _gen_spec(args) -> GeneratorSpec:
-    """The spec of ``gen``'s flags; an ``--s`` or ``--seed`` left out takes
-    ``GeneratorSpec``'s default."""
+def _generate(args):
+    """The matrix of ``gen``'s flags."""
     m, n, kind = args.m, args.n, args.kind
-    given = {name: v for name in ("s", "seed") if (v := getattr(args, name)) is not None}
     if kind == "matrix1":
         if m is None or n is None:
             raise ValueError("matrix1 requires both --m and --n")
-        return GeneratorSpec(kind, m=m, n=n, **given)
+        return matrix1(m, n, args.s, args.seed)
     if m is not None and n is not None and m != n:
         raise ValueError(f"{kind} is square, but --m {m} and --n {n} differ")
     size = n if n is not None else m  # square kinds take either flag
     if size is None:
         raise ValueError(f"{kind} requires a size (--n or --m)")
-    return GeneratorSpec(kind, n=size, **given)
+    if kind == "matrix2":
+        return matrix2(size, args.s, args.seed)
+    return hilbert(size) if kind == "hilbert" else ones_rank_one(size)
 
 
 def cmd_gen(args) -> int:
     try:
-        spec = _gen_spec(args)
-        matrix = spec.generate()
+        matrix = _generate(args)
     except (ValueError, DimensionError) as exc:
         return _fail(str(exc), 2)
     try:
@@ -199,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     gen.add_argument("--m", type=int, help="row count (matrix1) or size (square kinds)")
     gen.add_argument("--n", type=int, help="column count (matrix1) or size (square kinds)")
-    gen.add_argument("--s", type=float, help="decade exponent, kappa ~ 10^s")
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--s", type=float, default=0.0, help="decade exponent, kappa ~ 10^s")
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 

@@ -39,12 +39,16 @@ def write_vector(path, v: Vector) -> None:
 
 def read_matrix(path) -> DenseMatrix:
     path = Path(path)
-    with open(path, "r") as fh:
-        raw = fh.readlines()
 
     def fail(lineno: int, why: str):
         raise MatrixMarketError(f"{path}:{lineno}: {why}")
 
+    raw = []
+    for lineno, line in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            raw.append(line.decode())
+        except UnicodeDecodeError as exc:
+            fail(lineno, f"not UTF-8 text ({exc.reason} at byte {exc.start + 1})")
     if not raw:
         fail(1, "empty file")
     fields = raw[0].split()

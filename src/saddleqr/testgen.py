@@ -104,49 +104,16 @@ def ones_rank_one(n: int) -> DenseMatrix:
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameters selecting one generated matrix.
-
-    ``matrix1`` uses (m, n, s, seed); the square kinds (matrix2, hilbert,
-    ones_rank_one) use n only, plus (s, seed) for matrix2.
-    """
-
-    kind: str
-    m: int | None = None
-    n: int | None = None
-    s: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise ValueError(f"kind must be one of {GENERATOR_KINDS}, got {self.kind!r}")
-        if self.kind == "matrix1":
-            if self.m is None or self.n is None or self.m < self.n or self.n < 1:
-                raise ValueError(f"matrix1 requires m >= n >= 1, got m={self.m}, n={self.n}")
-        else:
-            if self.n is None or self.n < 1:
-                raise ValueError(f"{self.kind} requires a positive size n, got {self.n}")
-
-    def generate(self) -> DenseMatrix:
-        if self.kind == "matrix1":
-            return matrix1(self.m, self.n, self.s, self.seed)
-        if self.kind == "matrix2":
-            return matrix2(self.n, self.s, self.seed)
-        if self.kind == "hilbert":
-            return hilbert(self.n)
-        return ones_rank_one(self.n)
-
-
-@dataclass(frozen=True)
 class ScaledProblem:
     """A scaled block triple with its constructed solution and right-hand
-    side; ``f`` is stored exactly as computed, never recomputed."""
+    side; ``f`` is stored exactly as computed, never recomputed.
+    ``provenance`` is a bench row's seeds (``bench.base_blocks``)."""
 
     blocks: SaddleBlocks
     t: float
     z_star: Vector
     f: Vector
-    provenance: tuple[GeneratorSpec, ...] | None = None
+    provenance: tuple[int, int, int] | None = None
 
 
 def scale_problem(
@@ -154,7 +121,7 @@ def scale_problem(
     b1: DenseMatrix,
     c1: DenseMatrix,
     t: float,
-    provenance: tuple[GeneratorSpec, ...] | None = None,
+    provenance: tuple[int, int, int] | None = None,
 ) -> ScaledProblem:
     """Rescale base blocks by t and build the constructed solution.
 

@@ -14,11 +14,12 @@ import pytest
 import saddleqr
 from saddleqr import DenseMatrix, NonConvergedError, Vector, _openblas, cli
 from saddleqr.mmio import read_matrix, read_vector, write_matrix, write_vector
-from saddleqr.testgen import hilbert
+from saddleqr.testgen import GENERATOR_KINDS, hilbert, matrix1, matrix2, ones_rank_one
 from saddleqr.bench import (
     KAPPA_FLAG_LIMIT,
     BenchConfig,
     BenchRow,
+    _cell_seeds,
     base_blocks,
     read_bench_csv,
     render_csv,
@@ -77,6 +78,14 @@ class TestRunBench:
             for method in cfg.ordered_methods:
                 for name in ("orth", "dec", "res", "stab"):
                     assert isinstance(row.cells[method][name], float)
+
+    @pytest.mark.parametrize("example", ["1", "2"])
+    def test_row_provenance_is_its_cell_seeds(self, example):
+        cfg = BenchConfig(example=example, m=12, n=6, t_list=(1.0, 10.0), seed=3)
+        for i, t in enumerate(cfg.t_list):
+            a1, b1, c1, provenance = base_blocks(cfg, i)
+            assert provenance == _cell_seeds(cfg.seed, cfg.example, i)
+            assert scale_problem(a1, b1, c1, t, provenance).provenance == provenance
 
     def test_m_is_factored_once_and_eigensolved_once(self, monkeypatch):
         # ||M|| and kappa(M) come from one singular-value call on M, and
@@ -560,9 +569,7 @@ class TestMemoryFailures:
         assert all(rows[0][key] == "ERR:memory" for key in header[1:])
 
     def test_gen_exits_1_with_a_message(self, monkeypatch, tmp_path, capsys):
-        from saddleqr.testgen import GeneratorSpec
-
-        monkeypatch.setattr(GeneratorSpec, "generate", _out_of_memory)
+        monkeypatch.setattr(cli, "matrix2", _out_of_memory)
         out = tmp_path / "m.mtx"
         assert main(["gen", "--kind", "matrix2", "--n", "4", "--out", str(out)]) == 1
         assert "gen: out of memory (Unable to allocate" in capsys.readouterr().err
@@ -632,6 +639,33 @@ class TestCliGen:
     def test_invalid_spec_exits_2(self, tmp_path):
         assert main(["gen", "--kind", "matrix1", "--m", "2", "--n", "5",
                      "--out", str(tmp_path / "x.mtx")]) == 2
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_each_kind_is_its_generator_at_s_0_and_seed_0(self, tmp_path, kind):
+        # --s and --seed left out take 0, as the parser states.
+        sizes, direct = {
+            "matrix1": (["--m", "5", "--n", "3"], lambda: matrix1(5, 3, 0.0, 0)),
+            "matrix2": (["--n", "4"], lambda: matrix2(4, 0.0, 0)),
+            "hilbert": (["--n", "4"], lambda: hilbert(4)),
+            "ones_rank_one": (["--n", "4"], lambda: ones_rank_one(4)),
+        }[kind]
+        out, ref = tmp_path / "gen.mtx", tmp_path / "ref.mtx"
+        assert main(["gen", "--kind", kind, *sizes, "--out", str(out)]) == 0
+        write_matrix(ref, direct())
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["matrix2", "hilbert", "ones_rank_one"])
+    def test_square_kind_of_size_0_exits_2_and_names_the_size(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.mtx"
+        assert main(["gen", "--kind", kind, "--n", "0", "--out", str(out)]) == 2
+        assert "size must be positive, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_kind_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "matrix3", "--n", "4", "--out", str(tmp_path / "x.mtx")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'matrix3'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, message", [
         (["--kind", "matrix1", "--m", "3"], "matrix1 requires both --m and --n"),
@@ -776,6 +810,18 @@ class TestCliSolve:
         ])
         assert code == 2
         assert f"cannot read {tmp_path}" in capsys.readouterr().err
+        assert not saddle_files["out"].exists()
+
+    def test_non_utf8_file_exits_2_and_names_it(self, saddle_files, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_bytes(b"\xff\xfe%%MatrixMarket matrix array real general\n1 1\n1\n")
+        code = main([
+            "solve", "--a", str(bad), "--b", str(saddle_files["b"]),
+            "--c", str(saddle_files["c"]), "--f", str(saddle_files["f"]),
+            "--out", str(saddle_files["out"]),
+        ])
+        assert code == 2
+        assert f"{bad}:1: not UTF-8 text" in capsys.readouterr().err
         assert not saddle_files["out"].exists()
 
     def test_failed_validation_exits_1(self, saddle_files, capsys, eigen_fails):

@@ -71,11 +71,12 @@ def test_comments_and_blank_lines_tolerated(tmp_path):
         ("", ":1: empty file"),
         ("%%MatrixMarket matrix array real general\n2 x\n1.0\n2.0\n", ":2: non-integer"),
         ("%%MatrixMarket matrix array real general\n% no sizes\n", ":2: missing dimensions"),
+        ("%%MatrixMarket matrix array real general\n1 1\n\xe91.0\n", ":3: not UTF-8 text"),
     ],
 )
 def test_parse_errors_name_file_and_line(tmp_path, content, fragment):
     path = tmp_path / "bad.mtx"
-    path.write_text(content)
+    path.write_bytes(content.encode("latin-1"))  # one byte a character: "\xe9" is not UTF-8
     with pytest.raises(MatrixMarketError, match=fragment) as exc:
         read_matrix(path)
     assert str(path) in str(exc.value)

@@ -94,6 +94,20 @@ def test_readme_library_snippet_runs(capsys):
     assert len(numbers) == 4 and all(0.0 <= v < math.inf for v in numbers), numbers
 
 
+def test_readme_names_imported_from_their_modules_resolve():
+    # README's Library section lists the names "imported from its module",
+    # each clause ending in "from `saddleqr.<module>`"; a name removed from
+    # its module cannot stay listed there.
+    library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    listed = re.search(r"The rest is imported from its module:(.*?)\.\s", library, re.S).group(1)
+    clauses = re.findall(r"(.*?)from\s+`saddleqr\.(\w+)`", listed, re.S)
+    assert [module for _, module in clauses] == ["testgen", "stability", "mmio", "triangular"]
+    missing = [f"{module}.{name}" for names, module in clauses
+               for name in re.findall(r"`(\w+)`", names)
+               if not hasattr(importlib.import_module(f"saddleqr.{module}"), name)]
+    assert missing == []
+
+
 def test_every_openblas_binding_lives_in_the_boundary_module():
     # Only _openblas.py names OpenBLAS symbols, passes array pointers or names
     # lapack_lite, the QR's fallback (cli.py's one other ctypes binding is

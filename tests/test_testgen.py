@@ -16,7 +16,7 @@ from saddleqr import (
 from saddleqr.matrix import MACHINE_EPS
 from saddleqr.rng import normals_at, standard_normals
 from saddleqr.saddle import SaddleBlocks
-from saddleqr.testgen import GeneratorSpec, _log_spectrum, hilbert, ones_rank_one, random_orthogonal
+from saddleqr.testgen import _log_spectrum, hilbert, ones_rank_one, random_orthogonal
 from saddleqr.triangular import cholesky
 
 from _oracles import (
@@ -56,7 +56,8 @@ class TestLogspaceDiag:
 
 @pytest.mark.parametrize("make", [
     lambda: random_orthogonal(0, 1), lambda: hilbert(0), lambda: ones_rank_one(0),
-], ids=["random_orthogonal", "hilbert", "ones_rank_one"])
+    lambda: matrix2(0, 1.0, 1),
+], ids=["random_orthogonal", "hilbert", "ones_rank_one", "matrix2"])
 def test_size_zero_rejected(make):
     with pytest.raises(DimensionError, match="size must be positive, got 0"):
         make()
@@ -253,19 +254,3 @@ class TestScaleProblem:
         a1, b1, c1 = self.base()
         with pytest.raises(NonFiniteError, match="scaled blocks"):
             scale_problem(a1, b1, c1, t)
-
-
-class TestGeneratorSpec:
-    def test_dispatch_matches_direct_calls(self):
-        spec = GeneratorSpec("matrix1", m=8, n=3, s=2.0, seed=5)
-        assert np.array_equal(spec.generate().array, matrix1(8, 3, 2.0, 5).array)
-        spec = GeneratorSpec("hilbert", n=4)
-        assert np.array_equal(spec.generate().array, hilbert(4).array)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec("matrix3", n=4)
-        with pytest.raises(ValueError):
-            GeneratorSpec("matrix1", m=2, n=5)
-        with pytest.raises(ValueError):
-            GeneratorSpec("matrix2")
