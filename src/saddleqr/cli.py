@@ -127,6 +127,7 @@ def cmd_solve(args) -> int:
         f = _read_file(read_vector, args.f)
         z_star = _read_file(read_vector, args.z_star) if args.z_star else None
         blocks = SaddleBlocks(a=a, b=b, c=c)
+        del a, b, c  # the blocks hold them once, in M
         vectors = (("right-hand side", args.f, f), ("known solution", args.z_star, z_star))
         for what, path, v in vectors:
             if v is not None and len(v) != blocks.l:

@@ -19,7 +19,9 @@ caller's count.
 
 ``_qr_in_place`` is the one kernel: it factors an F-order panel where it
 lies (the block Gram-Schmidt panels are column slices of their Q); ``_thin_qr``
-runs it on an F copy, and ``thin_householder_qr`` wraps that.
+runs it on an F copy, and ``thin_householder_qr`` wraps that.  Its R step,
+``_r_in_place``, runs alone where only R's checks are read (``validate``'s
+rank certificate), and forms no Q.
 """
 
 from __future__ import annotations
@@ -81,26 +83,43 @@ def default_rank_tol(xa: np.ndarray) -> float:
     return MACHINE_EPS * float(np.sqrt(xa.shape[0])) * max_col
 
 
-def _qr_in_place(a: np.ndarray, step: str | None = None) -> np.ndarray:
-    """Overwrite the writable, F-contiguous float64 l x k ``a``, such as a column slice of an
-    F-order array, with the Q of its checked thin QR and return R (``thin_householder_qr`` has
-    the checks; a rank failure names ``step``).  Any other layout, which LAPACK would misread,
-    raises ``ValueError`` from the binding, before anything is written."""
+def _pin(l: int, k: int):
+    """The thread pin of an l x k QR: ``_openblas.one_thread()`` or a no-op."""
+    return _openblas.one_thread() if _pins_one_thread(l, k) else contextlib.nullcontext()
+
+
+def _r_in_place(a: np.ndarray, step: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The R step of the checked thin QR of the writable, F-contiguous float64 l x k ``a``:
+    the rank tolerance, ``dgeqrf`` in place, R's finiteness and the rank gate (a failure
+    names ``step``).  Returns (R, tau), R before the sign pass; ``a`` is left holding the
+    reflectors.  Any other layout, which LAPACK would misread, raises ``ValueError`` from
+    the binding, before anything is written."""
     l, k = a.shape
     if l < k:
         raise DimensionError(f"thin QR needs rows >= cols, got {l}x{k}")
     tol = default_rank_tol(a)  # of the panel, before LAPACK overwrites it; raises on inf/NaN
-    pin = _openblas.one_thread() if _pins_one_thread(l, k) else contextlib.nullcontext()
-    with pin:
+    with _pin(l, k):
         tau = np.empty(k)
         _openblas.dgeqrf(a, tau)
-        r = np.triu(a[:k])
-        _openblas.dorgqr(a, tau)
-    if not (np.isfinite(a).all() and np.isfinite(r).all()):
+    r = np.triu(a[:k])
+    if not np.isfinite(r).all():
         raise NonFiniteError("QR factor is not finite")
     small = np.flatnonzero(np.abs(np.diag(r)) <= tol)
     if small.size:
         raise RankDeficientError(column=int(small[0]), step=step)
+    return r, tau
+
+
+def _qr_in_place(a: np.ndarray, step: str | None = None) -> np.ndarray:
+    """Overwrite the writable, F-contiguous float64 l x k ``a``, such as a column slice of an
+    F-order array, with the Q of its checked thin QR and return R: the R step
+    (``_r_in_place``), then the Q step, ``dorgqr``, Q's finiteness and the sign pass
+    (``thin_householder_qr`` has the checks)."""
+    with _pin(*a.shape):
+        r, tau = _r_in_place(a, step)
+        _openblas.dorgqr(a, tau)
+    if not np.isfinite(a).all():
+        raise NonFiniteError("QR factor is not finite")
     _fix_signs(a, r)
     return r
 

@@ -7,14 +7,13 @@ positive definite, C (n x n) symmetric positive semidefinite and B
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blockgs import _reorthogonalize, bcgs, bcgs2
 from .errors import DimensionError, RankDeficientError
-from .householder import ThinQR, thin_householder_qr
+from .householder import ThinQR, _r_in_place, thin_householder_qr
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric
 from .norms import _Spectrum
 from .triangular import _back_substitute_arr, cholesky
@@ -22,53 +21,82 @@ from .triangular import _back_substitute_arr, cholesky
 METHODS = ("bcgs", "bcgs2", "householder")
 
 
-@dataclass(frozen=True)
 class SaddleBlocks:
-    """The (A, B, C) block triple.  ``matrix`` is M, assembled on first use
-    and shared, read-only, by every later caller; equality and hashing see
-    only the three blocks."""
+    """The block triple (A, B, C), held once as M = [[A, B], [B^T, -C]]: the
+    constructor assembles M, read-only, and keeps only M and the split m.
+    ``a``, ``b`` and ``c`` are read-only copies read back from M, bitwise
+    (C = -M[m:, m:], signed zeros included).  Equality and hashing see m and
+    M's bytes, so two triples built from the same blocks are equal."""
 
-    a: DenseMatrix
-    b: DenseMatrix
-    c: DenseMatrix
+    __slots__ = ("_m", "_matrix")
 
-    def __post_init__(self):
-        if self.a.rows != self.a.cols:
-            raise DimensionError(f"A must be square, got {self.a.shape}")
-        if self.c.rows != self.c.cols:
-            raise DimensionError(f"C must be square, got {self.c.shape}")
-        if self.b.rows != self.a.rows or self.b.cols != self.c.rows:
+    def __init__(self, a: DenseMatrix, b: DenseMatrix, c: DenseMatrix):
+        if a.rows != a.cols:
+            raise DimensionError(f"A must be square, got {a.shape}")
+        if c.rows != c.cols:
+            raise DimensionError(f"C must be square, got {c.shape}")
+        if b.rows != a.rows or b.cols != c.rows:
             raise DimensionError(
-                f"B must be {self.a.rows}x{self.c.rows} to couple A {self.a.shape} "
-                f"and C {self.c.shape}, got {self.b.shape}"
+                f"B must be {a.rows}x{c.rows} to couple A {a.shape} "
+                f"and C {c.shape}, got {b.shape}"
             )
+        m = a.rows
+        out = np.empty((m + c.rows, m + c.rows))
+        out[:m, :m] = a.array
+        out[:m, m:] = b.array
+        out[m:, :m] = b.array.T
+        np.negative(c.array, out=out[m:, m:])
+        self._m, self._matrix = m, DenseMatrix._wrap(out)
 
     @property
     def m(self) -> int:
-        return self.a.rows
+        return self._m
 
     @property
     def n(self) -> int:
-        return self.c.rows
+        return self.l - self._m
 
     @property
     def l(self) -> int:
-        return self.m + self.n
+        return self._matrix.rows
 
-    @functools.cached_property
+    @property
     def matrix(self) -> DenseMatrix:
-        m = self.m
-        out = np.empty((self.l, self.l))
-        out[:m, :m] = self.a.array
-        out[:m, m:] = self.b.array
-        out[m:, :m] = self.b.array.T
-        out[m:, m:] = -self.c.array
-        return DenseMatrix._wrap(out)
+        return self._matrix
+
+    @property
+    def a(self) -> DenseMatrix:
+        m = self._m
+        return DenseMatrix._wrap(self._matrix.array[:m, :m].copy())
+
+    @property
+    def b(self) -> DenseMatrix:
+        m = self._m
+        return DenseMatrix._wrap(self._matrix.array[:m, m:].copy())
+
+    @property
+    def c(self) -> DenseMatrix:
+        m = self._m
+        return DenseMatrix._wrap(np.negative(self._matrix.array[m:, m:]))
+
+    def _key(self) -> tuple[int, bytes]:
+        return self._m, self._matrix.array.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, SaddleBlocks):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SaddleBlocks(m={self.m}, n={self.n})"
 
 
 def assemble(blocks: SaddleBlocks) -> DenseMatrix:
-    """The (m+n) x (m+n) matrix [[A, B], [B^T, -C]]: the blocks' one
-    shared, read-only M, assembled on the first call."""
+    """The (m+n) x (m+n) matrix [[A, B], [B^T, -C]]: the one read-only M
+    the blocks hold."""
     return blocks.matrix
 
 
@@ -88,28 +116,32 @@ class ValidationReport:
 
 
 def validate(blocks: SaddleBlocks) -> ValidationReport:
-    """Check A SPD, C symmetric PSD, and B full column rank (its thin QR succeeds).
+    """Check A SPD, C symmetric PSD, and B full column rank (the R step of its
+    thin QR succeeds).
 
     Failures land in the report rather than raising; the diagnostics carry
     the minimum Cholesky pivot (NaN when A is not symmetric) and the
     smallest eigenvalue of C.  A and C count as symmetric within
     10 * eps * ||.||_F entrywise (``matrix._is_symmetric``); for A that is
-    ``cholesky``'s own check.
+    ``cholesky``'s own check.  Each block is read from M once.
     """
+    xa, m = blocks.matrix.array, blocks.m
     try:
         chol = cholesky(blocks.a)
         a_spd, min_pivot = chol.ok, chol.min_pivot
     except ValueError:  # cholesky refuses an A that is not symmetric
         a_spd, min_pivot = False, float("nan")
 
-    # An F-order copy, since C is read-only: dsytrd then reads C's own lower
+    # One F-order copy of C, straight from M: dsytrd then reads C's own lower
     # triangle, as numpy's eigvalsh does, also when C is not symmetric.
-    c_min_eig, c_max_eig = _Spectrum(np.array(blocks.c.array, order="F")).ends()
+    c = np.negative(xa[m:, m:], order="F")
+    c_symmetric = _is_symmetric(c)  # before dsytrd overwrites c
+    c_min_eig, c_max_eig = _Spectrum(c).ends()
     norm_c = max(-c_min_eig, c_max_eig)
-    c_psd = _is_symmetric(blocks.c.array) and c_min_eig >= -100.0 * MACHINE_EPS * norm_c
+    c_psd = c_symmetric and c_min_eig >= -100.0 * MACHINE_EPS * norm_c
 
-    try:  # a B wider than tall is refused by the QR's shape check
-        thin_householder_qr(blocks.b)
+    try:  # only the R step; a B wider than tall is refused by its shape check
+        _r_in_place(np.array(xa[:m, m:], order="F"))
         b_full_rank = True
     except (DimensionError, RankDeficientError):
         b_full_rank = False

@@ -71,9 +71,9 @@ def matrix1(m: int, n: int, s: float, seed: int) -> DenseMatrix:
     """
     if m < n or n < 1:
         raise DimensionError(f"matrix1 requires m >= n >= 1, got m={m}, n={n}")
+    d = _log_spectrum(s, n)  # P D as a column scaling; checks s before anything is drawn
     p = _orthonormal_columns(m, n, mix64(seed, 1))
     qf = _orthonormal_columns(n, n, mix64(seed, 2))
-    d = _log_spectrum(s, n)  # P D as a column scaling
     return DenseMatrix._wrap((p * d) @ qf.T)
 
 
@@ -81,9 +81,9 @@ def matrix2(n: int, s: float, seed: int) -> DenseMatrix:
     """Symmetric positive definite n x n matrix with log-spaced eigenvalues,
     kappa about 10^s: P D P^T from one random orthogonal P, then
     symmetrized as (X + X^T)/2."""
+    d = _log_spectrum(s, n)  # checks n and s before anything is drawn
     # P read row-major: OpenBLAS's threaded dgemm rounds by operand layout at some n.
     p = np.ascontiguousarray(_orthonormal_columns(n, n, seed))
-    d = _log_spectrum(s, n)
     x = (p * d) @ p.T
     return DenseMatrix._wrap(0.5 * (x + x.T))
 

@@ -139,20 +139,38 @@ class TestRunBench:
 
     def test_row_of_three_methods_assembles_m_once(self, monkeypatch):
         # scale_problem (for f), run_bench (for kappa and the metrics) and the
-        # three solves share the blocks' one M.
-        from saddleqr import saddle
+        # three solves share the blocks' one M, assembled when the blocks are built.
+        from saddleqr import bench, saddle
 
-        prop = saddle.SaddleBlocks.__dict__["matrix"]
-        real, calls = prop.func, []
+        built, seen = [], []
+        real_init, real_solve = saddle.SaddleBlocks.__init__, bench.solve_detailed
+        real_sigma, real_dec = bench._extreme_singular_values, bench._decomposition_defect
 
-        def counted(blocks):
-            calls.append(1)
-            return real(blocks)
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self.matrix.array)
 
-        monkeypatch.setattr(prop, "func", counted)
+        def solve(*args, **kwargs):
+            detail = real_solve(*args, **kwargs)
+            seen.append(detail.matrix.array)
+            return detail
+
+        def sigma(ma):
+            seen.append(ma)
+            return real_sigma(ma)
+
+        def dec(ma, *rest):
+            seen.append(ma)
+            return real_dec(ma, *rest)
+
+        monkeypatch.setattr(saddle.SaddleBlocks, "__init__", init)
+        monkeypatch.setattr(bench, "solve_detailed", solve)
+        monkeypatch.setattr(bench, "_extreme_singular_values", sigma)
+        monkeypatch.setattr(bench, "_decomposition_defect", dec)
         run_bench(BenchConfig(example="2", m=20, n=10, t_list=(1.0,),
                               methods=("bcgs", "bcgs2", "householder")))
-        assert len(calls) == 1
+        assert len(built) == 1
+        assert len(seen) == 7 and all(ma is built[0] for ma in seen)
 
     @pytest.mark.parametrize("example, m, n", [("1", 12, 6), ("2", 200, 100)])
     def test_bcgs2_cells_same_with_and_without_bcgs(self, example, m, n):
@@ -506,10 +524,45 @@ def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 2.98 GiB for an array")
 
 
+def _cli_under_memory_limit(args) -> subprocess.CompletedProcess:
+    """``saddleqr <args>`` in a child whose address space is capped at 512 MiB
+    (``RLIMIT_AS``, set in the child only), so an allocation past it raises
+    ``MemoryError`` there; no kernel OOM kill is involved.  The import needs
+    about 143 MB; one BLAS thread keeps that independent of the core count."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = Path(saddleqr.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "saddleqr.cli", *args], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+
+
 class TestMemoryFailures:
     """A ``MemoryError`` in a row becomes ``ERR:memory`` cells, and ``gen`` and
-    ``solve`` exit 1 with a message.  Each raises from a patched function; no
-    test allocates for real."""
+    ``solve`` exit 1 with a message.  Most raise from a patched function; the
+    ``real`` tests allocate past a memory limit in a child process."""
+
+    def test_real_bench_writes_the_cells_and_exits_1(self, tmp_path):
+        # A1 alone is 512 MB and M would be 1.15 GB.
+        out = tmp_path / "oom.csv"
+        done = _cli_under_memory_limit(["bench", "--example", "custom", "--m", "8000",
+                                        "--n", "4000", "--t-list", "1", "--out", str(out)])
+        assert done.returncode == 1, done.stderr
+        assert "1 with errors" in done.stdout
+        header, rows = read_bench_csv(out)
+        assert len(rows) == 1 and all(rows[0][key] == "ERR:memory" for key in header[1:])
+
+    def test_real_gen_exits_1_with_a_message(self, tmp_path):
+        out = tmp_path / "m.mtx"
+        done = _cli_under_memory_limit(["gen", "--kind", "matrix2", "--n", "8000",
+                                        "--out", str(out)])
+        assert done.returncode == 1
+        assert "gen: out of memory" in done.stderr
+        assert not out.exists()
 
     def test_generator_marks_the_row(self, schedule, monkeypatch):
         from saddleqr import bench

@@ -92,6 +92,20 @@ class TestAssemble:
                 c=DenseMatrix([[1.0]]),
             )
 
+    def test_blocks_read_back_bitwise_from_m_read_only(self):
+        a = np.array([[2.0, -0.0], [-0.0, 3.0]])
+        b = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        c = np.array([[0.0, -0.0], [-0.0, 1.0]])  # M holds -C: -0.0 and 0.0 swap there
+        blocks = SaddleBlocks(a=DenseMatrix(a), b=DenseMatrix(b), c=DenseMatrix(c))
+        assert (blocks.m, blocks.n, blocks.l) == (2, 2, 4)
+        for got, want in ((blocks.a, a), (blocks.b, b), (blocks.c, c)):
+            assert got.array.tobytes() == want.tobytes()  # signed zeros included
+            assert not got.array.flags.writeable
+            assert not np.shares_memory(got.array, blocks.matrix.array)
+        again = SaddleBlocks(a=blocks.a, b=blocks.b, c=blocks.c)
+        assert again == blocks and hash(again) == hash(blocks)
+        assert SaddleBlocks(a=DenseMatrix(a), b=DenseMatrix(b), c=DenseMatrix(-c)) != blocks
+
 
 class TestValidate:
     def test_clean_instance_passes(self):
@@ -124,6 +138,25 @@ class TestValidate:
         )
         report = validate(blocks)
         assert not report.b_full_rank
+
+    def test_b_certified_without_forming_its_q(self, monkeypatch):
+        from saddleqr import NonFiniteError, _openblas
+
+        eye = DenseMatrix(np.eye(2))
+        full = SaddleBlocks(a=matrix2(6, 2.0, 1), b=matrix1(6, 3, 2.0, 2), c=matrix2(3, 2.0, 3))
+        wide = SaddleBlocks(a=eye, b=DenseMatrix(np.ones((2, 3))), c=DenseMatrix(np.zeros((3, 3))))
+        deficient = SaddleBlocks(a=eye, b=DenseMatrix(np.ones((2, 2))), c=eye)
+        infinite = SaddleBlocks(a=eye, b=DenseMatrix._wrap(np.diag([np.inf, 1.0])), c=eye)
+
+        def no_q(*args):
+            raise AssertionError("validate formed B's Q")
+
+        monkeypatch.setattr(_openblas, "dorgqr", no_q)
+        assert validate(full).all_passed
+        assert not validate(deficient).b_full_rank
+        assert not validate(wide).b_full_rank
+        with pytest.raises(NonFiniteError):
+            validate(infinite)
 
     def test_negative_c_fails_psd(self):
         blocks = SaddleBlocks(
@@ -163,8 +196,8 @@ class TestValidate:
         for module in (saddleqr.saddle, saddleqr.triangular):
             real = module._is_symmetric
 
-            def counting(xa, real=real):
-                checks.append(xa is blocks.a.array)
+            def counting(xa, real=real):  # blocks.a is a fresh copy, so match A by value
+                checks.append(xa.shape == a.shape and np.array_equal(xa, a))
                 return real(xa)
 
             monkeypatch.setattr(module, "_is_symmetric", counting)

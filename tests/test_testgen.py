@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,20 @@ class TestLogspaceDiag:
 def test_size_zero_rejected(make):
     with pytest.raises(DimensionError, match="size must be positive, got 0"):
         make()
+
+
+@pytest.mark.parametrize("make", [lambda s: matrix1(30, 20, s, 1), lambda s: matrix2(30, s, 1)],
+                         ids=["matrix1", "matrix2"])
+@pytest.mark.parametrize("s", [-1.0, np.inf, np.nan])
+def test_bad_exponent_rejected_before_drawing(monkeypatch, make, s):
+    import saddleqr.testgen
+
+    def drawn(*args):
+        raise AssertionError("an orthogonal factor was drawn before s was checked")
+
+    monkeypatch.setattr(saddleqr.testgen, "_orthonormal_columns", drawn)
+    with pytest.raises(ValueError, match="decade exponent must be finite and nonnegative"):
+        make(s)
 
 
 class TestRandomOrthogonal:
@@ -236,6 +252,20 @@ class TestScaleProblem:
         k_small_t = condition_number(assemble(scale_problem(a1, b1, c1, 0.01).blocks))
         k_unit = condition_number(assemble(scale_problem(a1, b1, c1, 1.0).blocks))
         assert k_small_t >= 1e2 * k_unit
+
+    def test_kept_problem_holds_m_once(self):
+        # M, z* and f: the scaled blocks are not kept beside M.
+        m, n = 400, 200
+        l = m + n
+        a1, b1, c1 = matrix2(m, 1.0, 1), matrix1(m, n, 1.0, 2), matrix2(n, 1.0, 3)
+        tracemalloc.start()
+        try:
+            p = scale_problem(a1, b1, c1, 2.0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert p.blocks.l == l
+        assert held <= 8 * (l * l + 10 * l)
 
     def test_zero_scale_rejected(self):
         a1, b1, c1 = self.base()
