@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -103,10 +102,9 @@ def _broken_hypotheses(report: ValidationReport) -> list[str]:
     """One line per failed certificate of ``validate``, with its diagnostic."""
     broken = []
     if not report.a_spd:
-        pivot = report.cholesky_min_pivot
         broken.append(
-            "A is not symmetric" if math.isnan(pivot)
-            else f"A is not positive definite (Cholesky pivot {pivot:.3e})"
+            "A is not positive definite (its Cholesky breaks down)" if report.a_symmetric
+            else "A is not symmetric"
         )
     if not report.c_psd:
         broken.append(

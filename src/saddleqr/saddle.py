@@ -16,7 +16,7 @@ from .errors import DimensionError, RankDeficientError
 from .householder import ThinQR, _r_in_place, thin_householder_qr
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric
 from .norms import _Spectrum
-from .triangular import _back_substitute_arr, cholesky
+from .triangular import _back_substitute_arr
 
 METHODS = ("bcgs", "bcgs2", "householder")
 
@@ -107,7 +107,7 @@ class ValidationReport:
     a_spd: bool
     c_psd: bool
     b_full_rank: bool
-    cholesky_min_pivot: float
+    a_symmetric: bool
     c_min_eigenvalue: float
 
     @property
@@ -116,21 +116,21 @@ class ValidationReport:
 
 
 def validate(blocks: SaddleBlocks) -> ValidationReport:
-    """Check A SPD, C symmetric PSD, and B full column rank (the R step of its
-    thin QR succeeds).
+    """Check A SPD (symmetric, and LAPACK ``dpotrf`` factors it), C symmetric
+    PSD, and B full column rank (the R step of its thin QR succeeds).
 
-    Failures land in the report rather than raising; the diagnostics carry
-    the minimum Cholesky pivot (NaN when A is not symmetric) and the
-    smallest eigenvalue of C.  A and C count as symmetric within
-    10 * eps * ||.||_F entrywise (``matrix._is_symmetric``); for A that is
-    ``cholesky``'s own check.  Each block is read from M once.
+    Failures land in the report rather than raising; the diagnostics say
+    whether A is symmetric and carry the smallest eigenvalue of C.  A and C
+    count as symmetric within 10 * eps * ||.||_F entrywise
+    (``matrix._is_symmetric``).  Each block is read from M once.
     """
     xa, m = blocks.matrix.array, blocks.m
-    try:
-        chol = cholesky(blocks.a)
-        a_spd, min_pivot = chol.ok, chol.min_pivot
-    except ValueError:  # cholesky refuses an A that is not symmetric
-        a_spd, min_pivot = False, float("nan")
+    a_spd = a_symmetric = _is_symmetric(xa[:m, :m])
+    if a_symmetric:
+        try:
+            np.linalg.cholesky(xa[:m, :m])  # its success is the verdict; L is not kept
+        except np.linalg.LinAlgError:
+            a_spd = False
 
     # One F-order copy of C, straight from M: dsytrd then reads C's own lower
     # triangle, as numpy's eigvalsh does, also when C is not symmetric.
@@ -150,7 +150,7 @@ def validate(blocks: SaddleBlocks) -> ValidationReport:
         a_spd=a_spd,
         c_psd=c_psd,
         b_full_rank=b_full_rank,
-        cholesky_min_pivot=min_pivot,
+        a_symmetric=a_symmetric,
         c_min_eigenvalue=c_min_eig,
     )
 

@@ -71,7 +71,7 @@ def loop_cholesky(a: np.ndarray) -> tuple[np.ndarray | None, int | None, float]:
     on success and (None, j, pivot j) at the first pivot j <= 0.  Pivot j
     is a_jj minus the serial sum of l_jk^2 over k < j; each entry below it
     is (a_ij - serial sum of l_ik l_jk) / l_jj.  The reference for
-    ``triangular.cholesky``'s verdicts."""
+    ``saddle.validate``'s verdict on A, LAPACK ``dpotrf``'s success."""
     n = a.shape[0]
     low = np.zeros((n, n))
     min_pivot = np.inf

@@ -1,7 +1,13 @@
+import io
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from saddleqr import DenseMatrix, Vector
+from saddleqr import DenseMatrix, Vector, matrix2
+from saddleqr import mmio
 from saddleqr.mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
 from saddleqr.rng import standard_normals
 
@@ -72,6 +78,13 @@ def test_comments_and_blank_lines_tolerated(tmp_path):
         ("%%MatrixMarket matrix array real general\n2 x\n1.0\n2.0\n", ":2: non-integer"),
         ("%%MatrixMarket matrix array real general\n% no sizes\n", ":2: missing dimensions"),
         ("%%MatrixMarket matrix array real general\n1 1\n\xe91.0\n", ":3: not UTF-8 text"),
+        # Errors come in line order: the header before a later undecodable byte.
+        ("%%MatrixMarket matrix coordinate real general\n1 1\n\xe9\n", ":1: expected header"),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0\n3.0\n",
+         ":5: expected 2 entries for 2x1, got 3"),
+        # A false dimensions line is reported, not allocated: 8 TB of entries.
+        ("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n",
+         ":3: expected 1000000000000 entries"),
     ],
 )
 def test_parse_errors_name_file_and_line(tmp_path, content, fragment):
@@ -85,3 +98,53 @@ def test_parse_errors_name_file_and_line(tmp_path, content, fragment):
 def test_missing_file_raises():
     with pytest.raises(FileNotFoundError):
         read_matrix("/nonexistent/nowhere.mtx")
+
+
+def test_each_line_ending_reads_to_the_same_bytes(tmp_path):
+    m = DenseMatrix(standard_normals(3, 3600).reshape(60, 60))  # 83 kB: more than one block
+    path = tmp_path / "m.mtx"
+    write_matrix(path, m)
+    text = path.read_bytes()
+    for end in (b"\r\n", b"\r"):
+        path.write_bytes(text.replace(b"\n", end))
+        assert read_matrix(path).array.tobytes() == m.array.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+def test_lines_cut_where_splitlines_cuts(monkeypatch, block):
+    # Small blocks cut between the CR and the LF of a line end, and after a CR.
+    monkeypatch.setattr(mmio, "_BLOCK", block)
+    alphabet = np.frombuffer(b"ab \r\n", dtype=np.uint8)
+    for seed in range(50):
+        data = alphabet[(standard_normals(seed, 40) * 1e6).astype(np.int64) % 5].tobytes()
+        assert list(mmio._lines(io.BytesIO(data))) == data.splitlines(), data
+
+
+def test_read_peak_memory_is_a_few_copies_of_the_matrix(tmp_path):
+    # At n = 300 (0.69 MiB of entries) the reader that split the whole file
+    # into line and float lists first peaked at 12.18 MiB; the one-pass
+    # reader peaks at 1.46 MiB, the parsed array and its row-major copy.
+    path = tmp_path / "m300.mtx"
+    write_matrix(path, matrix2(300, 4.0, 1))
+    tracemalloc.start()
+    try:
+        read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 300 * 300 * 8, peak
+
+
+def test_reads_from_a_pipe(tmp_path):
+    # A pipe (a shell's process substitution, say) reports no size to bound the entries by.
+    m = DenseMatrix(standard_normals(4, 6).reshape(3, 2))
+    source, fifo = tmp_path / "m.mtx", tmp_path / "fifo"
+    write_matrix(source, m)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(source.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        assert read_matrix(fifo).array.tobytes() == m.array.tobytes()
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()

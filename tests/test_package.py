@@ -85,6 +85,22 @@ def test_every_public_definition_has_a_caller():
     assert defined - used == set(UNCALLED)
 
 
+def test_every_module_level_import_is_used():
+    # A name a module imports and never reads is dead weight a refactor left
+    # behind; __init__.py imports only to re-export, so it is exempt.
+    unused = []
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = [(alias.asname or alias.name).split(".", 1)[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []
+
+
 def test_readme_library_snippet_runs(capsys):
     # The ```python block under README's "## Library" heading, run as written.
     library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
@@ -101,7 +117,7 @@ def test_readme_names_imported_from_their_modules_resolve():
     library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
     listed = re.search(r"The rest is imported from its module:(.*?)\.\s", library, re.S).group(1)
     clauses = re.findall(r"(.*?)from\s+`saddleqr\.(\w+)`", listed, re.S)
-    assert [module for _, module in clauses] == ["testgen", "stability", "mmio", "triangular"]
+    assert [module for _, module in clauses] == ["testgen", "stability", "mmio"]
     missing = [f"{module}.{name}" for names, module in clauses
                for name in re.findall(r"`(\w+)`", names)
                if not hasattr(importlib.import_module(f"saddleqr.{module}"), name)]

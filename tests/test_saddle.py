@@ -18,8 +18,10 @@ from saddleqr import (
     vector_norm,
 )
 from saddleqr.matrix import MACHINE_EPS
+from saddleqr.rng import _uniforms_at, mix64, standard_normals
+from saddleqr.testgen import hilbert
 
-from _oracles import cramer_solve_3x3, gauss_solve
+from _oracles import cramer_solve_3x3, gauss_solve, loop_cholesky
 
 BLOCKS_3X3 = SaddleBlocks(
     a=DenseMatrix([[2.0, 0.0], [0.0, 2.0]]),
@@ -115,8 +117,7 @@ class TestValidate:
             c=DenseMatrix([[0.0]]),
         )
         report = validate(blocks)
-        assert report.all_passed
-        assert report.cholesky_min_pivot > 0
+        assert report.all_passed and report.a_symmetric
         assert abs(report.c_min_eigenvalue) <= 1e-12
 
     def test_indefinite_a_fails(self):
@@ -126,8 +127,7 @@ class TestValidate:
             c=DenseMatrix([[0.0]]),
         )
         report = validate(blocks)
-        assert not report.a_spd
-        assert report.cholesky_min_pivot < 0
+        assert not report.a_spd and report.a_symmetric
         assert report.c_psd and report.b_full_rank
 
     def test_rank_deficient_b_fails(self):
@@ -175,7 +175,7 @@ class TestValidate:
             c=DenseMatrix([[0.0]]),
         )
         report = validate(blocks)
-        assert not report.a_spd and np.isnan(report.cholesky_min_pivot)
+        assert not report.a_spd and not report.a_symmetric
         assert report.c_psd and report.b_full_rank
         blocks = SaddleBlocks(
             a=DenseMatrix(np.eye(2)),
@@ -189,20 +189,42 @@ class TestValidate:
     @pytest.mark.parametrize("a", [np.diag([2.0, 3.0]), np.array([[2.0, 1.0], [0.0, 2.0]])])
     def test_a_symmetry_checked_once(self, monkeypatch, a):
         import saddleqr.saddle
-        import saddleqr.triangular
 
         blocks = SaddleBlocks(a=DenseMatrix(a), b=DenseMatrix([[1.0], [0.0]]), c=DenseMatrix([[1.0]]))
         checks = []
-        for module in (saddleqr.saddle, saddleqr.triangular):
-            real = module._is_symmetric
+        real = saddleqr.saddle._is_symmetric
 
-            def counting(xa, real=real):  # blocks.a is a fresh copy, so match A by value
-                checks.append(xa.shape == a.shape and np.array_equal(xa, a))
-                return real(xa)
+        def counting(xa):  # A is read from M, so match it by value
+            checks.append(xa.shape == a.shape and np.array_equal(xa, a))
+            return real(xa)
 
-            monkeypatch.setattr(module, "_is_symmetric", counting)
+        monkeypatch.setattr(saddleqr.saddle, "_is_symmetric", counting)
         validate(blocks)
         assert sum(checks) == 1
+
+    def test_a_verdicts_match_loop_oracle_on_shifted_spd_family(self):
+        # S = G G^T / n + I shifted by lambda_min(S) + 0.4 (u - 0.3) (lambda_max - lambda_min),
+        # u uniform: about 30% stay SPD, the rest fail at pivots 0 to 34.
+        c = DenseMatrix([[1.0]])
+        verdicts = set()
+        for i in range(400):
+            n = 2 + mix64(77, i) % 38
+            g = standard_normals(mix64(78, i), n * n).reshape(n, n)
+            s = g @ g.T / n + np.eye(n)
+            s = 0.5 * (s + s.T)
+            lam = np.linalg.eigvalsh(s)
+            u = _uniforms_at(mix64(79, i), np.array([1], dtype=np.uint64))[0]
+            a = s - (lam[0] + 0.4 * (u - 0.3) * (lam[-1] - lam[0])) * np.eye(n)
+            b = DenseMatrix(np.eye(n, 1))  # e1: full rank, so only A's verdict varies
+            report = validate(SaddleBlocks(a=DenseMatrix(a), b=b, c=c))
+            assert report.a_spd == (loop_cholesky(a)[0] is not None)
+            verdicts.add(report.a_spd)
+        assert verdicts == {True, False}
+
+    def test_example1_hilbert_a_passes(self):
+        blocks = SaddleBlocks(a=hilbert(12), b=DenseMatrix(np.eye(12, 1)), c=DenseMatrix([[1.0]]))
+        assert validate(blocks).a_spd
+        assert loop_cholesky(hilbert(12).array)[0] is not None
 
     def test_rank_one_c_is_psd(self):
         from saddleqr.testgen import ones_rank_one

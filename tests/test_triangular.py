@@ -11,18 +11,15 @@ from saddleqr import (
     bcgs,
     bcgs2,
     mat_vec,
-    matmul,
-    matrix2,
     vector_norm,
 )
 from saddleqr import _openblas
 from saddleqr.householder import _thin_qr
 from saddleqr.matrix import MACHINE_EPS
-from saddleqr.rng import _uniforms_at, mix64, standard_normals
-from saddleqr.testgen import hilbert
-from saddleqr.triangular import _back_substitute_arr, _column_sweep, cholesky
+from saddleqr.rng import standard_normals
+from saddleqr.triangular import _back_substitute_arr, _column_sweep
 
-from _oracles import exact_singular_values, loop_cholesky, row_back_substitute
+from _oracles import exact_singular_values, row_back_substitute
 
 
 def random_upper(n, seed, diag_boost=2.0):
@@ -182,7 +179,7 @@ class TestBlasPath:
         z = _back_substitute_arr(ra, g)
         assert ra.tobytes() == ra_before and g.tobytes() == g_before
         assert not np.shares_memory(z, g)
-        # Strided views, as cholesky passes: a reversed lower triangle and a column of A.
+        # Strided views: a reversed lower triangle and a column of a square matrix.
         low, a = random_upper(9, 3).array.T, standard_normals(4, 100).reshape(10, 10)
         low_before, a_before = low.tobytes(), a.tobytes()
         z = _back_substitute_arr(low[::-1, ::-1], a[8::-1, 9])
@@ -221,67 +218,3 @@ class TestBlasPath:
         wide[::2] = g
         z = _back_substitute_arr(big[::2, ::2], wide[::2])
         assert z.tobytes() == _back_substitute_arr(ra, g).tobytes()
-
-
-class TestCholesky:
-    def test_identity(self):
-        res = cholesky(DenseMatrix(np.eye(3)))
-        assert res.ok and np.array_equal(res.factor.array, np.eye(3))
-
-    def test_hand_example(self):
-        res = cholesky(DenseMatrix([[4.0, 2.0], [2.0, 2.0]]))
-        assert res.ok
-        assert np.array_equal(res.factor.array, [[2.0, 0.0], [1.0, 1.0]])
-
-    def test_indefinite_fails_at_second_pivot(self):
-        # eigenvalues 3 and -1: not positive definite
-        res = cholesky(DenseMatrix([[1.0, 2.0], [2.0, 1.0]]))
-        assert not res.ok
-        assert res.failed_pivot == 1
-        assert res.min_pivot == -3.0
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_reconstruction(self, seed):
-        a = matrix2(10, 3.0, seed)
-        res = cholesky(a)
-        assert res.ok
-        delta = a - matmul(res.factor, DenseMatrix(res.factor.array.T))
-        norm_a = float(exact_singular_values(a)[0])
-        assert float(exact_singular_values(delta)[0]) <= 1e2 * MACHINE_EPS * norm_a
-
-    def test_verdicts_match_loop_oracle_on_shifted_spd_family(self):
-        # S = G G^T / n + I shifted by lambda_min(S) + 0.4 (u - 0.3) (lambda_max - lambda_min),
-        # u uniform: about 30% stay SPD, the rest fail at pivots 0 to 34.
-        # The pivot gap peaked at 1.1e-11 max|A| on these 400 matrices.
-        verdicts = set()
-        for i in range(400):
-            n = 2 + mix64(77, i) % 38
-            g = standard_normals(mix64(78, i), n * n).reshape(n, n)
-            s = g @ g.T / n + np.eye(n)
-            s = 0.5 * (s + s.T)
-            lam = np.linalg.eigvalsh(s)
-            u = _uniforms_at(mix64(79, i), np.array([1], dtype=np.uint64))[0]
-            a = s - (lam[0] + 0.4 * (u - 0.3) * (lam[-1] - lam[0])) * np.eye(n)
-            low, failed_pivot, min_pivot = loop_cholesky(a)
-            res = cholesky(DenseMatrix(a))
-            assert (res.ok, res.failed_pivot) == (low is not None, failed_pivot)
-            assert abs(res.min_pivot - min_pivot) <= 1e-10 * np.max(np.abs(a))
-            verdicts.add(res.ok)
-        assert verdicts == {True, False}
-
-    def test_example1_hilbert_passes_both_ways(self):
-        res = cholesky(hilbert(12))
-        assert res.ok and res.min_pivot > 0.0
-        assert loop_cholesky(hilbert(12).array)[0] is not None
-
-    def test_positive_diagonal(self):
-        res = cholesky(matrix2(8, 2.0, 9))
-        assert np.all(np.diag(res.factor.array) > 0)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky(DenseMatrix([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(DimensionError):
-            cholesky(DenseMatrix([[1.0, 0.0]]))
