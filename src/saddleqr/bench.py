@@ -32,7 +32,7 @@ from .householder import _pins_one_thread
 from .matrix import DenseMatrix
 from .mmio import format17
 from .norms import _extreme_singular_values, _nonsingular
-from .rng import mix64
+from .rng import _checked_seed, mix64
 from .saddle import METHODS, assemble, solve_detailed
 from .stability import (StabilityReport, _decomposition_defect, _gram_defect, _report,
                         _solution_norm)
@@ -84,6 +84,7 @@ class BenchConfig:
             raise ValueError("every t must be finite and nonzero")
         if not all(0.0 <= s < math.inf for s in (self.s_a, self.s_b, self.s_c)):
             raise ValueError("sA, sB and sC must be finite and nonnegative")
+        _checked_seed(self.seed)
         if not self.methods:
             raise ValueError("at least one method is required")
         bad = [meth for meth in self.methods if meth not in METHODS]

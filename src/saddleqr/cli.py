@@ -23,6 +23,7 @@ from .bench import (EXAMPLES, FORMATS, BenchConfig, format_kappa, render_report,
 from .errors import DimensionError, LinAlgError
 from .mmio import MatrixMarketError, read_matrix, read_vector, write_matrix, write_vector
 from .norms import condition_number
+from .rng import _checked_seed
 from .saddle import METHODS, SaddleBlocks, ValidationReport, solve_detailed, validate
 from .stability import metrics
 from .testgen import GENERATOR_KINDS, hilbert, matrix1, matrix2, ones_rank_one
@@ -57,8 +58,9 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _generate(args):
-    """The matrix of ``gen``'s flags."""
+    """The matrix of ``gen``'s flags; the seed is checked for every kind."""
     m, n, kind = args.m, args.n, args.kind
+    _checked_seed(args.seed)
     if kind == "matrix1":
         if m is None or n is None:
             raise ValueError("matrix1 requires both --m and --n")

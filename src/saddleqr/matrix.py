@@ -53,9 +53,24 @@ def _norm2_arr(x: np.ndarray) -> float:
 
 
 def _is_symmetric(xa: np.ndarray) -> bool:
-    """max |X - X^T| <= 10 eps ||X||_F entrywise (the Frobenius norm is a
-    cheap upper bound for the spectral norm)."""
-    return float(np.max(np.abs(xa - xa.T))) <= 10.0 * MACHINE_EPS * _norm2_arr(xa.ravel())
+    """max |X - X^T| <= 10 eps ||X||_F entrywise for a square X (||X||_F bounds ||X||_2),
+    over 256-row blocks in one block-size buffer; ||X||_F is ``_norm2_arr(X.ravel())``
+    bit for bit, max|X| read without a temporary and the ``_seq_sum`` of (X / max|X|)^2
+    carried from block to block.  inf or NaN raises :class:`NonFiniteError`."""
+    scale, n = max(float(xa.max()), -float(xa.min())), len(xa)
+    if not np.isfinite(scale):
+        raise NonFiniteError("norm of a matrix that is not finite")
+    buf = np.empty((min(256, n), n))
+    skew = total = 0.0
+    for i in range(0, n, 256):
+        band = xa[i : i + 256]
+        d = buf[: len(band)]
+        np.subtract(band, xa[:, i : i + len(band)].T, out=d)
+        skew = max(skew, float(np.max(np.abs(d, out=d))))
+        np.square(np.divide(band, scale or 1.0, out=d), out=d)
+        d[0, 0] += total
+        total = float(np.cumsum(d, out=d.ravel())[-1])
+    return skew <= 10.0 * MACHINE_EPS * (scale * float(np.sqrt(total)))
 
 
 class _Immutable:

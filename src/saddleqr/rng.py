@@ -20,9 +20,16 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 
+def _checked_seed(seed: int) -> int:
+    """``seed`` if 0 <= seed < 2^64, else ``ValueError``: no two seeds name one stream."""
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _splitmix(seed: int, idx: np.ndarray) -> np.ndarray:
     """splitmix64 outputs ``finalize(seed + idx * GOLDEN)`` for uint64 ``idx``."""
-    z = (np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN)).astype(np.uint64)
+    z = (np.uint64(_checked_seed(seed)) + idx * np.uint64(_GOLDEN)).astype(np.uint64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX_A)
     z ^= z >> np.uint64(27)

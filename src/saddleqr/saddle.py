@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockgs import _reorthogonalize, bcgs, bcgs2
-from .errors import DimensionError, RankDeficientError
+from .errors import DimensionError, NonFiniteError, RankDeficientError
 from .householder import ThinQR, _r_in_place, thin_householder_qr
 from .matrix import MACHINE_EPS, DenseMatrix, Vector, _is_symmetric
 from .norms import _Spectrum
@@ -22,11 +22,9 @@ METHODS = ("bcgs", "bcgs2", "householder")
 
 
 class SaddleBlocks:
-    """The block triple (A, B, C), held once as M = [[A, B], [B^T, -C]]: the
-    constructor assembles M, read-only, and keeps only M and the split m.
-    ``a``, ``b`` and ``c`` are read-only copies read back from M, bitwise
-    (C = -M[m:, m:], signed zeros included).  Equality and hashing see m and
-    M's bytes, so two triples built from the same blocks are equal."""
+    """The block triple (A, B, C), held once as the read-only M = [[A, B], [B^T, -C]]
+    and the split m: A is ``M[:m, :m]``, B is ``M[:m, m:]`` and C is ``-M[m:, m:]``,
+    bitwise (signed zeros included), in ``matrix.array``."""
 
     __slots__ = ("_m", "_matrix")
 
@@ -63,32 +61,6 @@ class SaddleBlocks:
     @property
     def matrix(self) -> DenseMatrix:
         return self._matrix
-
-    @property
-    def a(self) -> DenseMatrix:
-        m = self._m
-        return DenseMatrix._wrap(self._matrix.array[:m, :m].copy())
-
-    @property
-    def b(self) -> DenseMatrix:
-        m = self._m
-        return DenseMatrix._wrap(self._matrix.array[:m, m:].copy())
-
-    @property
-    def c(self) -> DenseMatrix:
-        m = self._m
-        return DenseMatrix._wrap(np.negative(self._matrix.array[m:, m:]))
-
-    def _key(self) -> tuple[int, bytes]:
-        return self._m, self._matrix.array.tobytes()
-
-    def __eq__(self, other):
-        if not isinstance(other, SaddleBlocks):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"SaddleBlocks(m={self.m}, n={self.n})"
@@ -178,9 +150,9 @@ class SolveDetail:
 def solve_detailed(
     blocks: SaddleBlocks, f: Vector, method: str, *, first_pass: SolveDetail | None = None
 ) -> SolveDetail:
-    """Factor M with the chosen path, then solve R z = Q^T f.  Given ``first_pass``, the
-    detail of a bcgs solve of these same blocks, bcgs2 reorthogonalizes a copy of its
-    factors and the other methods ignore it; any other detail raises ``ValueError``."""
+    """Factor M with the chosen path, then solve R z = Q^T f; a z that is not finite raises
+    :class:`NonFiniteError`.  bcgs2 reorthogonalizes a copy of the factors of ``first_pass``,
+    the detail of a bcgs solve of these blocks (any other raises ``ValueError``)."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if len(f) != blocks.l:
@@ -201,6 +173,8 @@ def solve_detailed(
     else:
         fac = bcgs(m, blocks.m) if method == "bcgs" else bcgs2(m, blocks.m)
     # R from ThinQR is upper triangular by contract, so the raw solve skips the check.
-    z = Vector._wrap(_back_substitute_arr(fac.r.array, fac.q.array.T @ f.array))
-    sol = SaddleSolution(z=z, method=method)
+    z = _back_substitute_arr(fac.r.array, fac.q.array.T @ f.array)
+    if not np.isfinite(z).all():
+        raise NonFiniteError(f"the {method} solution is not finite")
+    sol = SaddleSolution(z=Vector._wrap(z), method=method)
     return SolveDetail(solution=sol, matrix=m, q=fac.q, r=fac.r)

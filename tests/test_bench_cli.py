@@ -640,6 +640,12 @@ class TestMemoryFailures:
         assert not saddle_files["out"].exists()
 
 
+def _corners(blocks):
+    """A, B and C of ``blocks``, read from the corners of M."""
+    ma, m = blocks.matrix.array, blocks.m
+    return DenseMatrix(ma[:m, :m]), DenseMatrix(ma[:m, m:]), DenseMatrix(-ma[m:, m:])
+
+
 @pytest.fixture()
 def saddle_files(tmp_path):
     blocks = SaddleBlocks(
@@ -648,7 +654,7 @@ def saddle_files(tmp_path):
         c=DenseMatrix([[1.0]]),
     )
     paths = {}
-    for name, mat in (("a", blocks.a), ("b", blocks.b), ("c", blocks.c)):
+    for name, mat in zip("abc", _corners(blocks)):
         paths[name] = tmp_path / f"{name}.mtx"
         write_matrix(paths[name], mat)
     paths["f"] = tmp_path / "f.mtx"
@@ -784,7 +790,7 @@ class TestCliSolve:
     @staticmethod
     def _solve_files(tmp_path, blocks, f, method="bcgs2", *extra):
         paths = {}
-        for name, mat in (("a", blocks.a), ("b", blocks.b), ("c", blocks.c)):
+        for name, mat in zip("abc", _corners(blocks)):
             paths[name] = tmp_path / f"{name}.mtx"
             write_matrix(paths[name], mat)
         write_vector(tmp_path / "f.mtx", f)
@@ -804,6 +810,16 @@ class TestCliSolve:
             err = capsys.readouterr().err
             assert "solve failed" in err and "rank-deficient" in err
             assert not (tmp_path / "z.mtx").exists()
+
+    @pytest.mark.parametrize("method", ["bcgs", "bcgs2", "householder"])
+    def test_non_finite_solution_exits_1(self, tmp_path, capsys, method):
+        # The exact z = (4/3, -2/3, -1/3) 1e308 is representable, but z_0 overflows.
+        blocks = SaddleBlocks(a=DenseMatrix(np.eye(2)), b=DenseMatrix([[1.0], [1.0]]),
+                              c=DenseMatrix([[1.0]]))
+        assert self._solve_files(tmp_path, blocks, Vector([1e308, -1e308, 1e308]), method) == 1
+        err = capsys.readouterr().err
+        assert err == f"saddleqr: error: solve failed: the {method} solution is not finite\n"
+        assert not (tmp_path / "z.mtx").exists()
 
     @pytest.mark.parametrize("a, b, c, named", [
         ([[1.0, 0.0], [0.0, 1.0]], [[0.0], [0.0]], [[0.0]], "B is rank-deficient"),
@@ -1079,6 +1095,30 @@ class TestCliBench:
         assert main([*args, "--out", str(out)]) == 2
         assert not out.exists()
         assert "saddleqr: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--kind", "matrix2", "--n", "3"],
+        ["gen", "--kind", "hilbert", "--n", "3"],  # draws nothing, but the rule holds
+        ["bench", "--example", "1", "--t-list", "1"],
+    ])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                                             seed):
+        out = tmp_path / "out"
+        assert main([*command, "--seed", str(seed), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"saddleqr: error: seed must be in [0, 2^64), got {seed}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--kind", "matrix2", "--n", "3"],
+        ["bench", "--example", "1", "--t-list", "1"],
+    ])
+    def test_seeds_at_both_ends_of_64_bits_run(self, tmp_path, command):
+        for seed in (0, 2**64 - 1):
+            out = tmp_path / f"out{seed}"
+            assert main([*command, "--seed", str(seed), "--out", str(out)]) == 0
+            assert out.exists()
+        assert (tmp_path / "out0").read_bytes() != (tmp_path / f"out{2**64 - 1}").read_bytes()
 
     def test_markdown_format(self, tmp_path):
         out = tmp_path / "bench.md"

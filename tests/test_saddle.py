@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from saddleqr import (
     DenseMatrix,
     DimensionError,
+    NonFiniteError,
     RankDeficientError,
     SaddleBlocks,
     Vector,
@@ -17,7 +20,7 @@ from saddleqr import (
     validate,
     vector_norm,
 )
-from saddleqr.matrix import MACHINE_EPS
+from saddleqr.matrix import MACHINE_EPS, _is_symmetric
 from saddleqr.rng import _uniforms_at, mix64, standard_normals
 from saddleqr.testgen import hilbert
 
@@ -70,14 +73,6 @@ class TestAssemble:
         for method in ("bcgs", "bcgs2", "householder"):
             assert solve_detailed(blocks, f, method).matrix is m
 
-    def test_equality_and_hash_ignore_the_assembled_matrix(self):
-        a, b, c = BLOCKS_3X3.a, BLOCKS_3X3.b, BLOCKS_3X3.c
-        fresh, used = SaddleBlocks(a=a, b=b, c=c), SaddleBlocks(a=a, b=b, c=c)
-        assemble(used)
-        assert fresh == used
-        assert hash(fresh) == hash(used)
-        assert repr(fresh) == repr(used)
-
     @pytest.mark.parametrize("a, c, named", [
         (np.ones((2, 3)), np.eye(1), "A must be square"),
         (np.eye(2), np.ones((1, 2)), "C must be square"),
@@ -100,13 +95,14 @@ class TestAssemble:
         c = np.array([[0.0, -0.0], [-0.0, 1.0]])  # M holds -C: -0.0 and 0.0 swap there
         blocks = SaddleBlocks(a=DenseMatrix(a), b=DenseMatrix(b), c=DenseMatrix(c))
         assert (blocks.m, blocks.n, blocks.l) == (2, 2, 4)
-        for got, want in ((blocks.a, a), (blocks.b, b), (blocks.c, c)):
-            assert got.array.tobytes() == want.tobytes()  # signed zeros included
-            assert not got.array.flags.writeable
-            assert not np.shares_memory(got.array, blocks.matrix.array)
-        again = SaddleBlocks(a=blocks.a, b=blocks.b, c=blocks.c)
-        assert again == blocks and hash(again) == hash(blocks)
-        assert SaddleBlocks(a=DenseMatrix(a), b=DenseMatrix(b), c=DenseMatrix(-c)) != blocks
+        ma = blocks.matrix.array
+        for got, want in ((ma[:2, :2], a), (ma[:2, 2:], b), (ma[2:, :2], b.T), (ma[2:, 2:], -c)):
+            assert got.tobytes() == want.tobytes()  # signed zeros included
+        assert not ma.flags.writeable
+        with pytest.raises(ValueError):
+            ma[0, 0] = 1.0
+        # M is the one copy of the blocks: no accessor copies one back out
+        assert not any(hasattr(blocks, name) for name in ("a", "b", "c"))
 
 
 class TestValidate:
@@ -226,6 +222,30 @@ class TestValidate:
         assert validate(blocks).a_spd
         assert loop_cholesky(hilbert(12).array)[0] is not None
 
+    @pytest.mark.parametrize("skew, verdict", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("order, i, j", [(8, 5, 1), (300, 290, 10)])  # 300: two row blocks
+    def test_symmetry_tolerance_edges(self, skew, verdict, order, i, j):
+        # One off-diagonal pair apart by `skew` times 10 eps ||X||_F, at two scales;
+        # at 1e300, ||X||_F overflows unless X is scaled first.
+        x = matrix2(order, 2.0, 4).array
+        for scale in (1.0, 1e300):
+            y = x * scale
+            y[i, j] = y[j, i] + skew * 10.0 * MACHINE_EPS * float(np.linalg.norm(x)) * scale
+            assert _is_symmetric(y) is verdict
+
+    def test_symmetry_check_memory_is_a_block_of_rows(self):
+        # A 1000 x 1000 corner of M (7.6 MiB): the whole-matrix check peaked
+        # at 30.5 MiB, the blockwise one at 2.1 MiB (its 256 x 1000 buffer).
+        a = SaddleBlocks(a=matrix2(1000, 2.0, 6), b=matrix1(1000, 2, 1.0, 7),
+                         c=matrix2(2, 1.0, 8)).matrix.array[:1000, :1000]
+        tracemalloc.start()
+        try:
+            assert _is_symmetric(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+
     def test_rank_one_c_is_psd(self):
         from saddleqr.testgen import ones_rank_one
 
@@ -267,6 +287,15 @@ class TestSolve:
         )
         with pytest.raises((RankDeficientError, ZeroDiagonalError)):
             solve_detailed(blocks, Vector([1.0, 1.0, 0.0]), "bcgs2")
+
+    @pytest.mark.parametrize("method", ["bcgs", "bcgs2", "householder"])
+    def test_non_finite_solution_raises(self, method):
+        # The exact z = (4/3, -2/3, -1/3) 1e308 is representable, but z_0 overflows.
+        blocks = SaddleBlocks(
+            a=DenseMatrix(np.eye(2)), b=DenseMatrix([[1.0], [1.0]]), c=DenseMatrix([[1.0]])
+        )
+        with pytest.raises(NonFiniteError, match=f"the {method} solution is not finite"):
+            solve_detailed(blocks, Vector([1e308, -1e308, 1e308]), method)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

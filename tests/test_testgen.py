@@ -99,6 +99,14 @@ class TestRandomOrthogonal:
         assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+def test_seed_outside_64_bits_is_refused(seed):
+    # Taken modulo 2^64, -1 would alias 2^64 - 1 and 2^64 would alias 0.
+    with pytest.raises(ValueError, match=f"seed must be in \\[0, 2\\^64\\), got {seed}"):
+        standard_normals(seed, 4)
+    assert standard_normals(2**64 - 1, 4).shape == (4,)
+
+
 class TestMatrix1:
     def test_zero_exponent_left_orthogonal(self):
         x = matrix1(9, 4, 0.0, 5)
@@ -219,9 +227,10 @@ class TestScaleProblem:
     def test_unit_scale_is_identity(self):
         a1, b1, c1 = self.base()
         p = scale_problem(a1, b1, c1, 1.0)
-        assert np.array_equal(p.blocks.a.array, a1.array)
-        assert np.array_equal(p.blocks.b.array, b1.array)
-        assert np.array_equal(p.blocks.c.array, c1.array)
+        ma = p.blocks.matrix.array
+        assert np.array_equal(ma[:4, :4], a1.array)
+        assert np.array_equal(ma[:4, 4:], b1.array)
+        assert np.array_equal(-ma[4:, 4:], c1.array)
         assert np.array_equal(p.z_star.array, np.ones(6))
 
     def test_solution_pattern(self):
@@ -242,7 +251,8 @@ class TestScaleProblem:
         k_ref = condition_number(a1)
         for t in (0.01, 100.0):
             p = scale_problem(a1, b1, c1, t)
-            assert condition_number(p.blocks.a) == pytest.approx(k_ref, rel=1e-6)
+            a = DenseMatrix(p.blocks.matrix.array[:4, :4])
+            assert condition_number(a) == pytest.approx(k_ref, rel=1e-6)
 
     def test_system_conditioning_moves_with_t(self):
         a1 = matrix2(50, 10.0, 3)
